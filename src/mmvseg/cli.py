@@ -37,15 +37,14 @@ from .fusion import (
     TokenSummarizer,
 )
 from .metrics import evaluate
-from .model import ModelConfig, benchmark_attention, load_checkpoint
-from .training import (
+from .model import (
     ABLATIONS,
-    TrainConfig,
-    ablation_train_config,
-    cross_entropy_loss,
-    soft_dice_loss,
-    train,
+    ModelConfig,
+    ablation_model_config,
+    benchmark_attention,
+    load_checkpoint,
 )
+from .training import TrainConfig, cross_entropy_loss, soft_dice_loss, train
 
 
 class _UsageError(Exception):
@@ -183,6 +182,8 @@ def cmd_train(args):
         model_cfg = ModelConfig.from_dict(model_dict)
     except TypeError as exc:
         raise ConfigError(f"bad model config field: {exc}") from None
+    if args.ablation:
+        model_cfg = ablation_model_config(model_cfg, args.ablation)
 
     train_dict = _load_json(args.train_config, "train config") if args.train_config else {}
     for key in ("steps", "lr", "seed", "batch_size", "val_every"):
@@ -194,8 +195,6 @@ def cmd_train(args):
         train_cfg = TrainConfig(**train_dict)
     except TypeError as exc:
         raise ConfigError(f"bad train config field: {exc}") from None
-    if args.ablation:
-        train_cfg = ablation_train_config(train_cfg, args.ablation)
 
     out = Path(args.out)
     _write_manifest(
@@ -372,7 +371,7 @@ def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
 def cmd_gradcheck(args):
     out = Path(args.out)
     _write_manifest(out, "gradcheck", args.seed,
-                    {"scale": args.scale, "tolerance": 1e-4},
+                    {"tolerance": 1e-4},
                     {"table": out / "gradcheck.csv"})
     rows = gradcheck_suite(seed=args.seed)
     _write_csv(out / "gradcheck.csv",
@@ -452,11 +451,11 @@ def cmd_ablate(args):
     )
     results = []
     for row in rows:
+        row_cfg = ablation_model_config(model_cfg, row)
         dices = []
         for seed in range(args.seeds):
-            tcfg = ablation_train_config(
-                TrainConfig(steps=args.steps, lr=args.lr, seed=args.seed + seed), row)
-            _, summary = train(model_cfg, tcfg, train_set,
+            tcfg = TrainConfig(steps=args.steps, lr=args.lr, seed=args.seed + seed)
+            _, summary = train(row_cfg, tcfg, train_set,
                                out / "runs" / f"{row}-s{seed}", val_dataset=val_set)
             dices.append(summary["final_val_dice"])
         results.append((row, sum(dices) / len(dices)))
@@ -553,7 +552,6 @@ def _build_parser():
 
     c = sub.add_parser("gradcheck", help="finite-difference check every block")
     c.add_argument("--out", required=True)
-    c.add_argument("--scale", choices=["toy"], default="toy")
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_gradcheck)
 

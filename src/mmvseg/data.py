@@ -340,6 +340,8 @@ def load_dataset(root, normalized=True):
         mask = read_mask(cdir / "mask.msk")
         if volume.shape != mask.labels.shape:
             raise FormatError(f"{cdir.name}: volume {volume.shape} vs mask {mask.labels.shape}")
+        # MSK1 stores no spacing; the mask lies on its volume's voxel grid
+        mask = replace(mask, spacing=volume.spacing)
         if normalized:
             volume = normalize(volume)
         dataset.append((volume.data.astype(np.float32), mask))

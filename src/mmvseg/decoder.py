@@ -24,7 +24,6 @@ N_LEVELS = 5
 class DecoderConfig:
     level_channels: tuple = (128, 64, 64, 32)  # levels 4, 3, 2, 1
     out_classes: int = 2
-    merge: str = "concat"
 
     def __post_init__(self):
         self.level_channels = tuple(int(c) for c in self.level_channels)
@@ -36,8 +35,6 @@ class DecoderConfig:
             raise ConfigError(f"level_channels must be positive, got {self.level_channels}")
         if self.out_classes < 2:
             raise ConfigError(f"need at least 2 output classes, got {self.out_classes}")
-        if self.merge != "concat":
-            raise ConfigError(f"unsupported skip merge {self.merge!r}")
 
 
 def fold_tokens(seq: TokenSeq):

@@ -276,24 +276,19 @@ class CrossModalityLayer(Module):
         self.norm2 = LayerNorm(c, dtype)
         self.ffn = Mlp(c, cfg.ffn_ratio * c, rng, dtype)
 
-    def __call__(self, seq: TokenSeq, summary: TokenSeq, residual=None) -> TokenSeq:
+    def __call__(self, seq: TokenSeq, summary: TokenSeq) -> TokenSeq:
         if seq.tokens.shape[-1] != summary.tokens.shape[-1]:
             raise ShapeError(
                 f"channel mismatch: {seq.tokens.shape} vs {summary.tokens.shape}"
             )
-        res = seq.tokens if residual is None else residual
-        z = ad.add(res, self.attn(self.norm_q(seq.tokens), self.norm_kv(summary.tokens)))
+        z = ad.add(seq.tokens, self.attn(self.norm_q(seq.tokens), self.norm_kv(summary.tokens)))
         z = ad.add(z, self.ffn(self.norm2(z)))
         return TokenSeq(z, seq.grid)
 
 
 class Fusion(Module):
     """Embed per-modality bottleneck features into one token stream, mix it
-    spatially, and cross-attend it against learned modality summaries.
-
-    `cross_residual` picks what the cross-attention residual adds to: the
-    mixed query stream (default) or the raw embedded tokens.
-    """
+    spatially, and cross-attend it against learned modality summaries."""
 
     def __init__(
         self,
@@ -304,15 +299,12 @@ class Fusion(Module):
         summary_tokens=32,
         spatial_layers=2,
         use_cross=True,
-        cross_residual="query_stream",
         dtype=np.float32,
     ):
         cfg = cfg if cfg is not None else AttentionConfig()
         rng = rng if rng is not None else np.random.default_rng(0)
         if modalities < 1:
             raise ConfigError(f"need at least one modality, got {modalities}")
-        if cross_residual not in ("query_stream", "embedded_tokens"):
-            raise ConfigError(f"unknown cross_residual {cross_residual!r}")
         grid = tuple(int(g) for g in grid)
         if any(g % w for g, w in zip(grid, cfg.window)):
             raise ShapeError(f"window {cfg.window} does not tile bottleneck grid {grid}")
@@ -327,7 +319,6 @@ class Fusion(Module):
         self.modalities = modalities
         self.grid = grid
         self.cfg = cfg
-        self.cross_residual = cross_residual
 
     def _check_features(self, feats):
         if len(feats) != self.modalities:
@@ -347,12 +338,10 @@ class Fusion(Module):
         return TokenSeq(ad.add(x, self.pos.embed_abs), self.grid)
 
     def __call__(self, feats) -> TokenSeq:
-        embedded = self.embed_tokens(feats)
-        seq = embedded
+        seq = self.embed_tokens(feats)
         for layer in self.layers:
             seq = layer(seq, self.pos)
         if self.cross is None:
             return seq
         summary = spatial_concat([self.summarize(f) for f in feats])
-        residual = embedded.tokens if self.cross_residual == "embedded_tokens" else None
-        return self.cross(seq, summary, residual)
+        return self.cross(seq, summary)

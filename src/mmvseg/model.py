@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import _read_exact
 from .decoder import Decoder, DecoderConfig, fold_tokens
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, ContractError, FormatError, ShapeError
@@ -31,7 +32,7 @@ DOWNSAMPLE = 16  # spatial reduction from input to bottleneck
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 CHECKPOINT_MAGIC = b"NFCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -50,7 +51,6 @@ class ModelConfig:
     use_spatial_attention: bool = True
     use_cross_attention: bool = True
     use_gated_skips: bool = True
-    cross_residual: str = "query_stream"
     seed: int = 0
     dtype: str = "float32"
 
@@ -102,6 +102,33 @@ class ModelConfig:
         return cls(**d)
 
 
+# Study-arm registry: each row sets the encoder block kind and the three
+# fusion switches, and leaves every other model field as given.
+ABLATIONS = {
+    "baseline-conv": dict(block_kind="conv", use_spatial_attention=False,
+                          use_cross_attention=False, use_gated_skips=False),
+    "baseline-concat": dict(block_kind="global_pool", use_spatial_attention=False,
+                            use_cross_attention=False, use_gated_skips=False),
+    "add-spatial": dict(block_kind="global_pool", use_spatial_attention=True,
+                        use_cross_attention=False, use_gated_skips=False),
+    "add-cross": dict(block_kind="global_pool", use_spatial_attention=True,
+                      use_cross_attention=True, use_gated_skips=False),
+    "full": dict(block_kind="global_pool", use_spatial_attention=True,
+                 use_cross_attention=True, use_gated_skips=True),
+    "full-local-pool": dict(block_kind="local_pool", use_spatial_attention=True,
+                            use_cross_attention=True, use_gated_skips=True),
+}
+
+
+def ablation_model_config(cfg: ModelConfig, name: str) -> ModelConfig:
+    """`cfg` with the switches of ablation row `name` applied."""
+    if name not in ABLATIONS:
+        raise ConfigError(f"unknown ablation {name!r}; choose from {sorted(ABLATIONS)}")
+    switches = dict(ABLATIONS[name])
+    encoder = replace(cfg.encoder, block_kind=switches.pop("block_kind"))
+    return replace(cfg, encoder=encoder, **switches)
+
+
 class Model(Module):
     def __init__(self, cfg: ModelConfig):
         rng = np.random.default_rng(cfg.seed)
@@ -116,7 +143,6 @@ class Model(Module):
             summary_tokens=cfg.summary_tokens,
             spatial_layers=cfg.spatial_layers if cfg.use_spatial_attention else 0,
             use_cross=cfg.use_cross_attention,
-            cross_residual=cfg.cross_residual,
             dtype=dtype,
         )
         skip_channels = tuple(reversed(cfg.encoder.stage_channels[:4]))
@@ -297,20 +323,9 @@ def save_checkpoint(model, path, step=0, opt_state=None):
     os.replace(tmp, path)
 
 
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"checkpoint truncated while reading {what}")
-    return buf
-
-
-def load_checkpoint(path, expect_config=None, force_config=False):
+def load_checkpoint(path):
     """Rebuild a model from a checkpoint; returns (model, meta) where meta
-    carries the step counter and optimizer state if one was saved.
-
-    If `expect_config` is given, the stored config must match it exactly
-    unless `force_config` is set.
-    """
+    carries the step counter and optimizer state if one was saved."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise FormatError("not a checkpoint file (bad magic)")
@@ -342,14 +357,11 @@ def load_checkpoint(path, expect_config=None, force_config=False):
         if fh.read(1):
             raise FormatError("trailing data after tensor table")
 
-    if expect_config is not None and not force_config:
-        if expect_config.to_dict() != header["config"]:
-            raise ConfigError(
-                "checkpoint config does not match the expected config "
-                "(pass force_config to load anyway)"
-            )
-
-    model = Model(ModelConfig.from_dict(header["config"]))
+    try:
+        cfg = ModelConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise FormatError(f"checkpoint config does not build a model: {exc}") from exc
+    model = Model(cfg)
     consumed = set()
     for name, param in model.named_params():
         if name not in table:

@@ -8,7 +8,7 @@ and reruns with the same seed produce byte-identical logs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
@@ -19,8 +19,6 @@ from .autodiff import Tape, Tensor, backward
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .metrics import SegmentationMask, dice_score
 from .model import Model, save_checkpoint
-
-_ENCODERS = ("conv", "local_pool", "global_pool")
 
 
 @dataclass
@@ -38,11 +36,6 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 = only the final checkpoint
     val_every: int = 0
     log_wall_time: bool = False
-    # ablation switches, applied onto the model config by resolve_model_config
-    encoder_kind: str = "global_pool"
-    use_spatial_attention: bool = True
-    use_cross_attention: bool = True
-    use_gated_skips: bool = True
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -59,45 +52,7 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
             raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
-        if self.encoder_kind not in _ENCODERS:
-            raise ConfigError(
-                f"encoder kind {self.encoder_kind!r} not one of {_ENCODERS}"
-            )
         self.betas = (float(self.betas[0]), float(self.betas[1]))
-
-
-# Study-arm registry: each entry only overrides the ablation switches.
-ABLATIONS = {
-    "baseline-conv": dict(encoder_kind="conv", use_spatial_attention=False,
-                          use_cross_attention=False, use_gated_skips=False),
-    "baseline-concat": dict(encoder_kind="global_pool", use_spatial_attention=False,
-                            use_cross_attention=False, use_gated_skips=False),
-    "add-spatial": dict(encoder_kind="global_pool", use_spatial_attention=True,
-                        use_cross_attention=False, use_gated_skips=False),
-    "add-cross": dict(encoder_kind="global_pool", use_spatial_attention=True,
-                      use_cross_attention=True, use_gated_skips=False),
-    "full": dict(encoder_kind="global_pool", use_spatial_attention=True,
-                 use_cross_attention=True, use_gated_skips=True),
-    "full-local-pool": dict(encoder_kind="local_pool", use_spatial_attention=True,
-                            use_cross_attention=True, use_gated_skips=True),
-}
-
-
-def ablation_train_config(base: TrainConfig, name: str) -> TrainConfig:
-    if name not in ABLATIONS:
-        raise ConfigError(f"unknown ablation {name!r}; choose from {sorted(ABLATIONS)}")
-    return replace(base, **ABLATIONS[name])
-
-
-def resolve_model_config(model_cfg, train_cfg: TrainConfig):
-    """Copy the ablation switches from the train config onto the model config."""
-    return replace(
-        model_cfg,
-        encoder=replace(model_cfg.encoder, block_kind=train_cfg.encoder_kind),
-        use_spatial_attention=train_cfg.use_spatial_attention,
-        use_cross_attention=train_cfg.use_cross_attention,
-        use_gated_skips=train_cfg.use_gated_skips,
-    )
 
 
 def _target_onehot(logits, target, what):
@@ -212,7 +167,7 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
         raise ContractError("training needs a nonempty dataset")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = Model(resolve_model_config(model_cfg, train_cfg))
+    model = Model(model_cfg)
     named = list(model.named_params())
     opt = init_opt_state(named)
     order_rng = np.random.default_rng(train_cfg.seed)

@@ -26,12 +26,13 @@ from mmvseg.metrics import SegmentationMask, dice_score, hd95
 from mmvseg.model import (
     Model,
     ModelConfig,
+    ablation_model_config,
     attention_cost,
     benchmark_attention,
     load_checkpoint,
     save_checkpoint,
 )
-from mmvseg.training import TrainConfig, ablation_train_config, train
+from mmvseg.training import TrainConfig, train
 
 
 def _report(n, ok, detail):
@@ -228,10 +229,11 @@ def test_criterion_6_ablation_ordering(tmp_path):
     )
     means = {}
     for row in ("baseline-concat", "add-spatial", "add-cross", "full"):
+        row_cfg = ablation_model_config(cfg, row)
         dices = []
         for seed in range(3):
-            tcfg = ablation_train_config(TrainConfig(steps=300, lr=1e-3, seed=seed), row)
-            _, summary = train(cfg, tcfg, train_set, tmp_path / f"{row}-s{seed}",
+            tcfg = TrainConfig(steps=300, lr=1e-3, seed=seed)
+            _, summary = train(row_cfg, tcfg, train_set, tmp_path / f"{row}-s{seed}",
                                val_dataset=val_set)
             dices.append(summary["final_val_dice"])
         means[row] = float(np.mean(dices))

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from mmvseg.cli import main
+from mmvseg.data import load_dataset
+from mmvseg.metrics import SegmentationMask, hd95
 from mmvseg.model import load_checkpoint
+from test_model import rewrite_config
 
 SPEC = {
     "shape": [16, 16, 16],
@@ -195,6 +198,28 @@ class TestTrain:
         assert model.cfg.use_cross_attention is False
         assert model.cfg.use_spatial_attention is False
 
+    def test_model_config_switches_reach_checkpoint_and_manifest(self, workdir, tmp_path):
+        switched_off = {**MODEL, "encoder": {**MODEL["encoder"], "block_kind": "conv"},
+                        "use_spatial_attention": False, "use_cross_attention": False,
+                        "use_gated_skips": False}
+        model_json = tmp_path / "model.json"
+        model_json.write_text(json.dumps(switched_off))
+        for ablation, want in ((None, ("conv", False, False, False)),
+                               ("full", ("global_pool", True, True, True))):
+            out = tmp_path / str(ablation)
+            argv = ["train", "--out", str(out), "--data", str(workdir / "data"),
+                    "--model-config", str(model_json), "--steps", "1"]
+            assert main(argv + (["--ablation", ablation] if ablation else [])) == 0
+            model, _ = load_checkpoint(out / "checkpoint.ckpt")
+            cfg = model.cfg
+            assert (cfg.encoder.block_kind, cfg.use_spatial_attention,
+                    cfg.use_cross_attention, cfg.use_gated_skips) == want
+            names = [n for n, _ in model.named_params()]
+            for part in ("fusion/cross", "gate_fc", "pool_proj"):
+                assert any(part in n for n in names) == (ablation == "full"), part
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["model"] == cfg.to_dict()
+
 
 class TestEval:
     def test_metrics_files(self, workdir):
@@ -206,6 +231,32 @@ class TestEval:
         report = json.loads((out / "metrics.json").read_text())
         assert report["n_cases"] == 3
         assert report["classes"] == [1, 2]
+
+    def test_hd95_in_mm_for_anisotropic_data(self, workdir, tmp_path):
+        spacing = (2.0, 1.0, 0.5)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "spacing": list(spacing)}))
+        assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(spec),
+                     "--cases", "1", "--fractions", "1,0,0"]) == 0
+        ckpt = workdir / "run" / "checkpoint.ckpt"
+        assert main(["eval", "--out", str(tmp_path / "e"), "--checkpoint", str(ckpt),
+                     "--data", str(tmp_path / "data")]) == 0
+        reported = json.loads((tmp_path / "e" / "metrics.json").read_text())["per_case"][0]
+
+        model, _ = load_checkpoint(ckpt)
+        (volume, mask), = load_dataset(tmp_path / "data")
+        pred = np.argmax(model(volume).data, axis=-1).astype(mask.labels.dtype)
+        pred = SegmentationMask(pred, mask.n_classes, spacing)
+        gt = SegmentationMask(mask.labels, mask.n_classes, spacing)
+        assert reported["hd95"] == {str(c): hd95(pred, gt, c) for c in (1, 2)}
+
+    def test_checkpoint_config_that_does_not_build(self, workdir, tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes((workdir / "run" / "checkpoint.ckpt").read_bytes())
+        rewrite_config(ckpt, {"bogus": 1})
+        assert main(["eval", "--out", str(tmp_path / "e"), "--checkpoint", str(ckpt),
+                     "--data", str(workdir / "data")]) == 2
+        assert "checkpoint config" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, workdir, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "e"),

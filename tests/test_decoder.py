@@ -17,10 +17,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DecoderConfig(out_classes=1)
 
-    def test_rejects_unknown_merge(self):
-        with pytest.raises(ConfigError):
-            DecoderConfig(merge="add")
-
 
 class TestFoldTokens:
     def test_inverse_of_flatten(self):

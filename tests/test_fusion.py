@@ -359,19 +359,17 @@ class TestFusion:
         assert np.array_equal(out.tokens.data, fusion.embed_tokens(feats).tokens.data)
 
     def test_residual_source_switch(self):
-        for mode in ("query_stream", "embedded_tokens"):
-            fusion, feats = self._fusion(seed=52, cross_residual=mode)
-            fusion.cross.attn.out.w.data[:] = 0.0
-            fusion.cross.ffn.fc2.w.data[:] = 0.0
-            fusion.cross.ffn.fc2.b.data[:] = 0.0
-            out = fusion(feats).tokens.data
+        # the cross-attention residual adds to the mixed query stream
+        fusion, feats = self._fusion(seed=52)
+        fusion.cross.attn.out.w.data[:] = 0.0
+        fusion.cross.ffn.fc2.w.data[:] = 0.0
+        fusion.cross.ffn.fc2.b.data[:] = 0.0
+        out = fusion(feats).tokens.data
 
-            embedded = fusion.embed_tokens(feats)
-            mixed = embedded
-            for layer in fusion.layers:
-                mixed = layer(mixed, fusion.pos)
-            want = embedded.tokens.data if mode == "embedded_tokens" else mixed.tokens.data
-            assert np.array_equal(out, want)
+        mixed = fusion.embed_tokens(feats)
+        for layer in fusion.layers:
+            mixed = layer(mixed, fusion.pos)
+        assert np.array_equal(out, mixed.tokens.data)
 
     def test_deterministic_forward(self):
         fusion, feats = self._fusion(seed=53)

@@ -11,16 +11,13 @@ from mmvseg.encoder import EncoderConfig
 from mmvseg.errors import ConfigError, ContractError, NumericError, ShapeError
 from mmvseg.fusion import AttentionConfig
 from mmvseg.metrics import SegmentationMask
-from mmvseg.model import Model, ModelConfig, load_checkpoint
+from mmvseg.model import ABLATIONS, Model, ModelConfig, ablation_model_config, load_checkpoint
 from mmvseg.training import (
-    ABLATIONS,
     TrainConfig,
-    ablation_train_config,
     adamw_step,
     combined_loss,
     cross_entropy_loss,
     init_opt_state,
-    resolve_model_config,
     soft_dice_loss,
     train,
 )
@@ -84,10 +81,6 @@ class TestTrainConfig:
     def test_rejects_bad_betas(self):
         with pytest.raises(ConfigError):
             TrainConfig(betas=(0.9, 1.0))
-
-    def test_rejects_unknown_encoder_kind(self):
-        with pytest.raises(ConfigError, match="encoder kind"):
-            TrainConfig(encoder_kind="resnet")
 
 
 class TestCrossEntropy:
@@ -432,19 +425,17 @@ class TestAblations:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown ablation"):
-            ablation_train_config(TrainConfig(), "bigger-model")
+            ablation_model_config(toy_model_cfg(), "bigger-model")
 
     def test_flags_flow_into_model_config(self):
-        tcfg = ablation_train_config(TrainConfig(), "baseline-conv")
-        mcfg = resolve_model_config(toy_model_cfg(), tcfg)
+        mcfg = ablation_model_config(toy_model_cfg(), "baseline-conv")
         assert mcfg.encoder.block_kind == "conv"
         assert not mcfg.use_spatial_attention
         assert not mcfg.use_cross_attention
         assert not mcfg.use_gated_skips
 
     def test_concat_baseline_has_no_attention_parameters(self):
-        tcfg = ablation_train_config(TrainConfig(), "baseline-concat")
-        model = Model(resolve_model_config(toy_model_cfg(), tcfg))
+        model = Model(ablation_model_config(toy_model_cfg(), "baseline-concat"))
         names = [n for n, _ in model.named_params()]
         assert not any("fusion/layers" in n for n in names)
         assert not any("fusion/cross" in n for n in names)
@@ -452,15 +443,12 @@ class TestAblations:
         assert any("pool_proj" in n for n in names)  # encoder blocks unchanged
 
     def test_conv_baseline_swaps_encoder_blocks(self):
-        tcfg = ablation_train_config(TrainConfig(), "baseline-conv")
-        model = Model(resolve_model_config(toy_model_cfg(), tcfg))
+        model = Model(ablation_model_config(toy_model_cfg(), "baseline-conv"))
         assert not any("pool_proj" in n for n, _ in model.named_params())
 
     def test_cross_only_difference_is_cross_block(self):
-        spatial = Model(resolve_model_config(
-            toy_model_cfg(), ablation_train_config(TrainConfig(), "add-spatial")))
-        cross = Model(resolve_model_config(
-            toy_model_cfg(), ablation_train_config(TrainConfig(), "add-cross")))
+        spatial = Model(ablation_model_config(toy_model_cfg(), "add-spatial"))
+        cross = Model(ablation_model_config(toy_model_cfg(), "add-cross"))
         spatial_names = {n for n, _ in spatial.named_params()}
         cross_names = {n for n, _ in cross.named_params()}
         extra = cross_names - spatial_names
