@@ -412,6 +412,8 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
 
     x: (D, H, W, Cin); kernel: (kd, kh, kw, Cin, Cout); valid-style output
     extents floor((in + 2p - k)/stride) + 1 with symmetric zero padding.
+    Computed by shift-and-accumulate over the kernel taps, so the extra
+    memory is O(input) rather than an im2col matrix k^3 times the input.
     """
     if x.ndim != 4 or kernel.ndim != 5:
         raise ShapeError(f"conv3d expects x rank 4 and kernel rank 5, got {x.shape} and {kernel.shape}")
@@ -432,32 +434,37 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     xp = x.data
     if any(padding):
         xp = np.pad(xp, ((padding[0],) * 2, (padding[1],) * 2, (padding[2],) * 2, (0, 0)))
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"conv3d bias shape {bias.shape} != ({cout},)")
+    w = kernel.data
+    taps = _conv_taps((kd, kh, kw), stride, out_sp)
 
-    cols = _im2col(xp, (kd, kh, kw), stride, out_sp)  # (P, kd*kh*kw*cin)
-    out = cols @ kernel.data.reshape(-1, cout)
-    del cols
+    # one (P, Cin) @ (Cin, Cout) GEMM per tap, summed in fixed tap order so
+    # reruns are bit-identical; the tap slab is a free view for 1x1 kernels
+    out = np.empty((int(np.prod(out_sp)), cout), dtype=np.result_type(xp, w))
+    prod = np.empty_like(out)
+    for i, (tap, window) in enumerate(taps):
+        np.matmul(xp[window].reshape(-1, cin), w[tap], out=prod if i else out)
+        if i:
+            out += prod
+    del prod
     if bias is not None:
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv3d bias shape {bias.shape} != ({cout},)")
-        out = out + bias.data
+        out += bias.data
     out = out.reshape(out_sp + (cout,))
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):
         gm = g.reshape(-1, cout)
-        # rebuilt rather than saved: the column matrix is k^3 times the input
-        cols_b = _im2col(xp, (kd, kh, kw), stride, out_sp)
-        dw = (cols_b.T @ gm).reshape(kernel.shape)
-        dcols = gm @ kernel.data.reshape(-1, cout).T
-        dxp = _col2im(dcols, xp.shape, (kd, kh, kw), stride, out_sp, xp.dtype)
-        if any(padding):
-            dxp = dxp[
-                padding[0]: padding[0] + x.shape[0],
-                padding[1]: padding[1] + x.shape[1],
-                padding[2]: padding[2] + x.shape[2],
-            ]
-        dx = np.ascontiguousarray(dxp)
+        dw = np.empty(kernel.shape, dtype=np.result_type(xp, gm))
+        dxp = np.zeros(xp.shape, dtype=xp.dtype)
+        dtap = np.empty((gm.shape[0], cin), dtype=np.result_type(gm, w))
+        for tap, window in taps:
+            np.matmul(xp[window].reshape(-1, cin).T, gm, out=dw[tap])
+            np.matmul(gm, w[tap].T, out=dtap)
+            dxp[window] += dtap.reshape(out_sp + (cin,))
+        del dtap
+        dx = np.ascontiguousarray(dxp[tuple(slice(p, p + n) for p, n in zip(padding, x.shape))])
         if bias is None:
             return dx, dw
         return dx, dw, gm.sum(axis=0)
@@ -465,37 +472,15 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     return _record("conv3d", inputs, out, bwd)
 
 
-def _im2col(xp, ksize, stride, out_sp):
-    kd, kh, kw = ksize
-    od, oh, ow = out_sp
-    cin = xp.shape[3]
-    cols = np.empty((od, oh, ow, kd, kh, kw, cin), dtype=xp.dtype)
-    for a in range(kd):
-        for b in range(kh):
-            for c in range(kw):
-                cols[:, :, :, a, b, c, :] = xp[
-                    a: a + od * stride[0]: stride[0],
-                    b: b + oh * stride[1]: stride[1],
-                    c: c + ow * stride[2]: stride[2],
-                ]
-    return cols.reshape(od * oh * ow, kd * kh * kw * cin)
-
-
-def _col2im(dcols, xp_shape, ksize, stride, out_sp, dtype):
-    kd, kh, kw = ksize
-    od, oh, ow = out_sp
-    cin = xp_shape[3]
-    dcols = dcols.reshape(od, oh, ow, kd, kh, kw, cin)
-    dxp = np.zeros(xp_shape, dtype=dtype)
-    for a in range(kd):
-        for b in range(kh):
-            for c in range(kw):
-                dxp[
-                    a: a + od * stride[0]: stride[0],
-                    b: b + oh * stride[1]: stride[1],
-                    c: c + ow * stride[2]: stride[2],
-                ] += dcols[:, :, :, a, b, c, :]
-    return dxp
+def _conv_taps(ksize, stride, out_sp):
+    """((a, b, c), window) for every kernel tap in lexicographic order, where
+    window slices the padded input at the positions that tap multiplies."""
+    return [
+        ((a, b, c), tuple(slice(o, o + n * s, s) for o, n, s in zip((a, b, c), out_sp, stride)))
+        for a in range(ksize[0])
+        for b in range(ksize[1])
+        for c in range(ksize[2])
+    ]
 
 
 def avg_pool3d(x, kernel=3, padding=1):
@@ -560,14 +545,19 @@ def _upsample_once(arr):
 
 
 def _upsample_once_adjoint(g):
+    # per axis the forward is out[2i] = x[i-1]/4 + 3x[i]/4 and
+    # out[2i+1] = 3x[i]/4 + x[i+1]/4, indices clamped at the edges; the terms
+    # are added in the order of a scatter-add over the output index, so the
+    # result is bit-identical to one
     for axis in (2, 1, 0):
-        n_in = g.shape[axis] // 2
-        i0, i1, w1 = _upsample_axis_plan(n_in)
         gm = np.moveaxis(g, axis, 0)
-        w1b = w1.reshape((-1,) + (1,) * (gm.ndim - 1)).astype(g.dtype)
-        out = np.zeros((n_in,) + gm.shape[1:], dtype=g.dtype)
-        np.add.at(out, i0, (1.0 - w1b) * gm)
-        np.add.at(out, i1, w1b * gm)
+        even, odd = gm[0::2], gm[1::2]
+        out = 0.75 * odd
+        out[0] += 0.25 * even[0]
+        out[:-1] += 0.25 * even[1:]
+        out[1:] += 0.25 * odd[:-1]
+        out += 0.75 * even
+        out[-1] += 0.25 * odd[-1]
         g = np.moveaxis(out, 0, axis)
     return np.ascontiguousarray(g)
 

@@ -63,6 +63,14 @@ class ModelConfig:
             self.decoder = DecoderConfig(**self.decoder)
         self.input_shape = tuple(int(s) for s in self.input_shape)
 
+        for name in ("modalities", "n_classes", "summary_tokens", "spatial_layers", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("use_spatial_attention", "use_cross_attention", "use_gated_skips"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         if self.modalities < 1:
             raise ConfigError(f"need at least one modality, got {self.modalities}")
         if self.n_classes < 2:

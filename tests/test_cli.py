@@ -187,6 +187,18 @@ class TestTrain:
                      "--model-config", str(bad)]) == 1
         assert "bad model config field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("use_gated_skips", "false"), ("use_cross_attention", 1),
+        ("spatial_layers", 1.5), ("summary_tokens", "2"), ("seed", True),
+    ])
+    def test_mistyped_model_field(self, workdir, tmp_path, capsys, field, value):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps({**MODEL, field: value}))
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", str(workdir / "data"),
+                     "--model-config", str(bad), "--steps", "1"]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "r" / "checkpoint.ckpt").exists()
+
     def test_ablation_flag_reaches_model(self, workdir, tmp_path):
         out = tmp_path / "ablated"
         assert main(["train", "--out", str(out), "--data", str(workdir / "data"),

@@ -54,6 +54,21 @@ class TestConfig:
         cfg = toy_config(n_classes=3)
         assert cfg.decoder.out_classes == 3
 
+    @pytest.mark.parametrize("field,value", [
+        ("use_gated_skips", "false"), ("use_cross_attention", 0), ("use_spatial_attention", None),
+    ])
+    def test_rejects_non_bool_switch(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            toy_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("spatial_layers", 1.5), ("summary_tokens", "2"), ("modalities", True),
+        ("n_classes", 3.0), ("seed", False),
+    ])
+    def test_rejects_non_int_count(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            toy_config(**{field: value})
+
     def test_dict_round_trip(self):
         cfg = toy_config(n_classes=3, use_cross_attention=False)
         again = ModelConfig.from_dict(cfg.to_dict())

@@ -1,6 +1,7 @@
 """Tensor core: forward semantics, backward pass, finite-difference checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,99 @@ class TestConv3d:
         assert out.shape == (4, 3, 2, 3)
 
 
+def _im2col(xp, ksize, stride, out_sp):
+    kd, kh, kw = ksize
+    od, oh, ow = out_sp
+    cin = xp.shape[3]
+    cols = np.empty((od, oh, ow, kd, kh, kw, cin), dtype=xp.dtype)
+    for a in range(kd):
+        for b in range(kh):
+            for c in range(kw):
+                cols[:, :, :, a, b, c, :] = xp[
+                    a: a + od * stride[0]: stride[0],
+                    b: b + oh * stride[1]: stride[1],
+                    c: c + ow * stride[2]: stride[2],
+                ]
+    return cols.reshape(od * oh * ow, kd * kh * kw * cin)
+
+
+def _col2im(dcols, xp_shape, ksize, stride, out_sp):
+    kd, kh, kw = ksize
+    od, oh, ow = out_sp
+    dcols = dcols.reshape(od, oh, ow, kd, kh, kw, xp_shape[3])
+    dxp = np.zeros(xp_shape)
+    for a in range(kd):
+        for b in range(kh):
+            for c in range(kw):
+                dxp[
+                    a: a + od * stride[0]: stride[0],
+                    b: b + oh * stride[1]: stride[1],
+                    c: c + ow * stride[2]: stride[2],
+                ] += dcols[:, :, :, a, b, c, :]
+    return dxp
+
+
+def im2col_conv3d(x, k, b, stride, padding, g):
+    """Reference conv3d by one float64 column-matrix GEMM: (out, dx, dw, db)
+    for upstream gradient `g`."""
+    ksize, cout = k.shape[:3], k.shape[4]
+    stride, padding = ad._triple(stride), ad._triple(padding)
+    xp = np.pad(x, [(p, p) for p in padding] + [(0, 0)])
+    out_sp = tuple((xp.shape[i] - ksize[i]) // stride[i] + 1 for i in range(3))
+    cols = _im2col(xp, ksize, stride, out_sp)
+    out = (cols @ k.reshape(-1, cout) + b).reshape(out_sp + (cout,))
+    gm = g.reshape(-1, cout)
+    dxp = _col2im(gm @ k.reshape(-1, cout).T, xp.shape, ksize, stride, out_sp)
+    dx = dxp[tuple(slice(p, p + n) for p, n in zip(padding, x.shape[:3]))]
+    return out, dx, (cols.T @ gm).reshape(k.shape), gm.sum(axis=0)
+
+
+CONV_GEOMETRIES = {
+    "pointwise": ((5, 6, 7, 3), (1, 1, 1, 3, 4), 1, 0),
+    "patchify": ((8, 6, 4, 3), (2, 2, 2, 3, 5), 2, 0),
+    "3x3x3-pad1": ((6, 6, 6, 3), (3, 3, 3, 3, 4), 1, 1),
+    "anisotropic": ((5, 6, 7, 2), (3, 2, 3, 2, 3), (1, 2, 1), (1, 0, 1)),
+    "non-cubic-strided": ((2, 9, 4, 3), (3, 3, 3, 3, 2), 2, 1),
+    "kernel-fills-padded-input": ((3, 4, 5, 2), (5, 6, 7, 2, 3), 1, 1),
+}
+
+
+class TestConv3dAgainstIm2col:
+    @pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES))
+    def test_forward_and_gradients_match(self, geometry):
+        x_shape, k_shape, stride, padding = CONV_GEOMETRIES[geometry]
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        k = Tensor(rng.normal(size=k_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=k_shape[4]), requires_grad=True)
+        with Tape() as tape:
+            out = ad.conv3d(x, k, b, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        got = (out.data,) + tuple(tape.nodes[-1].backward(g))
+        want = im2col_conv3d(x.data, k.data, b.data, stride, padding, g)
+        for name, a, e in zip(("out", "dx", "dw", "db"), got, want):
+            assert a.shape == e.shape, name
+            np.testing.assert_allclose(a, e, rtol=0, atol=1e-10 * np.abs(e).max(), err_msg=name)
+
+    def test_extra_memory_stays_linear_in_the_input(self):
+        # an im2col column matrix alone would be 27x the input
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(16, 16, 16, 16)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 3, 3, 16, 8)), requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
+        g = rng.normal(size=(16, 16, 16, 8))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                ad.conv3d(x, k, b, padding=1)
+            grads = tape.nodes[-1].backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grads[0].shape == x.shape
+        assert peak <= 4 * (x.data.nbytes + g.nbytes), peak
+
+
 class TestGlobalPool:
     def test_constant_volume(self):
         out = ad.global_pool(t(np.full((2, 3, 4, 5), 1.25)))
@@ -137,6 +231,20 @@ class TestGlobalPool:
         x = np.zeros((2, 1, 1, 1))
         x[1, 0, 0, 0] = 4.0
         np.testing.assert_allclose(ad.global_pool(t(x)).data, [2.0])
+
+
+def scatter_add_upsample_adjoint(g):
+    """Reference adjoint of one 2x upsampling: np.add.at over the output index."""
+    for axis in (2, 1, 0):
+        n_in = g.shape[axis] // 2
+        i0, i1, w1 = ad._upsample_axis_plan(n_in)
+        gm = np.moveaxis(g, axis, 0)
+        w1b = w1.reshape((-1,) + (1,) * (gm.ndim - 1)).astype(g.dtype)
+        out = np.zeros((n_in,) + gm.shape[1:], dtype=g.dtype)
+        np.add.at(out, i0, (1.0 - w1b) * gm)
+        np.add.at(out, i1, w1b * gm)
+        g = np.moveaxis(out, 0, axis)
+    return g
 
 
 class TestUpsample:
@@ -156,6 +264,15 @@ class TestUpsample:
         x[0, 0, 1, 0] = 1.0
         out = ad.upsample2x(t(x), times=1)
         np.testing.assert_allclose(out.data[0, 0, :, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adjoint_equals_scatter_add(self, dtype):
+        rng = np.random.default_rng(9)
+        for shape in [(1, 1, 1, 2), (1, 3, 2, 1), (2, 1, 5, 3), (4, 5, 6, 3)]:
+            g = rng.normal(size=tuple(2 * s for s in shape[:3]) + shape[3:]).astype(dtype)
+            got = ad._upsample_once_adjoint(g)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, scatter_add_upsample_adjoint(g))
 
     def test_envelope_preserved(self):
         rng = np.random.default_rng(8)
@@ -249,6 +366,9 @@ OP_CASES = [
     ("mean_axis", lambda rng: _unary_case(rng, lambda x: ad.tmean(x, axis=0, keepdims=True))),
     ("concat", lambda rng: _concat_case(rng)),
     ("layer_moveaxis", lambda rng: _unary_case(rng, lambda x: ad.moveaxis(x, 0, -1))),
+    ("conv3d_3x3x3_pad1", lambda rng: _conv_case(rng, ksize=(3, 3, 3), stride=1, pad=1)),
+    ("conv3d_anisotropic", lambda rng: _conv_case(rng, spatial=(4, 5, 3), ksize=(3, 2, 1),
+                                                  stride=(1, 2, 1), pad=(1, 0, 1))),
 ]
 
 
@@ -299,13 +419,15 @@ def _layer_norm_case(rng):
     return lambda: (ad.layer_norm(x, gamma, beta) * Tensor(r)).sum(), [x, gamma, beta]
 
 
-def _conv_case(rng):
+def _conv_case(rng, spatial=(4, 4, 4), ksize=(2, 2, 2), stride=None, pad=None):
     cin, cout = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-    x = Tensor(rng.normal(size=(4, 4, 4, cin)), requires_grad=True)
-    k = Tensor(rng.normal(size=(2, 2, 2, cin, cout)), requires_grad=True)
+    x = Tensor(rng.normal(size=spatial + (cin,)), requires_grad=True)
+    k = Tensor(rng.normal(size=ksize + (cin, cout)), requires_grad=True)
     b = Tensor(rng.normal(size=cout), requires_grad=True)
-    stride = int(rng.integers(1, 3))
-    pad = int(rng.integers(0, 2))
+    if stride is None:
+        stride = int(rng.integers(1, 3))
+    if pad is None:
+        pad = int(rng.integers(0, 2))
     out_shape = ad.conv3d(Tensor(x.data), Tensor(k.data), Tensor(b.data), stride=stride, padding=pad).shape
     r = rng.normal(size=out_shape)
     return (
