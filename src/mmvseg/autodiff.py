@@ -52,15 +52,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return self.data.item()
-
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
-
-    def detach(self):
-        """A constant view of this tensor's value, cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -315,6 +308,21 @@ def reshape(a, shape):
     return _record("reshape", (a,), a.data.reshape(shape), bwd)
 
 
+def take(a, indices, axis):
+    """Gather along `axis` by an integer index array (`np.take`); the output
+    replaces that extent with the index array's shape.  The adjoint
+    scatter-adds each gradient entry into its source slot, in index order."""
+    indices = np.asarray(indices, dtype=np.intp)
+    lead = (slice(None),) * (axis % a.ndim)
+
+    def bwd(g):
+        ga = np.zeros(a.shape, dtype=g.dtype)
+        np.add.at(ga, lead + (indices,), g)
+        return (ga,)
+
+    return _record("take", (a,), np.take(a.data, indices, axis=axis), bwd)
+
+
 def moveaxis(a, source, destination):
     def bwd(g):
         return (np.ascontiguousarray(np.moveaxis(g, destination, source)),)
@@ -369,9 +377,9 @@ def softmax_last(a):
     return _record("softmax", (a,), y, bwd)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Zero-mean unit-variance normalization over the channel (last) extent,
-    followed by the gamma/beta affine map."""
+def layer_norm(x, gamma, beta):
+    """Zero-mean unit-variance normalization over the channel (last) extent
+    (variance offset 1e-5), followed by the gamma/beta affine map."""
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
@@ -380,7 +388,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
 
     def bwd(g):
@@ -483,32 +491,24 @@ def _conv_taps(ksize, stride, out_sp):
     ]
 
 
-def avg_pool3d(x, kernel=3, padding=1):
-    """Stride-1 box average over a channels-last volume (zero padded,
+def avg_pool3d(x):
+    """Stride-1 3x3x3 box average over a channels-last volume (zero padded,
     padding counted in the divisor).  Self-adjoint, so the backward pass is
     the same pooling applied to the gradient."""
     if x.ndim != 4:
         raise ShapeError(f"avg_pool3d expects rank 4, got {x.shape}")
-    k = _triple(kernel)
-    p = _triple(padding)
-    if any(k[i] != 2 * p[i] + 1 for i in range(3)):
-        raise ShapeError(f"avg_pool3d needs shape-preserving kernel/padding, got {k} / {p}")
-
-    def bwd(g):
-        return (_box_mean(g, k, p),)
-
-    return _record("avg_pool3d", (x,), _box_mean(x.data, k, p), bwd)
+    return _record("avg_pool3d", (x,), _box_mean(x.data), lambda g: (_box_mean(g),))
 
 
-def _box_mean(arr, k, p):
-    ap = np.pad(arr, ((p[0],) * 2, (p[1],) * 2, (p[2],) * 2, (0, 0)))
+def _box_mean(arr):
+    ap = np.pad(arr, ((1, 1), (1, 1), (1, 1), (0, 0)))
     out = np.zeros_like(arr)
     d, h, w = arr.shape[:3]
-    for a in range(k[0]):
-        for b in range(k[1]):
-            for c in range(k[2]):
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
                 out += ap[a: a + d, b: b + h, c: c + w]
-    return out / float(np.prod(k))
+    return out / 27.0
 
 
 def global_pool(x):

@@ -27,7 +27,7 @@ from .data import PhantomSpec, load_dataset, save_dataset
 from .data import split as split_indices
 from .decoder import Decoder, DecoderConfig
 from .encoder import GlobalPoolBlock
-from .errors import ConfigError, MMVSegError
+from .errors import ConfigError, FormatError, MMVSegError
 from .fusion import (
     AttentionConfig,
     CrossModalityLayer,
@@ -80,6 +80,20 @@ def _load_json(path, what):
         raise ConfigError(f"{what} file {p} is not valid JSON: {exc}") from None
 
 
+def _read_json(path, lines=False):
+    """Parse a JSON file a run wrote or, with `lines`, a JSON-lines file into
+    its records; a malformed file, or a JSON-lines file with no records, is a
+    FormatError that names it."""
+    text = Path(path).read_text()
+    try:
+        data = [json.loads(line) for line in text.splitlines()] if lines else json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from None
+    if lines and not data:
+        raise FormatError(f"{path} holds no records")
+    return data
+
+
 def _threads(args):
     if getattr(args, "threads", None) is not None:
         n = args.threads
@@ -125,9 +139,14 @@ def cmd_gen(args):
         spec = PhantomSpec.from_dict(spec_dict)
     except TypeError as exc:
         raise ConfigError(f"bad spec field: {exc}") from None
-    fractions = tuple(float(f) for f in args.fractions.split(","))
+    try:
+        fractions = tuple(float(f) for f in args.fractions.split(","))
+    except ValueError:
+        raise ConfigError(f"--fractions wants numbers, got {args.fractions!r}") from None
     if len(fractions) != 3:
         raise ConfigError(f"--fractions wants three numbers, got {args.fractions!r}")
+    # validated before any case is written
+    train_idx, val_idx, test_idx = split_indices(args.cases, fractions, seed=spec.seed)
     threads = _threads(args)
     out = Path(args.out)
     _write_manifest(
@@ -142,7 +161,6 @@ def cmd_gen(args):
             save_dataset(out, spec, args.cases, map_fn=pool.map)
     else:
         save_dataset(out, spec, args.cases)
-    train_idx, val_idx, test_idx = split_indices(args.cases, fractions, seed=spec.seed)
     (out / "splits.json").write_text(json.dumps(
         {"train": train_idx, "val": val_idx, "test": test_idx}, indent=2) + "\n")
     print(f"generated {args.cases} cases under {out} "
@@ -155,7 +173,7 @@ def _load_split_datasets(data_dir):
     splits_file = Path(data_dir) / "splits.json"
     if not splits_file.exists():
         return dataset, None
-    splits = json.loads(splits_file.read_text())
+    splits = _read_json(splits_file)
     def pick(name):
         idx = splits.get(name, [])
         bad = [i for i in idx if not 0 <= i < len(dataset)]
@@ -273,34 +291,24 @@ def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
         [encoder_block((2, 2, 2), 3), encoder_block((3, 2, 4), 4), encoder_block((1, 3, 2), 5)])
 
     def branch(kind, grid, window):
+        # kind None checks the whole mixer layer
         def build():
             cfg = AttentionConfig(heads=2, dim=8, window=window, qkv_dim=8, ffn_ratio=1)
             layer = SpatialMixerLayer(cfg, rng, dtype=f64)
             pos = PositionEncodings(grid, cfg, rng, dtype=f64)
             n = grid[0] * grid[1] * grid[2]
             tokens = Tensor(rng.normal(size=(n, 8)), requires_grad=True)
-            fn = getattr(layer, f"{kind}_branch")
-            return (lambda: ad.tmean(fn(tokens, grid, pos))), (
-                layer.params() + pos.params() + [tokens]
-            )
-        return build
-
-    grids = [((2, 2, 2), (1, 2, 1)), ((4, 2, 2), (2, 1, 1)), ((2, 3, 2), (2, 3, 1))]
-    for kind in ("axial", "planar", "window"):
-        run(f"mixer-{kind}-branch", [branch(kind, g, w) for g, w in grids])
-
-    def mixer(grid, window):
-        def build():
-            cfg = AttentionConfig(heads=2, dim=8, window=window, qkv_dim=8, ffn_ratio=1)
-            layer = SpatialMixerLayer(cfg, rng, dtype=f64)
-            pos = PositionEncodings(grid, cfg, rng, dtype=f64)
-            n = grid[0] * grid[1] * grid[2]
-            tokens = Tensor(rng.normal(size=(n, 8)), requires_grad=True)
-            fn = lambda: ad.tmean(layer(TokenSeq(tokens, grid), pos).tokens)
+            if kind is None:
+                fn = lambda: ad.tmean(layer(TokenSeq(tokens, grid), pos).tokens)
+            else:
+                fn = lambda: ad.tmean(getattr(layer, f"{kind}_branch")(tokens, grid, pos))
             return fn, layer.params() + pos.params() + [tokens]
         return build
 
-    run("mixer-layer", [mixer(g, w) for g, w in grids])
+    grids = [((2, 2, 2), (1, 2, 1)), ((4, 2, 2), (2, 1, 1)), ((2, 3, 2), (2, 3, 1))]
+    for kind in ("axial", "planar", "window", None):
+        run(f"mixer-{kind}-branch" if kind else "mixer-layer",
+            [branch(kind, g, w) for g, w in grids])
 
     def summarizer(grid, c, p):
         def build():
@@ -420,6 +428,10 @@ def cmd_ablate(args):
     unknown = [r for r in rows if r not in ABLATIONS]
     if unknown:
         raise ConfigError(f"unknown ablation rows {unknown}; choose from {sorted(ABLATIONS)}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if not args.data and args.cases < 2:
+        raise ConfigError(f"--cases must be >= 2 (one train and one val case), got {args.cases}")
     out = Path(args.out)
     _write_manifest(out, "ablate", args.seed,
                     {"rows": rows, "cases": args.cases, "steps": args.steps,
@@ -480,7 +492,7 @@ def cmd_report(args):
 
     train_log = run_dir / "train_log.jsonl"
     if train_log.exists():
-        records = [json.loads(line) for line in train_log.read_text().splitlines()]
+        records = _read_json(train_log, lines=True)
         header = list(records[0])
         _write_csv(out / "loss_curve.csv", header,
                    [[rec.get(k) for k in header] for rec in records])
@@ -488,14 +500,14 @@ def cmd_report(args):
 
     val_log = run_dir / "val_log.jsonl"
     if val_log.exists():
-        records = [json.loads(line) for line in val_log.read_text().splitlines()]
+        records = _read_json(val_log, lines=True)
         _write_csv(out / "val_curve.csv", ["step", "dice"],
                    [[rec["step"], rec["dice"]] for rec in records])
         produced.append("val_curve.csv")
 
     metrics = run_dir / "metrics.json"
     if metrics.exists():
-        report = json.loads(metrics.read_text())
+        report = _read_json(metrics)
         _write_csv(out / "metrics_by_class.csv", ["class", "mean_dice", "mean_hd95"],
                    [[cls, report["mean_dice"][str(cls)], report["mean_hd95"][str(cls)]]
                     for cls in report["classes"]])

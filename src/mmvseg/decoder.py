@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ConfigError, ContractError, ShapeError
 from .fusion import TokenSeq
 from .nn import Conv3d, Linear, Module
@@ -56,10 +55,7 @@ def modality_gated_sum(importance, feats):
             raise ShapeError(
                 f"modality {i} extents {feat.shape[:3]} do not match gates {importance.shape[:3]}"
             )
-        pick = np.zeros((m, 1), dtype=importance.dtype)
-        pick[i, 0] = 1.0
-        gate = ad.matmul(importance, Tensor(pick))  # (D, H, W, 1)
-        gated = ad.mul(feat, gate)
+        gated = ad.mul(feat, ad.take(importance, [i], axis=-1))  # gate (D, H, W, 1)
         out = gated if out is None else ad.add(out, gated)
     return out
 

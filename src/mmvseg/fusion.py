@@ -80,23 +80,13 @@ class TokenSeq:
         return self.grid
 
 
-def _relative_offset_onehot(window, dtype):
-    """One-hot (T*T, B) map from ordered position pairs in a window to their
-    relative-offset bucket; B = (2wz-1)(2wy-1)(2wx-1)."""
-    wz, wy, wx = window
-    coords = np.stack(
-        np.meshgrid(np.arange(wz), np.arange(wy), np.arange(wx), indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-    diff = coords[:, None, :] - coords[None, :, :]  # (T, T, 3)
-    idx = (
-        (diff[..., 0] + wz - 1) * (2 * wy - 1) * (2 * wx - 1)
-        + (diff[..., 1] + wy - 1) * (2 * wx - 1)
-        + (diff[..., 2] + wx - 1)
-    ).reshape(-1)
-    buckets = (2 * wz - 1) * (2 * wy - 1) * (2 * wx - 1)
-    onehot = np.zeros((idx.size, buckets), dtype=dtype)
-    onehot[np.arange(idx.size), idx] = 1.0
-    return onehot
+def _relative_offset_index(window):
+    """(T, T) map from ordered position pairs in a window to their
+    relative-offset bucket: the offset's row-major index in the
+    (2wz-1, 2wy-1, 2wx-1) offset box."""
+    coords = np.indices(window).reshape(3, -1)
+    diff = coords[:, :, None] - coords[:, None, :] + np.reshape(window, (3, 1, 1)) - 1
+    return np.ravel_multi_index(tuple(diff), tuple(2 * w - 1 for w in window))
 
 
 class PositionEncodings(Module):
@@ -109,7 +99,7 @@ class PositionEncodings(Module):
         self.embed_abs = Tensor(
             (0.02 * rng.standard_normal((d * w * h, c))).astype(dtype), requires_grad=True
         )
-        self.axial_abs = self.planar_abs = self.window_rel_bias = self._onehot = None
+        self.axial_abs = self.planar_abs = self.window_rel_bias = None
         if branch_tables:
             self.axial_abs = Tensor(
                 (0.02 * rng.standard_normal((d, c))).astype(dtype), requires_grad=True
@@ -121,16 +111,13 @@ class PositionEncodings(Module):
             self.window_rel_bias = Tensor(
                 np.zeros((buckets, cfg.heads), dtype=dtype), requires_grad=True
             )
-            # constant gather matrix; not a parameter
-            self._onehot = Tensor(_relative_offset_onehot(cfg.window, dtype))
-        self._window_tokens = cfg.window[0] * cfg.window[1] * cfg.window[2]
+        self._offset_index = _relative_offset_index(cfg.window)
         self.grid = tuple(grid)
 
     def window_bias(self):
         """Per-head logit bias (heads, T, T) for one window."""
-        t = self._window_tokens
-        flat = ad.matmul(self._onehot, self.window_rel_bias)  # (T*T, heads)
-        return ad.moveaxis(ad.reshape(flat, (t, t, flat.shape[1])), 2, 0)
+        bias = ad.take(self.window_rel_bias, self._offset_index, axis=0)  # (T, T, heads)
+        return ad.moveaxis(bias, 2, 0)
 
 
 class MultiHeadAttention(Module):

@@ -61,13 +61,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, c, dtype=np.float32, eps=1e-5):
+    def __init__(self, c, dtype=np.float32):
         self.gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x):
-        return ad.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
 
 class Conv3d(Module):

@@ -55,8 +55,8 @@ class TrainConfig:
         self.betas = (float(self.betas[0]), float(self.betas[1]))
 
 
-def _target_onehot(logits, target, what):
-    """Validate a label volume against logits and one-hot it (constant)."""
+def _target_labels(logits, target, what):
+    """Validate a label volume against logits and return its integer labels."""
     n_classes = logits.shape[-1]
     labels = target.labels if isinstance(target, SegmentationMask) else np.asarray(target)
     if isinstance(target, SegmentationMask) and target.n_classes != n_classes:
@@ -74,15 +74,15 @@ def _target_onehot(logits, target, what):
             f"{what}: labels must lie in [0, {n_classes}), found "
             f"[{labels.min()}, {labels.max()}]"
         )
-    eye = np.eye(n_classes, dtype=logits.dtype)
-    return Tensor(eye[labels])
+    return labels
 
 
 def soft_dice_loss(logits: Tensor, target, smooth: float = 1e-5) -> Tensor:
     """1 minus the class-mean soft overlap ratio of softmax(logits) vs target."""
-    onehot = _target_onehot(logits, target, "soft_dice_loss")
-    probs = ad.softmax_last(logits)
+    labels = _target_labels(logits, target, "soft_dice_loss")
     n_classes = logits.shape[-1]
+    onehot = Tensor(np.eye(n_classes, dtype=logits.dtype)[labels])
+    probs = ad.softmax_last(logits)
     flat_p = ad.reshape(probs, (-1, n_classes))
     flat_g = ad.reshape(onehot, (-1, n_classes))
     inter = ad.tsum(ad.mul(flat_p, flat_g), axis=0)
@@ -93,13 +93,16 @@ def soft_dice_loss(logits: Tensor, target, smooth: float = 1e-5) -> Tensor:
 
 def cross_entropy_loss(logits: Tensor, target) -> Tensor:
     """Mean voxel-wise negative log-likelihood with a shifted log-sum-exp."""
-    onehot = _target_onehot(logits, target, "cross_entropy_loss")
+    labels = _target_labels(logits, target, "cross_entropy_loss")
+    n_classes = logits.shape[-1]
     shift = np.max(logits.data, axis=-1, keepdims=True)  # constant wrt the tape
     lse = ad.add(
         ad.tlog(ad.tsum(ad.texp(ad.sub(logits, Tensor(shift))), axis=-1)),
         Tensor(np.squeeze(shift, axis=-1)),
     )
-    picked = ad.tsum(ad.mul(logits, onehot), axis=-1)
+    # each voxel's target logit, gathered from the flattened logits
+    flat_index = np.arange(labels.size).reshape(labels.shape) * n_classes + labels
+    picked = ad.take(ad.reshape(logits, (-1,)), flat_index, axis=0)
     return ad.tmean(ad.sub(lse, picked))
 
 

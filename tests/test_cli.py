@@ -6,6 +6,7 @@ expensive steps (gen/train/eval) are shared through a module fixture.
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -84,6 +85,10 @@ class TestParsing:
     def test_bad_fractions(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "d"), "--fractions", "0.5,0.5"]) == 1
 
+    def test_non_numeric_fractions(self, tmp_path, capsys):
+        assert main(["gen", "--out", str(tmp_path / "d"), "--fractions", "a,b,c"]) == 1
+        assert "--fractions" in capsys.readouterr().err
+
     def test_bad_scale_choice(self, tmp_path):
         assert main(["gradcheck", "--out", str(tmp_path / "g"), "--scale", "huge"]) == 1
 
@@ -121,6 +126,13 @@ class TestGen:
         assert main(["gen", "--out", str(out), "--spec", str(bad)]) == 1
         assert "bad spec field" in capsys.readouterr().err
         assert not out.exists()  # rejected before anything was written
+
+    def test_fractions_checked_before_any_case(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen", "--out", str(out), "--cases", "2",
+                     "--fractions", "0.5,0.5,0.5"]) == 1
+        assert "sum to 1" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("case_*"))
 
     def test_invalid_spec_value(self, tmp_path):
         bad = tmp_path / "spec.json"
@@ -179,6 +191,15 @@ class TestTrain:
     def test_missing_data_dir(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "r"),
                      "--data", str(tmp_path / "nope")]) == 1
+
+    def test_malformed_splits_file(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "splits.json").write_text('{"train": [0,')
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", str(data),
+                     "--model-config", str(workdir / "model.json"), "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "splits.json" in err and "JSONDecodeError" not in err
 
     def test_unknown_model_field(self, workdir, tmp_path, capsys):
         bad = tmp_path / "model.json"
@@ -321,6 +342,14 @@ class TestAblate:
         assert (out / "runs" / "full-s0" / "checkpoint.ckpt").exists()
         assert (out / "data" / "case_0000" / "volume.mmv").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--cases", "1")])
+    def test_degenerate_sizes_rejected_before_data(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "a"
+        assert main(["ablate", "--out", str(out), "--rows", "full", "--steps", "1",
+                     flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (out / "data").exists()
+
     def test_unknown_row(self, tmp_path, capsys):
         assert main(["ablate", "--out", str(tmp_path / "a"), "--rows", "nope"]) == 1
         assert "unknown ablation rows" in capsys.readouterr().err
@@ -341,6 +370,14 @@ class TestReport:
         rows = read_csv(out / "metrics_by_class.csv")
         assert rows[0] == ["class", "mean_dice", "mean_hd95"]
         assert [r[0] for r in rows[1:]] == ["1", "2"]
+
+    def test_empty_train_log(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "train_log.jsonl").write_text("")
+        assert main(["report", "--out", str(tmp_path / "r"), "--run", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "train_log.jsonl" in err and "IndexError" not in err
 
     def test_nothing_to_report(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -6,6 +6,7 @@ from mmvseg import autodiff as ad
 from mmvseg.decoder import Decoder, DecoderConfig, fold_tokens, modality_gated_sum
 from mmvseg.errors import ConfigError, ContractError, ShapeError
 from mmvseg.fusion import TokenSeq
+from test_tensor import assert_same_numbers, value_and_grads
 
 
 class TestConfig:
@@ -106,6 +107,19 @@ class TestImportance:
         assert grad_check(f, dec.gate_fc.params()) < 1e-4
 
 
+def onehot_gated_sum(importance, feats):
+    """The gated sum with each gate picked by a one-hot (M, 1) matmul, kept
+    as the oracle of the index gather."""
+    m = importance.shape[-1]
+    out = None
+    for i, feat in enumerate(feats):
+        pick = np.zeros((m, 1), dtype=importance.dtype)
+        pick[i, 0] = 1.0
+        gated = ad.mul(feat, ad.matmul(importance, Tensor(pick)))
+        out = gated if out is None else ad.add(out, gated)
+    return out
+
+
 class TestModalityGatedSum:
     def test_identity_gate_single_modality(self):
         feat = Tensor(np.random.default_rng(10).normal(size=(2, 2, 2, 3)))
@@ -140,6 +154,20 @@ class TestModalityGatedSum:
             + b * modality_gated_sum(gates, [Tensor(gi) for gi in g]).data
         )
         assert np.max(np.abs(combo - parts)) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_onehot_matmul_exactly(self, m, dtype):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            gates = Tensor(rng.uniform(size=(2, 3, 2, m)).astype(dtype), requires_grad=True)
+            feats = [Tensor(rng.normal(size=(2, 3, 2, 4)).astype(dtype), requires_grad=True)
+                     for _ in range(m)]
+            leaves = [gates] + feats
+            assert_same_numbers(
+                value_and_grads(lambda: modality_gated_sum(gates, feats), leaves, seed),
+                value_and_grads(lambda: onehot_gated_sum(gates, feats), leaves, seed),
+            )
 
     def test_modality_count_mismatch(self):
         with pytest.raises(ShapeError):

@@ -16,6 +16,7 @@ from mmvseg.fusion import (
     pair_counter,
     spatial_concat,
 )
+from test_tensor import assert_same_numbers, value_and_grads
 
 
 def make_cfg(c=8, heads=2, window=(2, 2, 2), ratio=1):
@@ -187,6 +188,40 @@ class TestWindowBranch:
         layer, pos, tokens = branch_env((3, 2, 2), (2, 2, 2))
         with pytest.raises(ShapeError, match="tile"):
             layer.window_branch(Tensor(np.zeros((12, 8))), (3, 2, 2), pos)
+
+
+def onehot_window_bias(pos, window):
+    """The window bias as a (T*T, B) one-hot matrix times the bias table,
+    kept as the oracle of the index gather."""
+    t = window[0] * window[1] * window[2]
+    buckets = pos.window_rel_bias.shape[0]
+    z, y, x = token_coords(window)
+    wz, wy, wx = window
+    idx = (
+        (z[:, None] - z[None, :] + wz - 1) * (2 * wy - 1) * (2 * wx - 1)
+        + (y[:, None] - y[None, :] + wy - 1) * (2 * wx - 1)
+        + (x[:, None] - x[None, :] + wx - 1)
+    ).reshape(-1)
+    onehot = np.zeros((t * t, buckets), dtype=pos.window_rel_bias.dtype)
+    onehot[np.arange(t * t), idx] = 1.0
+    flat = ad.matmul(Tensor(onehot), pos.window_rel_bias)
+    return ad.moveaxis(ad.reshape(flat, (t, t, flat.shape[1])), 2, 0)
+
+
+class TestWindowBiasGather:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [(1, 1, 1), (2, 2, 2), (1, 2, 1), (2, 1, 1), (2, 3, 1)])
+    def test_equals_onehot_matmul_exactly(self, window, dtype):
+        cfg = make_cfg(heads=2, window=window)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            pos = PositionEncodings(window, cfg, rng, dtype=dtype)
+            pos.window_rel_bias.data[:] = rng.standard_normal(pos.window_rel_bias.shape)
+            leaves = [pos.window_rel_bias]
+            assert_same_numbers(
+                value_and_grads(pos.window_bias, leaves, seed),
+                value_and_grads(lambda: onehot_window_bias(pos, window), leaves, seed),
+            )
 
 
 class TestMixerLayer:

@@ -369,7 +369,14 @@ OP_CASES = [
     ("conv3d_3x3x3_pad1", lambda rng: _conv_case(rng, ksize=(3, 3, 3), stride=1, pad=1)),
     ("conv3d_anisotropic", lambda rng: _conv_case(rng, spatial=(4, 5, 3), ksize=(3, 2, 1),
                                                   stride=(1, 2, 1), pad=(1, 0, 1))),
+    ("take", lambda rng: _take_case(rng)),
+    ("neg", lambda rng: _unary_case(rng, ad.neg)),
+    ("reshape", lambda rng: _unary_case(rng, lambda x: ad.reshape(x, (1, -1)))),
 ]
+
+# OP_CASES names of the taped primitives whose function name differs
+OP_CASE_NAMES = {"texp": "exp", "tlog": "log", "softmax_last": "softmax",
+                 "tsum": "sum_axis", "tmean": "mean_axis", "moveaxis": "layer_moveaxis"}
 
 
 def _weighted_sum(out, rng):
@@ -444,6 +451,16 @@ def _concat_case(rng):
     return lambda: (ad.concat([a, b], axis=-1) * Tensor(r)).sum(), [a, b]
 
 
+def _take_case(rng):
+    # gathers along axis 1 with a 2-d index that repeats an entry, so the
+    # adjoint has to sum two gradient entries into one slot
+    a = Tensor(rng.normal(size=(2, int(rng.integers(2, 5)), 3)), requires_grad=True)
+    idx = rng.integers(0, a.shape[1], size=(2, 3))
+    idx[1, 2] = idx[0, 0]
+    r = rng.normal(size=(2, 2, 3, 3))
+    return lambda: (ad.take(a, idx, axis=1) * Tensor(r)).sum(), [a]
+
+
 @pytest.mark.parametrize("case", range(len(OP_CASES)), ids=[c[0] for c in OP_CASES])
 def test_op_gradients(case):
     # every differentiable op, three random shapes each
@@ -452,3 +469,51 @@ def test_op_gradients(case):
         rng = np.random.default_rng(1000 * case + seed)
         f, params = factory(rng)
         assert grad_check(f, params) < 1e-4, f"{name} seed {seed}"
+
+
+def test_every_taped_primitive_has_an_op_case():
+    # a function that records tape nodes needs a float64 gradcheck above
+    taped = [name for name, fn in vars(ad).items()
+             if callable(fn) and "_record" in getattr(getattr(fn, "__code__", None), "co_names", ())]
+    assert "take" in taped and "upsample2x" in taped
+    cases = {c[0] for c in OP_CASES}
+    missing = [n for n in taped if OP_CASE_NAMES.get(n, n) not in cases]
+    assert missing == []
+
+
+class TestTake:
+    def test_forward_is_np_take(self):
+        a = t(np.arange(24.0).reshape(2, 3, 4))
+        idx = np.array([[2, 0], [2, 2]])
+        assert np.array_equal(ad.take(a, idx, axis=-1).data, np.take(a.data, idx, axis=-1))
+        assert ad.take(a, [1], axis=1).shape == (2, 1, 4)
+
+    def test_adjoint_scatter_adds_repeats(self):
+        a = t(np.zeros(3), requires_grad=True)
+        with Tape() as tape:
+            out = ad.take(a, [2, 0, 2, 2], axis=0)
+            loss = (out * t([1.0, 2.0, 3.0, 4.0])).sum()
+        backward(loss, tape)
+        assert np.array_equal(a.grad, [2.0, 0.0, 8.0])
+
+
+def value_and_grads(fn, leaves, seed=0):
+    """fn()'s value and the gradient of sum(fn() * r) for every leaf, where r
+    is a seeded normal draw of the output's shape and dtype, so two forms of
+    one computation see the same upstream gradient."""
+    for p in leaves:
+        p.grad = None
+    with Tape() as tape:
+        out = fn()
+        r = np.random.default_rng(seed).normal(size=out.shape).astype(out.dtype)
+        loss = ad.tsum(ad.mul(out, Tensor(r)))
+    backward(loss, tape, leaves=leaves)
+    return out.data.copy(), [p.grad.copy() for p in leaves]
+
+
+def assert_same_numbers(a, b):
+    """Exact equality of (value, grads) pairs, dtypes included."""
+    (va, ga), (vb, gb) = a, b
+    assert va.dtype == vb.dtype and np.array_equal(va, vb)
+    for x, y in zip(ga, gb, strict=True):
+        assert x.dtype == y.dtype and np.array_equal(x, y)

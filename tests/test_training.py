@@ -21,6 +21,7 @@ from mmvseg.training import (
     soft_dice_loss,
     train,
 )
+from test_tensor import assert_same_numbers, value_and_grads
 
 
 def rand_logits(rng, shape=(4, 4, 4, 3), scale=1.0):
@@ -83,6 +84,19 @@ class TestTrainConfig:
             TrainConfig(betas=(0.9, 1.0))
 
 
+def onehot_cross_entropy(logits, labels):
+    """Cross-entropy with the target logit picked by a one-hot product,
+    kept as the oracle of the index gather."""
+    onehot = Tensor(np.eye(logits.shape[-1], dtype=logits.dtype)[labels])
+    shift = np.max(logits.data, axis=-1, keepdims=True)
+    lse = ad.add(
+        ad.tlog(ad.tsum(ad.texp(ad.sub(logits, Tensor(shift))), axis=-1)),
+        Tensor(np.squeeze(shift, axis=-1)),
+    )
+    picked = ad.tsum(ad.mul(logits, onehot), axis=-1)
+    return ad.tmean(ad.sub(lse, picked))
+
+
 class TestCrossEntropy:
     def test_uniform_logits_ln4(self):
         logits = Tensor(np.zeros((4, 4, 4, 4)))
@@ -116,6 +130,19 @@ class TestCrossEntropy:
         logits = rand_logits(rng)
         labels = rand_labels(rng)
         assert grad_check(lambda: cross_entropy_loss(logits, labels), [logits]) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,classes", [((4, 4, 4), 2), ((3, 2, 5), 3), ((2, 2, 2), 4)])
+    def test_equals_onehot_pick_exactly(self, shape, classes, dtype):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            logits = Tensor((3.0 * rng.normal(size=shape + (classes,))).astype(dtype),
+                            requires_grad=True)
+            labels = rand_labels(rng, shape, classes)
+            assert_same_numbers(
+                value_and_grads(lambda: cross_entropy_loss(logits, labels), [logits], seed),
+                value_and_grads(lambda: onehot_cross_entropy(logits, labels), [logits], seed),
+            )
 
     def test_label_out_of_range(self):
         logits = Tensor(np.zeros((2, 2, 2, 3)))
