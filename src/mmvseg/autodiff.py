@@ -8,7 +8,15 @@ the participating leaf tensors.
 
 Volumes are laid out channels-last and row-major: a feature map has shape
 (d, w, h, C) and flattens to tokens in C order (h fastest).
+
+`gelu`, `layer_norm` (forward and `dx`) and the forward of `add`, `sub` and
+`mul` split large outputs into contiguous ranges of rows, one per op worker.
+Every element and every per-row reduction is computed by the same numpy call
+as on a single thread, so the results do not depend on the split.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import erf, expit
@@ -19,6 +27,31 @@ _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
 _active_tape = None
+
+_SPLIT_MIN = 1 << 17  # elements; smaller arrays take the single-call expression
+_BLOCK = 1 << 16  # elements per block inside a range, so temporaries stay in L2
+
+# One op worker per CPU this process may run on.  The caller runs the first
+# range itself, so the pool holds one thread fewer.  The pool is built at
+# import (its thread starts on the first split), never on first use, which
+# would rebind a module attribute mid-run.
+if hasattr(os, "sched_getaffinity"):
+    OP_WORKERS = len(os.sched_getaffinity(0))
+else:
+    OP_WORKERS = os.cpu_count() or 1
+
+
+def _new_pool():
+    """Build the op pool: at import, and again in a forked child, which
+    inherits the pool but not its thread, so work queued on it would never
+    run."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(OP_WORKERS - 1, "mmvseg-op") if OP_WORKERS > 1 else None
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 class Tensor:
@@ -189,6 +222,48 @@ def backward(loss, tape, leaves=None):
                 p.zero_grad()
 
 
+def _split_rows(n, kernel):
+    """Call kernel(lo, hi) on contiguous ranges that cover range(n), one
+    range per op worker; the caller runs the first and waits for the rest.
+    Each kernel writes its rows of a preallocated output in place."""
+    k = max(1, min(OP_WORKERS, n))
+    bounds = [n * i // k for i in range(k + 1)]
+    futures = [_POOL.submit(kernel, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        kernel(bounds[0], bounds[1])
+    finally:
+        for f in futures:
+            f.result()
+
+
+def _blocks(lo, hi, rows):
+    """(start, stop) pairs of at most `rows` rows covering lo..hi."""
+    return ((s, min(s + rows, hi)) for s in range(lo, hi, rows))
+
+
+def _elementwise(ufunc, x, y):
+    """ufunc(x, y) with numpy broadcasting.  A large output of one dtype is
+    split along its first axis longer than 1; an operand whose extent there
+    is 1 (or that lacks the axis) is passed whole."""
+    if (x.size < _SPLIT_MIN and y.size < _SPLIT_MIN) or x.dtype != y.dtype:
+        return ufunc(x, y)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    axis = next((i for i, s in enumerate(shape) if s > 1), 0)
+    out = np.empty(shape, dtype=x.dtype)
+
+    def rows(arr, lo, hi):
+        i = axis - (len(shape) - arr.ndim)
+        if i < 0 or arr.shape[i] == 1:
+            return arr
+        return arr[(slice(None),) * i + (slice(lo, hi),)]
+
+    def kernel(lo, hi):
+        ufunc(rows(x, lo, hi), rows(y, lo, hi), out=rows(out, lo, hi))
+
+    _split_rows(shape[axis], kernel)
+    return out
+
+
 def _unbroadcast(g, shape):
     """Sum `g` down to `shape`, undoing numpy broadcasting."""
     extra = g.ndim - len(shape)
@@ -208,21 +283,21 @@ def add(a, b):
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record("add", (a, b), a.data + b.data, bwd)
+    return _record("add", (a, b), _elementwise(np.add, a.data, b.data), bwd)
 
 
 def sub(a, b):
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _record("sub", (a, b), a.data - b.data, bwd)
+    return _record("sub", (a, b), _elementwise(np.subtract, a.data, b.data), bwd)
 
 
 def mul(a, b):
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _record("mul", (a, b), a.data * b.data, bwd)
+    return _record("mul", (a, b), _elementwise(np.multiply, a.data, b.data), bwd)
 
 
 def div(a, b):
@@ -250,13 +325,59 @@ def tlog(a):
 def gelu(a):
     """Exact (erf-based) Gaussian error linear unit."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    if x.size < _SPLIT_MIN:
+        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        y = x * cdf
+    else:
+        cdf, y = _gelu_split(x)
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
+        if x.size < _SPLIT_MIN:
+            pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+            return (g * (cdf + x * pdf),)
+        return (_gelu_grad_split(x, cdf, g),)
 
-    return _record("gelu", (a,), x * cdf, bwd)
+    return _record("gelu", (a,), y, bwd)
+
+
+def _gelu_split(x):
+    # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and y = x * cdf, op by op
+    cdf = np.empty_like(x)
+    y = np.empty_like(x)
+    xf, cf, yf = x.reshape(-1), cdf.reshape(-1), y.reshape(-1)
+
+    def kernel(lo, hi):
+        for s, e in _blocks(lo, hi, _BLOCK):
+            c = cf[s:e]
+            np.multiply(xf[s:e], _INV_SQRT2, out=c)
+            erf(c, out=c)
+            np.add(c, 1.0, out=c)
+            np.multiply(c, 0.5, out=c)
+            np.multiply(xf[s:e], c, out=yf[s:e])
+
+    _split_rows(xf.size, kernel)
+    return cdf, y
+
+
+def _gelu_grad_split(x, cdf, g):
+    # g * (cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)), op by op
+    dx = np.empty(x.shape, dtype=np.result_type(g, x))
+    xf, cf, gf, df = x.reshape(-1), cdf.reshape(-1), g.reshape(-1), dx.reshape(-1)
+
+    def kernel(lo, hi):
+        buf = np.empty(min(_BLOCK, hi - lo), dtype=x.dtype)
+        for s, e in _blocks(lo, hi, _BLOCK):
+            xs, p = xf[s:e], buf[: e - s]
+            np.multiply(xs, -0.5, out=p)
+            np.multiply(p, xs, out=p)
+            np.exp(p, out=p)
+            np.multiply(p, _INV_SQRT2PI, out=p)
+            np.multiply(xs, p, out=p)
+            np.add(cf[s:e], p, out=p)
+            np.multiply(gf[s:e], p, out=df[s:e])
+
+    _split_rows(xf.size, kernel)
+    return dx
 
 
 def sigmoid(a):
@@ -385,24 +506,59 @@ def layer_norm(x, gamma, beta):
         raise ShapeError(
             f"layer_norm channel extent {c} does not match gamma {gamma.shape} / beta {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
+    if x.size < _SPLIT_MIN:
+        xhat, inv, y = _ln_forward(x.data, gamma.data, beta.data)
+    else:
+        xhat = np.empty_like(x.data)
+        inv = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
+        y = np.empty(x.shape, dtype=np.result_type(x.data, gamma.data, beta.data))
+        _by_rows(_ln_forward, (x.data, gamma.data, beta.data), (xhat, inv, y))
+
+    def bwd(g):
+        # dgamma and dbeta sum over rows, so they are never split
+        dgamma = (g * xhat).reshape(-1, c).sum(axis=0)
+        dbeta = g.reshape(-1, c).sum(axis=0)
+        if g.size < _SPLIT_MIN:
+            (dx,) = _ln_dx(g, gamma.data, xhat, inv)
+        else:
+            dx = np.empty(g.shape, dtype=np.result_type(g, gamma.data, xhat))
+            _by_rows(_ln_dx, (g, gamma.data, xhat, inv), (dx,))
+        return dx, dgamma, dbeta
+
+    return _record("layer_norm", (x, gamma, beta), y, bwd)
+
+
+def _ln_forward(x, gamma, beta):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
+    return xhat, inv, xhat * gamma + beta
 
-    def bwd(g):
-        dgamma = (g * xhat).reshape(-1, c).sum(axis=0)
-        dbeta = g.reshape(-1, c).sum(axis=0)
-        dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dx, dgamma, dbeta
 
-    return _record("layer_norm", (x, gamma, beta), xhat * gamma.data + beta.data, bwd)
+def _ln_dx(g, gamma, xhat, inv):
+    dxhat = g * gamma
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return (dx,)
+
+
+def _by_rows(fn, args, outs):
+    """outs = fn(*args) for a row-wise fn, computed in blocks of rows (all
+    but the last extent) on the op workers; 1-d args are passed whole."""
+    args = [a if a.ndim == 1 else a.reshape(-1, a.shape[-1]) for a in args]
+    outs = [o.reshape(-1, o.shape[-1]) for o in outs]
+
+    def kernel(lo, hi):
+        for s, e in _blocks(lo, hi, max(1, _BLOCK // outs[0].shape[1])):
+            for o, v in zip(outs, fn(*(a if a.ndim == 1 else a[s:e] for a in args))):
+                o[s:e] = v
+
+    _split_rows(outs[0].shape[0], kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,7 @@ def _write_manifest(out: Path, command, seed, config, artifacts, threads=1):
         "version": __version__,
         "seed": seed,
         "threads": threads,
+        "op_workers": ad.OP_WORKERS,
         "config": config,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
     }
@@ -174,8 +175,13 @@ def _load_split_datasets(data_dir):
     if not splits_file.exists():
         return dataset, None
     splits = _read_json(splits_file)
+    if not isinstance(splits, dict):
+        raise FormatError(f"{splits_file} must hold an object of split lists, got {type(splits).__name__}")
+
     def pick(name):
         idx = splits.get(name, [])
+        if not isinstance(idx, list) or not all(type(i) is int for i in idx):
+            raise FormatError(f"{splits_file} {name} split must be a list of integers, got {idx!r}")
         bad = [i for i in idx if not 0 <= i < len(dataset)]
         if bad:
             raise ConfigError(f"splits.json {name} indices out of range: {bad}")
@@ -449,6 +455,8 @@ def cmd_ablate(args):
                            noise_sigma=0.05, seed=args.seed)
         save_dataset(data_dir, spec, args.cases)
     dataset = load_dataset(data_dir)
+    if len(dataset) < 2:
+        raise ConfigError(f"ablate needs >= 2 cases (one train and one val case), {data_dir} has {len(dataset)}")
     n_val = max(1, len(dataset) // 3)
     train_set, val_set = dataset[:-n_val], dataset[-n_val:]
     volume, mask = dataset[0]

@@ -11,10 +11,11 @@ import shutil
 import numpy as np
 import pytest
 
+from mmvseg import autodiff as ad
 from mmvseg.cli import main
 from mmvseg.data import load_dataset
 from mmvseg.metrics import SegmentationMask, hd95
-from mmvseg.model import load_checkpoint
+from mmvseg.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from test_model import rewrite_config
 
 SPEC = {
@@ -201,6 +202,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "splits.json" in err and "JSONDecodeError" not in err
 
+    @pytest.mark.parametrize("content", [
+        "[1, 2]", '{"train": 3}', '{"train": [0, "1"]}', '{"val": [0.5]}',
+    ])
+    def test_splits_file_of_the_wrong_shape(self, workdir, tmp_path, capsys, content):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "splits.json").write_text(content)
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", str(data),
+                     "--model-config", str(workdir / "model.json"), "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "splits.json" in err and "Error" not in err
+
     def test_unknown_model_field(self, workdir, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps({"bogus": 1}))
@@ -291,6 +304,30 @@ class TestEval:
                      "--data", str(workdir / "data")]) == 2
         assert "checkpoint config" in capsys.readouterr().err
 
+    def test_case_threads_and_op_workers_keep_metrics_identical(self, tmp_path):
+        """At 32^3 the stage-1 ops take the row-split path; scoring the cases
+        on one or two threads writes the same bytes, and the manifest records
+        the op worker count, the same on every rerun."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "shape": [32, 32, 32]}))
+        assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(spec),
+                     "--cases", "2", "--fractions", "1,0,0"]) == 0
+        cfg = ModelConfig.from_dict({**MODEL, "input_shape": [32, 32, 32],
+                                     "modalities": 2, "n_classes": 3})
+        save_checkpoint(Model(cfg), tmp_path / "model.ckpt")
+        runs = {}
+        for name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+            out = tmp_path / name
+            assert main(["eval", "--out", str(out), "--checkpoint", str(tmp_path / "model.ckpt"),
+                         "--data", str(tmp_path / "data"), "--threads", threads]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["threads"] == int(threads)
+            assert manifest["op_workers"] == ad.OP_WORKERS
+            del manifest["artifacts"]  # paths under --out
+            runs[name] = ((out / "metrics.json").read_bytes(), manifest)
+        assert runs["a"][0] == runs["b"][0] == runs["c"][0]
+        assert runs["a"][1] == runs["c"][1]
+
     def test_missing_checkpoint(self, workdir, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "e"),
                      "--checkpoint", str(tmp_path / "nope.ckpt"),
@@ -349,6 +386,17 @@ class TestAblate:
                      flag, value]) == 1
         assert flag in capsys.readouterr().err
         assert not (out / "data").exists()
+
+    def test_one_case_dataset_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC))
+        assert main(["gen", "--out", str(data), "--spec", str(spec), "--cases", "1",
+                     "--fractions", "1,0,0"]) == 0
+        assert main(["ablate", "--out", str(tmp_path / "a"), "--data", str(data),
+                     "--rows", "full", "--steps", "1"]) == 1
+        assert "ablate needs >= 2 cases" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "runs").exists()
 
     def test_unknown_row(self, tmp_path, capsys):
         assert main(["ablate", "--out", str(tmp_path / "a"), "--rows", "nope"]) == 1
