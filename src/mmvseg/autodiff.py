@@ -28,8 +28,8 @@ _INV_SQRT2PI = 0.3989422804014327
 
 _active_tape = None
 
-_SPLIT_MIN = 1 << 17  # elements; smaller arrays take the single-call expression
-_BLOCK = 1 << 16  # elements per block inside a range, so temporaries stay in L2
+_SPLIT_MIN = 1 << 17  # output elements; smaller outputs take one kernel call
+_BLOCK = 1 << 16  # elements per block of a multi-pass kernel, so temporaries stay in L2
 
 # One op worker per CPU this process may run on.  The caller runs the first
 # range itself, so the pool holds one thread fewer.  The pool is built at
@@ -236,32 +236,38 @@ def _split_rows(n, kernel):
             f.result()
 
 
-def _blocks(lo, hi, rows):
-    """(start, stop) pairs of at most `rows` rows covering lo..hi."""
-    return ((s, min(s + rows, hi)) for s in range(lo, hi, rows))
+def _by_rows(kernel, args, *outs, block=None):
+    """kernel(*args, *outs) for a kernel that computes each row (index on
+    the first axis) of its outputs from the same rows of its inputs and
+    writes it with out= ufuncs; returns outs[0].  Below _SPLIT_MIN output
+    elements this is one call.  Above it, the op workers take contiguous
+    ranges of rows, which a `block` (in elements) cuts further so that a
+    kernel's temporaries stay in cache.  An input of lower rank than the
+    outputs, or of extent 1 on the first axis, broadcasts and is passed
+    whole."""
+    out = outs[0]
+    if out.size < _SPLIT_MIN:
+        kernel(*args, *outs)
+        return out
+    n = out.shape[0]
+    step = n if block is None else max(1, block * n // out.size)
 
+    def rows(a, s, e):
+        return a if a.ndim < out.ndim or a.shape[0] == 1 else a[s:e]
 
-def _elementwise(ufunc, x, y):
-    """ufunc(x, y) with numpy broadcasting.  A large output of one dtype is
-    split along its first axis longer than 1; an operand whose extent there
-    is 1 (or that lacks the axis) is passed whole."""
-    if (x.size < _SPLIT_MIN and y.size < _SPLIT_MIN) or x.dtype != y.dtype:
-        return ufunc(x, y)
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    axis = next((i for i, s in enumerate(shape) if s > 1), 0)
-    out = np.empty(shape, dtype=x.dtype)
+    def work(lo, hi):
+        for s in range(lo, hi, step):
+            e = min(s + step, hi)
+            kernel(*(rows(a, s, e) for a in args), *(o[s:e] for o in outs))
 
-    def rows(arr, lo, hi):
-        i = axis - (len(shape) - arr.ndim)
-        if i < 0 or arr.shape[i] == 1:
-            return arr
-        return arr[(slice(None),) * i + (slice(lo, hi),)]
-
-    def kernel(lo, hi):
-        ufunc(rows(x, lo, hi), rows(y, lo, hi), out=rows(out, lo, hi))
-
-    _split_rows(shape[axis], kernel)
+    _split_rows(n, work)
     return out
+
+
+def _empty(*arrays):
+    """An uninitialized array of the shape and dtype numpy's broadcasting
+    gives `arrays`."""
+    return np.empty(np.broadcast(*arrays).shape, dtype=np.result_type(*arrays))
 
 
 def _unbroadcast(g, shape):
@@ -283,21 +289,21 @@ def add(a, b):
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record("add", (a, b), _elementwise(np.add, a.data, b.data), bwd)
+    return _record("add", (a, b), _by_rows(np.add, (a.data, b.data), _empty(a.data, b.data)), bwd)
 
 
 def sub(a, b):
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _record("sub", (a, b), _elementwise(np.subtract, a.data, b.data), bwd)
+    return _record("sub", (a, b), _by_rows(np.subtract, (a.data, b.data), _empty(a.data, b.data)), bwd)
 
 
 def mul(a, b):
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _record("mul", (a, b), _elementwise(np.multiply, a.data, b.data), bwd)
+    return _record("mul", (a, b), _by_rows(np.multiply, (a.data, b.data), _empty(a.data, b.data)), bwd)
 
 
 def div(a, b):
@@ -324,60 +330,35 @@ def tlog(a):
 
 def gelu(a):
     """Exact (erf-based) Gaussian error linear unit."""
-    x = a.data
-    if x.size < _SPLIT_MIN:
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        y = x * cdf
-    else:
-        cdf, y = _gelu_split(x)
+    x = a.data.reshape(-1)
+    cdf = np.empty_like(x)
+    y = _by_rows(_gelu_forward, (x,), np.empty_like(x), cdf, block=_BLOCK)
 
     def bwd(g):
-        if x.size < _SPLIT_MIN:
-            pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-            return (g * (cdf + x * pdf),)
-        return (_gelu_grad_split(x, cdf, g),)
+        g = g.reshape(-1)
+        return (_by_rows(_gelu_grad, (x, cdf, g), _empty(g, x), block=_BLOCK).reshape(a.shape),)
 
-    return _record("gelu", (a,), y, bwd)
+    return _record("gelu", (a,), y.reshape(a.shape), bwd)
 
 
-def _gelu_split(x):
+def _gelu_forward(x, y, cdf):
     # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and y = x * cdf, op by op
-    cdf = np.empty_like(x)
-    y = np.empty_like(x)
-    xf, cf, yf = x.reshape(-1), cdf.reshape(-1), y.reshape(-1)
-
-    def kernel(lo, hi):
-        for s, e in _blocks(lo, hi, _BLOCK):
-            c = cf[s:e]
-            np.multiply(xf[s:e], _INV_SQRT2, out=c)
-            erf(c, out=c)
-            np.add(c, 1.0, out=c)
-            np.multiply(c, 0.5, out=c)
-            np.multiply(xf[s:e], c, out=yf[s:e])
-
-    _split_rows(xf.size, kernel)
-    return cdf, y
+    np.multiply(x, _INV_SQRT2, out=cdf)
+    erf(cdf, out=cdf)
+    np.add(cdf, 1.0, out=cdf)
+    np.multiply(cdf, 0.5, out=cdf)
+    np.multiply(x, cdf, out=y)
 
 
-def _gelu_grad_split(x, cdf, g):
+def _gelu_grad(x, cdf, g, dx):
     # g * (cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)), op by op
-    dx = np.empty(x.shape, dtype=np.result_type(g, x))
-    xf, cf, gf, df = x.reshape(-1), cdf.reshape(-1), g.reshape(-1), dx.reshape(-1)
-
-    def kernel(lo, hi):
-        buf = np.empty(min(_BLOCK, hi - lo), dtype=x.dtype)
-        for s, e in _blocks(lo, hi, _BLOCK):
-            xs, p = xf[s:e], buf[: e - s]
-            np.multiply(xs, -0.5, out=p)
-            np.multiply(p, xs, out=p)
-            np.exp(p, out=p)
-            np.multiply(p, _INV_SQRT2PI, out=p)
-            np.multiply(xs, p, out=p)
-            np.add(cf[s:e], p, out=p)
-            np.multiply(gf[s:e], p, out=df[s:e])
-
-    _split_rows(xf.size, kernel)
-    return dx
+    p = np.multiply(x, -0.5)
+    np.multiply(p, x, out=p)
+    np.exp(p, out=p)
+    np.multiply(p, _INV_SQRT2PI, out=p)
+    np.multiply(x, p, out=p)
+    np.add(cdf, p, out=p)
+    np.multiply(g, p, out=dx)
 
 
 def sigmoid(a):
@@ -506,59 +487,34 @@ def layer_norm(x, gamma, beta):
         raise ShapeError(
             f"layer_norm channel extent {c} does not match gamma {gamma.shape} / beta {beta.shape}"
         )
-    if x.size < _SPLIT_MIN:
-        xhat, inv, y = _ln_forward(x.data, gamma.data, beta.data)
-    else:
-        xhat = np.empty_like(x.data)
-        inv = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
-        y = np.empty(x.shape, dtype=np.result_type(x.data, gamma.data, beta.data))
-        _by_rows(_ln_forward, (x.data, gamma.data, beta.data), (xhat, inv, y))
+    rows = x.data.reshape(-1, c)
+    xhat = np.empty_like(rows)
+    inv = np.empty((rows.shape[0], 1), dtype=x.dtype)
+    y = _by_rows(_ln_forward, (rows, gamma.data, beta.data), _empty(rows, gamma.data, beta.data),
+                 xhat, inv, block=_BLOCK)
 
     def bwd(g):
+        g = g.reshape(-1, c)
         # dgamma and dbeta sum over rows, so they are never split
-        dgamma = (g * xhat).reshape(-1, c).sum(axis=0)
-        dbeta = g.reshape(-1, c).sum(axis=0)
-        if g.size < _SPLIT_MIN:
-            (dx,) = _ln_dx(g, gamma.data, xhat, inv)
-        else:
-            dx = np.empty(g.shape, dtype=np.result_type(g, gamma.data, xhat))
-            _by_rows(_ln_dx, (g, gamma.data, xhat, inv), (dx,))
-        return dx, dgamma, dbeta
+        dgamma = (g * xhat).sum(axis=0)
+        dbeta = g.sum(axis=0)
+        dx = _by_rows(_ln_dx, (g, gamma.data, xhat, inv), _empty(g, gamma.data, xhat), block=_BLOCK)
+        return dx.reshape(x.shape), dgamma, dbeta
 
-    return _record("layer_norm", (x, gamma, beta), y, bwd)
+    return _record("layer_norm", (x, gamma, beta), y.reshape(x.shape), bwd)
 
 
-def _ln_forward(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    return xhat, inv, xhat * gamma + beta
+def _ln_forward(x, gamma, beta, y, xhat, inv):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    np.divide(1.0, np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5), out=inv)
+    np.multiply(xc, inv, out=xhat)
+    np.add(xhat * gamma, beta, out=y)
 
 
-def _ln_dx(g, gamma, xhat, inv):
+def _ln_dx(g, gamma, xhat, inv, dx):
     dxhat = g * gamma
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return (dx,)
-
-
-def _by_rows(fn, args, outs):
-    """outs = fn(*args) for a row-wise fn, computed in blocks of rows (all
-    but the last extent) on the op workers; 1-d args are passed whole."""
-    args = [a if a.ndim == 1 else a.reshape(-1, a.shape[-1]) for a in args]
-    outs = [o.reshape(-1, o.shape[-1]) for o in outs]
-
-    def kernel(lo, hi):
-        for s, e in _blocks(lo, hi, max(1, _BLOCK // outs[0].shape[1])):
-            for o, v in zip(outs, fn(*(a if a.ndim == 1 else a[s:e] for a in args))):
-                o[s:e] = v
-
-    _split_rows(outs[0].shape[0], kernel)
+    np.multiply(inv, dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True), out=dx)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -94,26 +92,12 @@ def _read_json(path, lines=False):
     return data
 
 
-def _threads(args):
-    if getattr(args, "threads", None) is not None:
-        n = args.threads
-    else:
-        try:
-            n = int(os.environ.get("NF_THREADS", "1"))
-        except ValueError:
-            raise ConfigError("NF_THREADS must be an integer") from None
-    if n < 1:
-        raise ConfigError(f"threads must be >= 1, got {n}")
-    return n
-
-
-def _write_manifest(out: Path, command, seed, config, artifacts, threads=1):
+def _write_manifest(out: Path, command, seed, config, artifacts):
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "version": __version__,
         "seed": seed,
-        "threads": threads,
         "op_workers": ad.OP_WORKERS,
         "config": config,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
@@ -148,20 +132,13 @@ def cmd_gen(args):
         raise ConfigError(f"--fractions wants three numbers, got {args.fractions!r}")
     # validated before any case is written
     train_idx, val_idx, test_idx = split_indices(args.cases, fractions, seed=spec.seed)
-    threads = _threads(args)
     out = Path(args.out)
     _write_manifest(
         out, "gen", spec.seed,
         {"spec": spec.to_dict(), "cases": args.cases, "fractions": list(fractions)},
         {"cases": out, "splits": out / "splits.json"},
-        threads,
     )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            save_dataset(out, spec, args.cases, map_fn=pool.map)
-    else:
-        save_dataset(out, spec, args.cases)
+    save_dataset(out, spec, args.cases)
     (out / "splits.json").write_text(json.dumps(
         {"train": train_idx, "val": val_idx, "test": test_idx}, indent=2) + "\n")
     print(f"generated {args.cases} cases under {out} "
@@ -186,9 +163,11 @@ def _load_split_datasets(data_dir):
         if bad:
             raise ConfigError(f"splits.json {name} indices out of range: {bad}")
         return [dataset[i] for i in idx]
-    train_set = pick("train") or dataset
-    val_set = pick("val") or None
-    return train_set, val_set
+    train_set, val_set = pick("train"), pick("val")
+    if not train_set:
+        raise ConfigError(f"{splits_file} has an empty train split; "
+                          "regenerate the dataset with a nonzero train fraction")
+    return train_set, val_set or None
 
 
 def cmd_train(args):
@@ -242,21 +221,14 @@ def cmd_eval(args):
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     if not Path(args.data).is_dir():
         raise FileNotFoundError(f"dataset directory not found: {args.data}")
-    threads = _threads(args)
     out = Path(args.out)
     _write_manifest(
         out, "eval", 0,
         {"checkpoint": str(ckpt), "data": str(args.data)},
         {"csv": out / "metrics.csv", "json": out / "metrics.json"},
-        threads,
     )
     model, _ = load_checkpoint(ckpt)
-    dataset = load_dataset(args.data)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            report = evaluate(model, dataset, out_dir=out, map_fn=pool.map)
-    else:
-        report = evaluate(model, dataset, out_dir=out)
+    report = evaluate(model, load_dataset(args.data), out_dir=out)
     print(f"evaluated {report['n_cases']} cases: mean dice {report['mean_dice']['mean']:.4f}")
     return 0
 
@@ -544,8 +516,6 @@ def _build_parser():
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--fractions", default="0.8,0.1,0.1",
                    help="train,val,test split fractions")
-    g.add_argument("--threads", type=int, default=None,
-                   help="worker pool size (NF_THREADS fallback)")
     g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("train", help="train a model on a generated dataset")
@@ -567,7 +537,6 @@ def _build_parser():
     e.add_argument("--out", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--threads", type=int, default=None)
     e.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("gradcheck", help="finite-difference check every block")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, GenerationError
-from .metrics import SegmentationMask
+from .metrics import SegmentationMask, check_spacing
 
 _MMV_MAGIC = b"MMV1"
 _MSK_MAGIC = b"MSK1"
@@ -39,10 +39,8 @@ class MultiModalVolume:
             )
         if not np.isfinite(arr).all():
             raise ContractError("volume intensities must be finite")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ContractError(f"spacing must be 3 positive floats, got {self.spacing}")
         self.data = arr
-        self.spacing = tuple(float(s) for s in self.spacing)
+        self.spacing = check_spacing(self.spacing)
 
     @property
     def shape(self):
@@ -304,12 +302,8 @@ def split(n_cases, fractions=(0.8, 0.1, 0.1), seed=0):
     return parts
 
 
-def save_dataset(out_dir, spec: PhantomSpec, n_cases: int, map_fn=map):
-    """Generate case_<idx>/ directories; case seeds are spec.seed + idx.
-
-    Cases are independent (own seed, own directory), so `map_fn` may come
-    from a worker pool.
-    """
+def save_dataset(out_dir, spec: PhantomSpec, n_cases: int):
+    """Generate case_<idx>/ directories; case seeds are spec.seed + idx."""
     if n_cases < 1:
         raise ConfigError("need at least one case")
     out = Path(out_dir)
@@ -326,7 +320,7 @@ def save_dataset(out_dir, spec: PhantomSpec, n_cases: int, map_fn=map):
         (cdir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
         return cdir
 
-    return list(map_fn(one_case, range(n_cases)))
+    return [one_case(idx) for idx in range(n_cases)]
 
 
 def load_dataset(root, normalized=True):

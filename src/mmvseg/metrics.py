@@ -41,14 +41,20 @@ class SegmentationMask:
                 f"labels must lie in [0, {self.n_classes}), found range "
                 f"[{lab.min()}, {lab.max()}]"
             )
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ContractError(f"spacing must be 3 positive floats, got {self.spacing}")
         self.labels = lab
-        self.spacing = tuple(float(s) for s in self.spacing)
+        self.spacing = check_spacing(self.spacing)
 
     @property
     def shape(self):
         return self.labels.shape
+
+
+def check_spacing(spacing):
+    """`spacing` as 3 floats; a ContractError unless each is positive and
+    finite (NaN would pass a `<= 0` test and turn HD95 into NaN)."""
+    if len(spacing) != 3 or not all(np.isfinite(s) and s > 0 for s in spacing):
+        raise ContractError(f"spacing must be 3 positive finite floats, got {spacing}")
+    return tuple(float(s) for s in spacing)
 
 
 def _class_mask(mask: SegmentationMask, cls: int) -> np.ndarray:
@@ -135,15 +141,14 @@ def _mean_defined(values):
     return sum(defined) / len(defined) if defined else math.inf
 
 
-def evaluate(model, dataset, classes=None, out_dir=None, map_fn=map):
+def evaluate(model, dataset, classes=None, out_dir=None):
     """Run `model` over (volume, mask) pairs and aggregate Dice / HD95.
 
     `model` maps a D*H*W*M float volume to per-voxel class logits; argmax
     defines the prediction.  `classes` defaults to all foreground labels.
     When `out_dir` is given, writes metrics.csv (one row per case plus one
     summary row) and metrics.json (per-class detail).  Returns the report
-    dict that backs the JSON file.  Cases are independent, so `map_fn` may
-    be a thread pool's map; results keep dataset order either way.
+    dict that backs the JSON file.
     """
 
     def one_case(item):
@@ -168,7 +173,7 @@ def evaluate(model, dataset, classes=None, out_dir=None, map_fn=map):
             "hd95": {str(c): hd95(pred, mask, c) for c in case_classes},
         }
 
-    per_case = list(map_fn(one_case, enumerate(dataset)))
+    per_case = [one_case(item) for item in enumerate(dataset)]
     if not per_case:
         raise ContractError("evaluate needs a nonempty dataset")
     keys = list(per_case[0]["dice"])

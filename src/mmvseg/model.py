@@ -32,7 +32,7 @@ DOWNSAMPLE = 16  # spatial reduction from input to bottleneck
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 CHECKPOINT_MAGIC = b"NFCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -296,8 +296,9 @@ def save_checkpoint(model, path, step=0, opt_state=None):
     """Write the model (and optional optimizer state) to `path` atomically.
 
     Layout: magic, version u32, length-prefixed JSON header, tensor count
-    u32, then per tensor: name (u16 length + UTF-8), rank u8, extents u32
-    each, float32 little-endian payload.
+    u32, then per tensor: name (u16 length + UTF-8), item size u8 (4 for
+    float32, 8 for float64), rank u8, extents u32 each, and the little-endian
+    payload in the tensor's own dtype, so every value round-trips exactly.
     """
     header = {"config": model.cfg.to_dict(), "step": int(step), "optimizer": opt_state is not None}
     if opt_state is not None:
@@ -316,15 +317,8 @@ def save_checkpoint(model, path, step=0, opt_state=None):
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-            data = tensor.data
-            if data.dtype == np.float64:
-                # second moments can exceed float32 range (they hold squared
-                # gradients); saturate instead of storing inf, which would
-                # never decay after a resume
-                limit = np.finfo(np.float32).max
-                data = np.clip(data, -limit, limit)
-            payload = np.ascontiguousarray(data, dtype="<f4")
-            fh.write(struct.pack("B", payload.ndim))
+            payload = np.ascontiguousarray(tensor.data, dtype=f"<f{tensor.dtype.itemsize}")
+            fh.write(struct.pack("BB", payload.itemsize, payload.ndim))
             for extent in payload.shape:
                 fh.write(struct.pack("<I", extent))
             fh.write(payload.tobytes())
@@ -355,13 +349,15 @@ def load_checkpoint(path):
             name = _read_exact(fh, name_len, "name").decode("utf-8")
             if name in table:
                 raise FormatError(f"duplicate tensor {name!r} in checkpoint")
-            (rank,) = struct.unpack("B", _read_exact(fh, 1, "rank"))
+            itemsize, rank = struct.unpack("BB", _read_exact(fh, 2, "item size and rank"))
+            if itemsize not in (4, 8):
+                raise FormatError(f"tensor {name!r} has item size {itemsize}, expected 4 or 8")
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, "extent"))[0] for _ in range(rank)
             )
             size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(fh, 4 * size, f"payload of {name!r}")
-            table[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            raw = _read_exact(fh, itemsize * size, f"payload of {name!r}")
+            table[name] = np.frombuffer(raw, dtype=f"<f{itemsize}").reshape(shape)
         if fh.read(1):
             raise FormatError("trailing data after tensor table")
 

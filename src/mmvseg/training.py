@@ -50,9 +50,13 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
-            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
+        if (not isinstance(self.betas, (list, tuple)) or len(self.betas) != 2
+                or not all(0 <= b < 1 for b in self.betas)):
+            raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         self.betas = (float(self.betas[0]), float(self.betas[1]))
+        for name in ("checkpoint_every", "val_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0 (0 = off), got {getattr(self, name)}")
 
 
 def _target_labels(logits, target, what):

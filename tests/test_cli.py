@@ -7,6 +7,7 @@ expensive steps (gen/train/eval) are shared through a module fixture.
 import csv
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -144,23 +145,6 @@ class TestGen:
         assert main(["gen", "--out", str(tmp_path / "out"),
                      "--spec", str(tmp_path / "nope.json")]) == 1
 
-    def test_threads_env_fallback(self, workdir, tmp_path, monkeypatch):
-        monkeypatch.setenv("NF_THREADS", "2")
-        out = tmp_path / "threaded"
-        assert main(["gen", "--out", str(out), "--spec", str(workdir / "spec.json"),
-                     "--cases", "3", "--fractions", "0.75,0.25,0"]) == 0
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 2
-        # worker pool must not change the artifacts
-        ref = (workdir / "data" / "case_0002" / "volume.mmv").read_bytes()
-        assert (out / "case_0002" / "volume.mmv").read_bytes() == ref
-
-    def test_threads_must_be_positive(self, tmp_path):
-        assert main(["gen", "--out", str(tmp_path / "o"), "--threads", "0"]) == 1
-
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NF_THREADS", "many")
-        assert main(["gen", "--out", str(tmp_path / "o")]) == 1
-
 
 class TestTrain:
     def test_artifacts(self, workdir):
@@ -213,6 +197,49 @@ class TestTrain:
                      "--model-config", str(workdir / "model.json"), "--steps", "1"]) == 2
         err = capsys.readouterr().err
         assert "splits.json" in err and "Error" not in err
+
+    @pytest.mark.parametrize("content", ['{"train": [], "val": [0, 1, 2]}', '{"val": [0]}'],
+                             ids=["empty-list", "no-train-key"])
+    def test_empty_train_split_is_rejected(self, workdir, tmp_path, capsys, content):
+        # an empty train split must not fall back to training on every case,
+        # held-out ones included
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "splits.json").write_text(content)
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", str(data),
+                     "--model-config", str(workdir / "model.json"), "--steps", "1"]) == 1
+        assert "splits.json" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "checkpoint.ckpt").exists()
+
+    def test_empty_train_fraction_from_gen_is_rejected(self, workdir, tmp_path, capsys):
+        assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(workdir / "spec.json"),
+                     "--cases", "3", "--fractions", "0,0.67,0.33"]) == 0
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", str(tmp_path / "data"),
+                     "--model-config", str(workdir / "model.json"), "--steps", "1"]) == 1
+        assert "empty train split" in capsys.readouterr().err
+
+    def test_dataset_without_splits_trains_on_every_case(self, workdir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "splits.json").unlink()
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", str(data),
+                     "--model-config", str(workdir / "model.json"), "--steps", "1"]) == 0
+        assert not (tmp_path / "r" / "val_log.jsonl").exists()
+
+    @pytest.mark.parametrize("change,field", [
+        ({"betas": [0.9]}, "betas"), ({"betas": [0.9, 0.999, 0.5]}, "betas"),
+        ({"betas": 0.9}, "betas"), ({"checkpoint_every": -1}, "checkpoint_every"),
+        ({"val_every": -1}, "val_every"),
+    ], ids=["one-beta", "three-betas", "scalar-betas", "negative-checkpoint-every",
+            "negative-val-every"])
+    def test_bad_train_config_is_a_config_error(self, workdir, tmp_path, capsys, change, field):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(change))
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", str(workdir / "data"),
+                     "--model-config", str(workdir / "model.json"),
+                     "--train-config", str(cfg), "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Error" not in err
 
     def test_unknown_model_field(self, workdir, tmp_path, capsys):
         bad = tmp_path / "model.json"
@@ -304,10 +331,10 @@ class TestEval:
                      "--data", str(workdir / "data")]) == 2
         assert "checkpoint config" in capsys.readouterr().err
 
-    def test_case_threads_and_op_workers_keep_metrics_identical(self, tmp_path):
-        """At 32^3 the stage-1 ops take the row-split path; scoring the cases
-        on one or two threads writes the same bytes, and the manifest records
-        the op worker count, the same on every rerun."""
+    def test_rerun_with_op_workers_keeps_metrics_identical(self, tmp_path):
+        """At 32^3 the stage-1 ops take the row-split path; reruns write the
+        same bytes, and the manifest records the op worker count, the same
+        on every rerun, and no case thread count."""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**SPEC, "shape": [32, 32, 32]}))
         assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(spec),
@@ -316,17 +343,29 @@ class TestEval:
                                      "modalities": 2, "n_classes": 3})
         save_checkpoint(Model(cfg), tmp_path / "model.ckpt")
         runs = {}
-        for name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+        for name in ("a", "b"):
             out = tmp_path / name
             assert main(["eval", "--out", str(out), "--checkpoint", str(tmp_path / "model.ckpt"),
-                         "--data", str(tmp_path / "data"), "--threads", threads]) == 0
+                         "--data", str(tmp_path / "data")]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["threads"] == int(threads)
+            assert "threads" not in manifest
             assert manifest["op_workers"] == ad.OP_WORKERS
             del manifest["artifacts"]  # paths under --out
             runs[name] = ((out / "metrics.json").read_bytes(), manifest)
-        assert runs["a"][0] == runs["b"][0] == runs["c"][0]
-        assert runs["a"][1] == runs["c"][1]
+        assert runs["a"] == runs["b"]
+
+    def test_nan_spacing_in_a_volume_file_fails_typed(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        volume = data / "case_0001" / "volume.mmv"
+        raw = bytearray(volume.read_bytes())
+        raw[4 + 16 : 4 + 20] = struct.pack("<f", float("nan"))  # first spacing entry
+        volume.write_bytes(bytes(raw))
+        out = tmp_path / "e"
+        assert main(["eval", "--out", str(out), "--checkpoint",
+                     str(workdir / "run" / "checkpoint.ckpt"), "--data", str(data)]) == 2
+        assert "spacing" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists() and not (out / "metrics.csv").exists()
 
     def test_missing_checkpoint(self, workdir, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "e"),

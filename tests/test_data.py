@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -193,6 +194,20 @@ class TestVolumeFormat:
         write_mmv(path, self._volume())
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
+            read_mmv(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_spacing_rejected(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            self._volume(spacing=(1.0, 1.0, bad))
+
+    def test_file_with_nan_spacing_rejected(self, tmp_path):
+        path = tmp_path / "v.mmv"
+        write_mmv(path, self._volume())
+        raw = bytearray(path.read_bytes())
+        raw[4 + 16 : 4 + 20] = struct.pack("<f", float("nan"))  # first spacing entry
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ContractError, match="finite"):
             read_mmv(path)
 
     def test_zero_modalities_rejected(self):

@@ -84,6 +84,11 @@ class TestMask:
         with pytest.raises(ContractError):
             mask_of(np.zeros((2, 2, 2)), spacing=(1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_spacing(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            mask_of(np.zeros((2, 2, 2)), spacing=(1.0, bad, 1.0))
+
     def test_spacing_normalized_to_float_tuple(self):
         m = mask_of(np.zeros((2, 2, 2)), spacing=(1, 2, 3))
         assert m.spacing == (1.0, 2.0, 3.0)

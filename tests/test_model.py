@@ -301,24 +301,57 @@ class TestCheckpoint:
         assert np.array_equal(meta["opt"]["m"][some], opt["m"][some])
         assert np.array_equal(meta["opt"]["v"][some], opt["v"][some])
 
-    def test_huge_moments_saturate_not_inf(self, tmp_path):
-        # second moments hold squared gradients and can exceed float32 range;
-        # the stored value must saturate, not turn into inf (inf never decays)
+    def test_float64_model_round_trips_bit_exact(self, tmp_path):
+        model = self._model(seed=14, dtype="float64")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        again, _ = load_checkpoint(path)
+        for (na, pa), (nb, pb) in zip(model.named_params(), again.named_params(), strict=True):
+            assert na == nb and pb.dtype == np.float64
+            assert np.array_equal(pa.data, pb.data)
+
+    def test_huge_moments_round_trip_exactly(self, tmp_path):
+        # float64 AdamW moments (second moments hold squared gradients) are
+        # stored as float64: values beyond float32 range and below its
+        # resolution come back unchanged
         model = self._model(seed=13)
+        rng = np.random.default_rng(13)
         opt = {
             "t": 1,
-            "m": {n: np.zeros(p.shape, dtype=np.float64) for n, p in model.named_params()},
-            "v": {n: np.full(p.shape, 1e43, dtype=np.float64) for n, p in model.named_params()},
+            "m": {n: rng.normal(size=p.shape) for n, p in model.named_params()},
+            "v": {n: np.full(p.shape, 1e43) for n, p in model.named_params()},
         }
         path = tmp_path / "model.ckpt"
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the cast must not warn either
+            warnings.simplefilter("error")
             save_checkpoint(model, path, step=1, opt_state=opt)
         _, meta = load_checkpoint(path)
-        some = next(iter(meta["opt"]["v"]))
-        stored = meta["opt"]["v"][some]
-        assert np.isfinite(stored).all()
-        assert np.all(stored == np.finfo(np.float32).max)
+        for key in ("m", "v"):
+            assert meta["opt"][key].keys() == opt[key].keys()
+            for name, stored in meta["opt"][key].items():
+                assert stored.dtype == np.float64
+                assert np.array_equal(stored, opt[key][name])
+
+    def test_version_2_file_is_unsupported(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
+
+    def test_unknown_item_size_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path)
+        raw = bytearray(path.read_bytes())
+        (blob_len,) = struct.unpack("<I", raw[8:12])
+        first = 12 + blob_len + 4  # the first tensor record
+        (name_len,) = struct.unpack("<H", raw[first : first + 2])
+        raw[first + 2 + name_len] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="item size"):
+            load_checkpoint(path)
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -244,9 +244,9 @@ def _forwards(seed):
 
 
 def test_concurrent_callers_on_an_oversubscribed_pool(monkeypatch):
-    """Three caller threads (as in eval --threads) share a pool of four
-    threads that runs eight ranges per op, with a short switch interval;
-    every output still equals the one-worker result."""
+    """Three caller threads (library callers on their own threads) share
+    a pool of four threads that runs eight ranges per op, with a short
+    switch interval; every output still equals the one-worker result."""
     monkeypatch.setattr(ad, "OP_WORKERS", 1)
     want = [_forwards(seed) for seed in range(6)]
     pool = ThreadPoolExecutor(4)

@@ -83,6 +83,18 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(betas=(0.9, 1.0))
 
+    @pytest.mark.parametrize("betas", [(0.9,), (0.9, 0.999, 0.5), (), 0.9, (0.9, math.nan)],
+                             ids=["one", "three", "none", "scalar", "nan"])
+    def test_rejects_betas_that_are_not_two_numbers_in_range(self, betas):
+        with pytest.raises(ConfigError, match="betas"):
+            TrainConfig(betas=betas)
+
+    @pytest.mark.parametrize("field", ["checkpoint_every", "val_every"])
+    def test_rejects_negative_intervals(self, field):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: -1})
+        assert getattr(TrainConfig(**{field: 0}), field) == 0
+
 
 def onehot_cross_entropy(logits, labels):
     """Cross-entropy with the target logit picked by a one-hot product,
