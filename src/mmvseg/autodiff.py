@@ -9,10 +9,11 @@ the participating leaf tensors.
 Volumes are laid out channels-last and row-major: a feature map has shape
 (d, w, h, C) and flattens to tokens in C order (h fastest).
 
-`gelu`, `layer_norm` (forward and `dx`) and the forward of `add`, `sub` and
-`mul` split large outputs into contiguous ranges of rows, one per op worker.
-Every element and every per-row reduction is computed by the same numpy call
-as on a single thread, so the results do not depend on the split.
+`gelu`, `layer_norm` (forward and `dx`), the forward of `add`, `sub` and
+`mul`, and the bias adds of `linear` and `conv3d` split large outputs into
+contiguous ranges of rows, one per op worker.  Every element and every
+per-row reduction is computed by the same numpy call as on a single thread,
+so the results do not depend on the split.
 """
 
 import os
@@ -463,6 +464,29 @@ def matmul(a, b):
     return _record("matmul", (a, b), np.matmul(a.data, b.data), bwd)
 
 
+def linear(x, w, b=None):
+    """Affine map on the last extent, x @ w + b: one (P, C) @ (C, Cout) GEMM
+    over the flattened leading extents, with the bias added in place.  The
+    backward is the adjoint of the batched `matmul` followed by `add`."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs (..., C) @ (C, Cout) with rank >= 2 input, got {x.shape} @ {w.shape}")
+    if b is not None and b.shape != w.shape[1:]:
+        raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[1]},)")
+    y = np.matmul(x.data.reshape(-1, w.shape[0]), w.data)
+    if b is not None:
+        y = _by_rows(np.add, (y, b.data), y if y.dtype == np.result_type(y, b.data) else _empty(y, b.data))
+
+    def bwd(g):
+        gx = np.matmul(g, w.data.T)
+        gw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
+        if b is None:
+            return gx, gw
+        return gx, gw, _unbroadcast(g, b.shape)
+
+    inputs = (x, w) if b is None else (x, w, b)
+    return _record("linear", inputs, y.reshape(x.shape[:-1] + w.shape[1:]), bwd)
+
+
 def softmax_last(a):
     """Numerically stabilized softmax over the last extent; rows sum to 1."""
     if a.shape[-1] < 1:
@@ -534,6 +558,8 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     extents floor((in + 2p - k)/stride) + 1 with symmetric zero padding.
     Computed by shift-and-accumulate over the kernel taps, so the extra
     memory is O(input) rather than an im2col matrix k^3 times the input.
+    Stride-1 taps read row ranges of the flat padded input in place; strided
+    taps and the backward pass copy each tap's window into a slab.
     """
     if x.ndim != 4 or kernel.ndim != 5:
         raise ShapeError(f"conv3d expects x rank 4 and kernel rank 5, got {x.shape} and {kernel.shape}")
@@ -559,18 +585,19 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     w = kernel.data
     taps = _conv_taps((kd, kh, kw), stride, out_sp)
 
-    # one (P, Cin) @ (Cin, Cout) GEMM per tap, summed in fixed tap order so
-    # reruns are bit-identical; the tap slab is a free view for 1x1 kernels
-    out = np.empty((int(np.prod(out_sp)), cout), dtype=np.result_type(xp, w))
-    prod = np.empty_like(out)
-    for i, (tap, window) in enumerate(taps):
-        np.matmul(xp[window].reshape(-1, cin), w[tap], out=prod if i else out)
-        if i:
-            out += prod
-    del prod
+    # one (rows, Cin) @ (Cin, Cout) GEMM per tap, summed in fixed tap order
+    # so reruns are bit-identical
+    if stride == (1, 1, 1):
+        full = _conv_frame(xp, w, out_sp)
+    else:
+        full = _conv_slabs(xp, w, taps, out_sp)
+    # full holds the output voxels, maybe inside a wider frame; one pass
+    # copies them out and adds the bias
+    out = full if full.flags.c_contiguous else np.empty(full.shape, full.dtype)
     if bias is not None:
-        out += bias.data
-    out = out.reshape(out_sp + (cout,))
+        _by_rows(np.add, (full, bias.data), out)
+    elif out is not full:
+        np.copyto(out, full)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
@@ -590,6 +617,42 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
         return dx, dw, gm.sum(axis=0)
 
     return _record("conv3d", inputs, out, bwd)
+
+
+def _conv_frame(xp, w, out_sp):
+    """Stride-1 taps over the flat padded input.  Output voxel (d, h, w)
+    sits at row q = (d*Hp + h)*Wp + w of a frame with the padded input's
+    H and W extents, and tap (a, b, c) multiplies input row
+    q + (a*Hp + b)*Wp + c, so each tap's operand is a contiguous row range
+    of that input and needs no copy.  Returns the output voxels as a view
+    into the frame."""
+    kd, kh, kw, cin, cout = w.shape
+    hp, wp = xp.shape[1:3]
+    flat = xp.reshape(-1, cin)
+    # the last tap's row range ends at the last input row
+    rows = flat.shape[0] - (((kd - 1) * hp + kh - 1) * wp + kw - 1)
+    # frame rows past `rows` are outside every output voxel and stay unset
+    frame = np.empty((out_sp[0] * hp * wp, cout), dtype=np.result_type(xp, w))
+    prod = np.empty((rows, cout), dtype=frame.dtype)
+    for i, (a, b, c) in enumerate(np.ndindex(kd, kh, kw)):
+        off = (a * hp + b) * wp + c
+        np.matmul(flat[off: off + rows], w[a, b, c], out=prod if i else frame[:rows])
+        if i:
+            frame[:rows] += prod
+    return frame.reshape(out_sp[0], hp, wp, cout)[:, : out_sp[1], : out_sp[2]]
+
+
+def _conv_slabs(xp, w, taps, out_sp):
+    """Strided taps: each copies its window of the padded input into a
+    (P, Cin) slab for its GEMM."""
+    cin, cout = w.shape[3:]
+    out = np.empty((int(np.prod(out_sp)), cout), dtype=np.result_type(xp, w))
+    prod = np.empty_like(out)
+    for i, (tap, window) in enumerate(taps):
+        np.matmul(xp[window].reshape(-1, cin), w[tap], out=prod if i else out)
+        if i:
+            out += prod
+    return out.reshape(out_sp + (cout,))
 
 
 def _conv_taps(ksize, stride, out_sp):

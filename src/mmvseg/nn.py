@@ -54,10 +54,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True) if bias else None
 
     def __call__(self, x):
-        out = ad.matmul(x, self.w)
-        if self.b is not None:
-            out = ad.add(out, self.b)
-        return out
+        return ad.linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):

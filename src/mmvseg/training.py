@@ -46,6 +46,10 @@ class TrainConfig:
             raise ConfigError("loss weights must be nonnegative")
         if self.dice_weight == 0 and self.ce_weight == 0:
             raise ConfigError("at least one loss weight must be positive")
+        for name in ("steps", "batch_size", "checkpoint_every", "val_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
@@ -140,13 +144,25 @@ def adamw_step(named_params, grads, state: OptimState, cfg: TrainConfig):
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in named_params:
-        g = np.asarray(grads[name], dtype=np.float64)
+        g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name}")
-        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
-        p.data = (p.data * (1.0 - cfg.lr * cfg.weight_decay) - cfg.lr * update).astype(p.dtype)
+        m, v = state.m[name], state.v[name]
+        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in float64, in place
+        a = np.multiply(g, 1.0 - b1, dtype=np.float64)
+        np.multiply(m, b1, out=m)
+        m += a
+        np.multiply(g, g, out=a, dtype=np.float64)
+        a *= 1.0 - b2
+        np.multiply(v, b2, out=v)
+        v += a
+        # update = (m/c1) / (sqrt(v/c2) + eps), then the decayed step
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += cfg.eps
+        np.divide(np.divide(m, c1), a, out=a)
+        a *= cfg.lr
+        p.data = np.subtract(p.data * (1.0 - cfg.lr * cfg.weight_decay), a, out=a).astype(p.dtype, copy=False)
     return state
 
 
@@ -186,13 +202,20 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
         save_checkpoint(model, ckpt_path, step=step,
                         opt_state={"t": opt.t, "m": opt.m, "v": opt.v})
 
+    params = [p for _, p in named]
+    # a batch's mean gradient is summed into float64 buffers; a single
+    # sample's gradients go to the optimizer as they are
+    batch_grads = ({name: np.empty(p.shape, dtype=np.float64) for name, p in named}
+                   if train_cfg.batch_size > 1 else None)
     order = []
     with open(train_log, "w") as log_fh:
         val_fh = open(val_log, "w") if val_log else None
         try:
             for step in range(1, train_cfg.steps + 1):
                 t0 = perf_counter()
-                grads = {name: np.zeros(p.shape, dtype=np.float64) for name, p in named}
+                if batch_grads is not None:
+                    for buf in batch_grads.values():
+                        buf.fill(0.0)
                 loss_sum = dice_sum = ce_sum = 0.0
                 for _ in range(train_cfg.batch_size):
                     if not order:
@@ -215,13 +238,13 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
                     loss_sum += float(loss.data)
                     dice_sum += float(dice_term.data)
                     ce_sum += float(ce_term.data)
-                    params = [p for _, p in named]
                     for p in params:
                         p.grad = None
                     backward(loss, tape, leaves=params)
-                    for name, p in named:
-                        grads[name] += p.grad / train_cfg.batch_size
-                adamw_step(named, grads, opt, train_cfg)
+                    if batch_grads is not None:
+                        for name, p in named:
+                            batch_grads[name] += p.grad / train_cfg.batch_size
+                adamw_step(named, batch_grads or {name: p.grad for name, p in named}, opt, train_cfg)
 
                 record = {
                     "step": step,

@@ -241,6 +241,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert field in err and "Error" not in err
 
+    @pytest.mark.parametrize("change,field", [
+        ({"steps": 1.5}, "steps"), ({"batch_size": 1.5, "steps": 1}, "batch_size"),
+        ({"steps": True}, "steps"), ({"checkpoint_every": 2.0, "steps": 1}, "checkpoint_every"),
+        ({"val_every": False, "steps": 1}, "val_every"),
+    ], ids=["fractional-steps", "fractional-batch", "bool-steps", "float-checkpoint-every",
+            "bool-val-every"])
+    def test_non_integer_count_is_a_config_error(self, workdir, tmp_path, capsys, change, field):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(change))
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out), "--data", str(workdir / "data"),
+                     "--model-config", str(workdir / "model.json"),
+                     "--train-config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{field} must be an integer" in err and "Error" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_unknown_model_field(self, workdir, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps({"bogus": 1}))

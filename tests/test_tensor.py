@@ -9,6 +9,7 @@ import pytest
 from mmvseg import autodiff as ad
 from mmvseg.autodiff import Tape, Tensor, backward, grad_check
 from mmvseg.errors import ContractError, NumericError, ShapeError
+from mmvseg.nn import Linear
 
 
 def t(data, requires_grad=False):
@@ -141,6 +142,26 @@ def _im2col(xp, ksize, stride, out_sp):
     return cols.reshape(od * oh * ow, kd * kh * kw * cin)
 
 
+def slab_conv3d(x, k, b, padding):
+    """Reference stride-1 conv3d forward as the per-tap slab loop: each tap
+    copies its window of the padded input into a (P, Cin) slab, and the
+    tap products are summed in lexicographic tap order."""
+    padding = ad._triple(padding)
+    xp = np.pad(x, [(p, p) for p in padding] + [(0, 0)])
+    ksize, (cin, cout) = k.shape[:3], k.shape[3:]
+    out_sp = tuple(xp.shape[i] - ksize[i] + 1 for i in range(3))
+    out = np.empty((int(np.prod(out_sp)), cout), dtype=np.result_type(xp, k))
+    prod = np.empty_like(out)
+    for i, (a, bb, c) in enumerate(np.ndindex(*ksize)):
+        slab = xp[a: a + out_sp[0], bb: bb + out_sp[1], c: c + out_sp[2]].reshape(-1, cin)
+        np.matmul(slab, k[a, bb, c], out=prod if i else out)
+        if i:
+            out += prod
+    if b is not None:
+        out += b
+    return out.reshape(out_sp + (cout,))
+
+
 def _col2im(dcols, xp_shape, ksize, stride, out_sp):
     kd, kh, kw = ksize
     od, oh, ow = out_sp
@@ -216,6 +237,43 @@ class TestConv3dAgainstIm2col:
             tracemalloc.stop()
         assert grads[0].shape == x.shape
         assert peak <= 4 * (x.data.nbytes + g.nbytes), peak
+
+
+SLAB_GEOMETRIES = {
+    "1x1": ((5, 6, 7, 3), (1, 1, 1, 3, 4), 0),
+    "1x1-pad1": ((3, 4, 2, 3), (1, 1, 1, 3, 2), 1),
+    "3x3x3-pad1": ((6, 6, 6, 5), (3, 3, 3, 5, 4), 1),
+    "pad-1-0-1": ((5, 6, 7, 2), (3, 3, 3, 2, 3), (1, 0, 1)),
+    "non-cubic": ((3, 9, 4, 6), (3, 3, 3, 6, 5), 1),
+    "non-cubic-kernel": ((4, 5, 6, 3), (2, 3, 1, 3, 2), (0, 1, 0)),
+    "extent-1": ((1, 1, 1, 4), (3, 3, 3, 4, 2), 1),
+    "extent-2": ((2, 2, 2, 3), (3, 3, 3, 3, 4), 1),
+    "extents-1-and-2": ((1, 2, 7, 3), (3, 3, 3, 3, 3), 1),
+    "kernel-fills-padded-input": ((3, 4, 5, 2), (5, 6, 7, 2, 3), 1),
+    "decoder-like": ((8, 8, 8, 48), (3, 3, 3, 48, 16), 1),
+    "bias-add-split-by-rows": ((16, 16, 16, 8), (3, 3, 3, 8, 32), 1),
+}
+
+
+class TestConv3dStride1AgainstSlabs:
+    # stride-1 taps read row ranges of the flat padded input instead of
+    # copying slabs; the products and their order are unchanged, so the
+    # outputs must be bit-identical to the slab loop
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry", list(SLAB_GEOMETRIES))
+    def test_forward_is_bit_identical(self, geometry, dtype):
+        x_shape, k_shape, padding = SLAB_GEOMETRIES[geometry]
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=x_shape).astype(dtype)
+        k = rng.normal(size=k_shape).astype(dtype)
+        b = rng.normal(size=k_shape[4]).astype(dtype)
+        for bias in (b, None):
+            got = ad.conv3d(Tensor(x), Tensor(k), None if bias is None else Tensor(bias),
+                            padding=padding).data
+            want = slab_conv3d(x, k, bias, padding)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want), geometry
 
 
 class TestGlobalPool:
@@ -372,6 +430,7 @@ OP_CASES = [
     ("take", lambda rng: _take_case(rng)),
     ("neg", lambda rng: _unary_case(rng, ad.neg)),
     ("reshape", lambda rng: _unary_case(rng, lambda x: ad.reshape(x, (1, -1)))),
+    ("linear", lambda rng: _linear_case(rng)),
 ]
 
 # OP_CASES names of the taped primitives whose function name differs
@@ -415,6 +474,17 @@ def _matmul_case(rng):
     b = Tensor(rng.normal(size=(int(k), int(n))), requires_grad=True)
     r = rng.normal(size=(int(m), int(n)))
     return lambda: (ad.matmul(a, b) * Tensor(r)).sum(), [a, b]
+
+
+def _linear_case(rng):
+    # a rank-3 input, so the weight gradient sums over a batch of products
+    lead = (int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+    c, cout = (int(n) for n in rng.integers(1, 5, size=2))
+    x = Tensor(rng.normal(size=lead + (c,)), requires_grad=True)
+    w = Tensor(rng.normal(size=(c, cout)), requires_grad=True)
+    b = Tensor(rng.normal(size=cout), requires_grad=True)
+    r = rng.normal(size=lead + (cout,))
+    return lambda: (ad.linear(x, w, b) * Tensor(r)).sum(), [x, w, b]
 
 
 def _layer_norm_case(rng):
@@ -517,3 +587,63 @@ def assert_same_numbers(a, b):
     assert va.dtype == vb.dtype and np.array_equal(va, vb)
     for x, y in zip(ga, gb, strict=True):
         assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+LINEAR_SHAPES = {
+    # a token-wise MLP on a volume; fc1's output is large enough that its
+    # bias add splits by rows
+    "encoder-fc1": ((8, 16, 16, 32), 128),
+    "encoder-fc2": ((3, 4, 4, 128), 32),
+    "fusion": ((27, 128), 128),  # a token sequence
+}
+
+
+class TestLinear:
+    def _params(self, shape, dtype, seed=21):
+        x_shape, cout = LINEAR_SHAPES[shape]
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=x_shape).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(x_shape[-1], cout)).astype(dtype), requires_grad=True)
+        b = Tensor(rng.normal(size=cout).astype(dtype), requires_grad=True)
+        return x, w, b
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", list(LINEAR_SHAPES))
+    def test_forward_is_one_flat_gemm_plus_bias(self, shape, dtype):
+        x, w, b = self._params(shape, dtype)
+        out = ad.linear(x, w, b).data
+        want = x.data.reshape(-1, w.shape[0]) @ w.data + b.data
+        assert out.dtype == want.dtype and out.shape == x.shape[:-1] + (w.shape[1],)
+        assert np.array_equal(out.reshape(want.shape), want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", list(LINEAR_SHAPES))
+    def test_gradients_equal_matmul_then_add(self, shape, dtype):
+        x, w, b = self._params(shape, dtype)
+        _, got = value_and_grads(lambda: ad.linear(x, w, b), [x, w, b])
+        _, want = value_and_grads(lambda: ad.add(ad.matmul(x, w), b), [x, w, b])
+        for g, e in zip(got, want, strict=True):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+
+    def test_without_bias_gradients_equal_matmul(self):
+        x, w, _ = self._params("encoder-fc1", np.float64)
+        _, got = value_and_grads(lambda: ad.linear(x, w), [x, w])
+        _, want = value_and_grads(lambda: ad.matmul(x, w), [x, w])
+        for g, e in zip(got, want, strict=True):
+            assert np.array_equal(g, e)
+
+    def test_layer_records_one_node(self):
+        layer = Linear(8, 4, np.random.default_rng(0), dtype=np.float64)
+        x = Tensor(np.ones((2, 3, 8)), requires_grad=True)
+        with Tape() as tape:
+            layer(x)
+        assert [n.op for n in tape.nodes] == ["linear"]
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((5,), (5, 3), (3,)),          # rank-1 input
+        ((2, 5), (4, 3), (3,)),        # inner extents differ
+        ((2, 5), (5, 3), (4,)),        # bias of the wrong width
+    ])
+    def test_bad_shapes(self, x_shape, w_shape, b_shape):
+        with pytest.raises(ShapeError):
+            ad.linear(t(np.zeros(x_shape)), t(np.zeros(w_shape)), t(np.zeros(b_shape)))

@@ -89,6 +89,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="betas"):
             TrainConfig(betas=betas)
 
+    @pytest.mark.parametrize("field", ["steps", "batch_size", "checkpoint_every", "val_every"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        assert TrainConfig(steps=np.int64(3), batch_size=np.int32(2)).steps == 3
+
     @pytest.mark.parametrize("field", ["checkpoint_every", "val_every"])
     def test_rejects_negative_intervals(self, field):
         with pytest.raises(ConfigError, match=field):
@@ -251,7 +260,46 @@ class TestCombined:
         assert float(combined_loss(logits, labels).data) >= 0.0
 
 
+def expression_adamw_step(named_params, grads, state, cfg):
+    """Reference AdamW step written as whole-array expressions, each
+    gradient first cast to a float64 array."""
+    b1, b2 = cfg.betas
+    state.t += 1
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    for name, p in named_params:
+        g = np.asarray(grads[name], dtype=np.float64)
+        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+        update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        p.data = (p.data * (1.0 - cfg.lr * cfg.weight_decay) - cfg.lr * update).astype(p.dtype)
+
+
 class TestAdamW:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_equals_expressions(self, dtype):
+        # float32 gradients reach the optimizer unconverted at batch size 1
+        rng = np.random.default_rng(5)
+        shapes = [(3, 4), (7,), (2, 2, 5)]
+        cfg = TrainConfig(lr=3e-3, weight_decay=1e-2)
+        runs = []
+        for _ in range(2):
+            named = [(f"p{i}", Tensor(np.random.default_rng(i).normal(size=s).astype(dtype),
+                                      requires_grad=True)) for i, s in enumerate(shapes)]
+            runs.append((named, init_opt_state(named)))
+        for _ in range(4):
+            grads = {f"p{i}": rng.normal(size=s).astype(dtype) for i, s in enumerate(shapes)}
+            grads["p1"][0] = -0.0
+            adamw_step(runs[0][0], grads, runs[0][1], cfg)
+            expression_adamw_step(runs[1][0], grads, runs[1][1], cfg)
+        (got, got_state), (want, want_state) = runs
+        assert got_state.t == want_state.t == 4
+        for (name, p), (_, q) in zip(got, want):
+            assert p.dtype == q.dtype == dtype and np.array_equal(p.data, q.data)
+            assert np.array_equal(got_state.m[name], want_state.m[name])
+            assert np.array_equal(got_state.v[name], want_state.v[name])
+            assert got_state.m[name].dtype == np.float64
+
     def _named(self, values):
         return [(f"p{i}", Tensor(np.asarray(v, dtype=np.float64), requires_grad=True))
                 for i, v in enumerate(values)]
