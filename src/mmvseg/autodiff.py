@@ -10,12 +10,16 @@ Volumes are laid out channels-last and row-major: a feature map has shape
 (d, w, h, C) and flattens to tokens in C order (h fastest).
 
 `gelu`, `layer_norm` (forward and `dx`), the forward of `add`, `sub` and
-`mul`, and the bias adds of `linear` and `conv3d` split large outputs into
-contiguous ranges of rows, one per op worker.  Every element and every
-per-row reduction is computed by the same numpy call as on a single thread,
-so the results do not depend on the split.
+`mul`, the bias adds of `linear` and `conv3d`, and the GEMMs of `linear` and
+`conv3d` (forward and backward) split large outputs into contiguous ranges
+of rows, one per op worker.  Every element and every per-row reduction is
+computed by the same numpy call as on a single thread, so the results do not
+depend on the split.  The op pool is the process's one parallel runtime: at
+import, every OpenBLAS library loaded in the process is set to one thread.
 """
 
+import ctypes
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -30,6 +34,7 @@ _INV_SQRT2PI = 0.3989422804014327
 _active_tape = None
 
 _SPLIT_MIN = 1 << 17  # output elements; smaller outputs take one kernel call
+_GEMM_MIN = 1 << 21  # multiply-adds per range of a split GEMM
 _BLOCK = 1 << 16  # elements per block of a multi-pass kernel, so temporaries stay in L2
 
 # One op worker per CPU this process may run on.  The caller runs the first
@@ -53,6 +58,47 @@ def _new_pool():
 _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
+
+
+def _openblas_on_one_thread():
+    """Set every OpenBLAS library mapped into this process (numpy's and
+    scipy's each bundle one) to one thread when there are several op
+    workers, so that BLAS's idle threads never spin on the cores the op
+    workers need; the large GEMMs are split over the op pool instead.
+    Returns each library's thread-count getter: none without
+    /proc/self/maps or under another BLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return []
+    getters = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("openblas_%s_num_threads", "scipy_openblas_%s_num_threads64_",
+                     "openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads"):
+            if hasattr(lib, name % "set"):
+                set_threads, get_threads = getattr(lib, name % "set"), getattr(lib, name % "get")
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                if OP_WORKERS > 1:
+                    set_threads(1)
+                getters.append(get_threads)
+                break
+    return getters
+
+
+_OPENBLAS_THREADS = _openblas_on_one_thread()
+
+
+def blas_threads():
+    """The most threads any loaded OpenBLAS runs one call on, or None when
+    no OpenBLAS is loaded."""
+    return max((get() for get in _OPENBLAS_THREADS), default=None)
 
 
 class Tensor:
@@ -226,7 +272,9 @@ def backward(loss, tape, leaves=None):
 def _split_rows(n, kernel):
     """Call kernel(lo, hi) on contiguous ranges that cover range(n), one
     range per op worker; the caller runs the first and waits for the rest.
-    Each kernel writes its rows of a preallocated output in place."""
+    Each kernel writes its rows of a preallocated output in place, and never
+    calls _split_rows itself: the pool has a thread fewer than there are
+    workers, so a nested split could wait forever."""
     k = max(1, min(OP_WORKERS, n))
     bounds = [n * i // k for i in range(k + 1)]
     futures = [_POOL.submit(kernel, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
@@ -237,7 +285,7 @@ def _split_rows(n, kernel):
             f.result()
 
 
-def _by_rows(kernel, args, *outs, block=None):
+def _by_rows(kernel, args, *outs, block=None, k=None):
     """kernel(*args, *outs) for a kernel that computes each row (index on
     the first axis) of its outputs from the same rows of its inputs and
     writes it with out= ufuncs; returns outs[0].  Below _SPLIT_MIN output
@@ -245,9 +293,21 @@ def _by_rows(kernel, args, *outs, block=None):
     ranges of rows, which a `block` (in elements) cuts further so that a
     kernel's temporaries stay in cache.  An input of lower rank than the
     outputs, or of extent 1 on the first axis, broadcasts and is passed
-    whole."""
+    whole.
+
+    A GEMM kernel passes its inner extent `k`, and one size rule splits it:
+    one range per op worker, but every range keeps at least _GEMM_MIN
+    multiply-adds (outs[0].size * k in all) and two rows, and a product with
+    one column stays whole.  So a small product stays one BLAS call, and no
+    range is a one-row or one-column product, which BLAS may hand to a
+    matrix-vector kernel that sums in another order.  Each range computes
+    exactly the dot products of the unsplit call."""
     out = outs[0]
-    if out.size < _SPLIT_MIN:
+    if k is None:
+        units = out.shape[0] if out.size >= _SPLIT_MIN else 1
+    else:
+        units = _gemm_units(out.size, k, out.shape)
+    if units < 2:
         kernel(*args, *outs)
         return out
     n = out.shape[0]
@@ -261,8 +321,38 @@ def _by_rows(kernel, args, *outs, block=None):
             e = min(s + step, hi)
             kernel(*(rows(a, s, e) for a in args), *(o[s:e] for o in outs))
 
-    _split_rows(n, work)
+    _split_units(n, units, work)
     return out
+
+
+def _gemm_units(size, k, shape):
+    """_by_rows's GEMM size rule: how many runs of whole rows the rows of a
+    product of `shape` (`size` elements, inner extent `k`) fall into; below
+    2 it stays one call."""
+    return min(size * k // _GEMM_MIN, shape[0] // 2) if shape[-1] > 1 else 1
+
+
+def _split_units(n, units, work):
+    """work(lo, hi) over ranges that cover range(n), which falls into
+    `units` runs of rows that no range cuts; one call when units < 2."""
+    if units < 2:
+        work(0, n)
+    else:
+        _split_rows(units, lambda i, j: work(n * i // units, n * j // units))
+
+
+def _gemm(a, b):
+    """np.matmul(a, b) for a 2-d `b`, or a batched `b` with a's leading
+    extents, split by _by_rows's GEMM rule over the first axis of `a` and of
+    the product: a's rows, or the leading batch axis.  A product with fewer
+    multiply-adds than two ranges need is one plain call."""
+    if a.size * b.shape[-1] < 2 * _GEMM_MIN:
+        return np.matmul(a, b)
+    k = a.shape[-1]
+    out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a, b))
+    if b.ndim > 2:
+        return _by_rows(np.matmul, (a, b), out, k=k)
+    return _by_rows(lambda a_rows, out_rows: np.matmul(a_rows, b, out=out_rows), (a,), out, k=k)
 
 
 def _empty(*arrays):
@@ -472,13 +562,13 @@ def linear(x, w, b=None):
         raise ShapeError(f"linear needs (..., C) @ (C, Cout) with rank >= 2 input, got {x.shape} @ {w.shape}")
     if b is not None and b.shape != w.shape[1:]:
         raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[1]},)")
-    y = np.matmul(x.data.reshape(-1, w.shape[0]), w.data)
+    y = _gemm(x.data.reshape(-1, w.shape[0]), w.data)
     if b is not None:
         y = _by_rows(np.add, (y, b.data), y if y.dtype == np.result_type(y, b.data) else _empty(y, b.data))
 
     def bwd(g):
-        gx = np.matmul(g, w.data.T)
-        gw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
+        gx = _gemm(g, w.data.T)
+        gw = _unbroadcast(_gemm(np.swapaxes(x.data, -1, -2), g), w.shape)
         if b is None:
             return gx, gw
         return gx, gw, _unbroadcast(g, b.shape)
@@ -604,12 +694,33 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     def bwd(g):
         gm = g.reshape(-1, cout)
         dw = np.empty(kernel.shape, dtype=np.result_type(xp, gm))
+
+        def dw_taps(lo, hi):
+            for tap, window in taps[lo:hi]:
+                np.matmul(xp[window].reshape(-1, cin).T, gm, out=dw[tap])
+
+        # dw[tap] sums over every voxel, so the op workers take whole taps
+        _split_units(len(taps), _gemm_units(dw.size, gm.shape[0], (len(taps), cin, cout)), dw_taps)
         dxp = np.zeros(xp.shape, dtype=xp.dtype)
-        dtap = np.empty((gm.shape[0], cin), dtype=np.result_type(gm, w))
-        for tap, window in taps:
-            np.matmul(xp[window].reshape(-1, cin).T, gm, out=dw[tap])
-            np.matmul(gm, w[tap].T, out=dtap)
-            dxp[window] += dtap.reshape(out_sp + (cin,))
+        dtap = np.empty(out_sp + (cin,), dtype=np.result_type(gm, w))
+        g_planes = gm.reshape(out_sp + (cout,))
+
+        def add_tap_grads(group, lo, hi):
+            # output depth planes lo..hi of each tap in `group`, in tap order
+            g_rows, dtap_rows = g_planes[lo:hi].reshape(-1, cout), dtap[lo:hi]
+            for tap, window in group:
+                np.matmul(g_rows, w[tap].T, out=dtap_rows.reshape(-1, cin))
+                dx = dxp[window][lo:hi]
+                np.add(dx, dtap_rows, out=dx)
+
+        # taps that share a depth offset write disjoint planes of dxp from
+        # disjoint output planes, so the op workers take output planes of one
+        # such group at a time, and every voxel sums its taps in tap order
+        units = _gemm_units(dtap.size, cout, dtap.shape)
+        group = len(taps) // kd
+        for a in range(kd):
+            _split_units(out_sp[0], units,
+                         functools.partial(add_tap_grads, taps[a * group:(a + 1) * group]))
         del dtap
         dx = np.ascontiguousarray(dxp[tuple(slice(p, p + n) for p, n in zip(padding, x.shape))])
         if bias is None:
@@ -633,26 +744,37 @@ def _conv_frame(xp, w, out_sp):
     rows = flat.shape[0] - (((kd - 1) * hp + kh - 1) * wp + kw - 1)
     # frame rows past `rows` are outside every output voxel and stay unset
     frame = np.empty((out_sp[0] * hp * wp, cout), dtype=np.result_type(xp, w))
-    prod = np.empty((rows, cout), dtype=frame.dtype)
-    for i, (a, b, c) in enumerate(np.ndindex(kd, kh, kw)):
-        off = (a * hp + b) * wp + c
-        np.matmul(flat[off: off + rows], w[a, b, c], out=prod if i else frame[:rows])
-        if i:
-            frame[:rows] += prod
+    operands = [flat[(a * hp + b) * wp + c:][:rows] for a, b, c in np.ndindex(kd, kh, kw)]
+    _by_rows(_tap_sum(w), operands, frame[:rows], k=cin)
     return frame.reshape(out_sp[0], hp, wp, cout)[:, : out_sp[1], : out_sp[2]]
 
 
 def _conv_slabs(xp, w, taps, out_sp):
     """Strided taps: each copies its window of the padded input into a
-    (P, Cin) slab for its GEMM."""
+    (P, Cin) slab for its GEMM; the op workers take ranges of output depth
+    planes."""
     cin, cout = w.shape[3:]
-    out = np.empty((int(np.prod(out_sp)), cout), dtype=np.result_type(xp, w))
-    prod = np.empty_like(out)
-    for i, (tap, window) in enumerate(taps):
-        np.matmul(xp[window].reshape(-1, cin), w[tap], out=prod if i else out)
-        if i:
-            out += prod
-    return out.reshape(out_sp + (cout,))
+    out = np.empty(out_sp + (cout,), dtype=np.result_type(xp, w))
+    _by_rows(_tap_sum(w), [xp[window] for _, window in taps], out, k=cin)
+    return out
+
+
+def _tap_sum(w):
+    """Kernel that sums one (rows, Cin) @ (Cin, Cout) product per tap, in
+    tap order, into its rows of the output, with a product buffer of its
+    own.  Its operands are the taps' inputs, row for row with the output."""
+    cin, cout = w.shape[3:]
+    w_taps = w.reshape(-1, cin, cout)
+
+    def kernel(*operands):
+        *inputs, out = operands
+        out = out.reshape(-1, cout)
+        prod = np.empty_like(out)
+        for i, (x, wt) in enumerate(zip(inputs, w_taps)):
+            np.matmul(x.reshape(-1, cin), wt, out=prod if i else out)
+            if i:
+                out += prod
+    return kernel
 
 
 def _conv_taps(ksize, stride, out_sp):

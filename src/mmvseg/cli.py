@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import autodiff as ad
@@ -92,6 +94,22 @@ def _read_json(path, lines=False):
     return data
 
 
+def _environment():
+    """The numeric stack a run used, and the BLAS thread count in effect
+    (None when no OpenBLAS is loaded)."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.25 only prints its build configuration
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": ad.blas_threads(),
+    }
+
+
 def _write_manifest(out: Path, command, seed, config, artifacts):
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -99,6 +117,7 @@ def _write_manifest(out: Path, command, seed, config, artifacts):
         "version": __version__,
         "seed": seed,
         "op_workers": ad.OP_WORKERS,
+        "environment": _environment(),
         "config": config,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
     }
@@ -146,28 +165,37 @@ def cmd_gen(args):
     return 0
 
 
-def _load_split_datasets(data_dir):
-    dataset = load_dataset(data_dir)
+def _split_indices(data_dir, n_cases, *names):
+    """The case indices of each named split in data_dir/splits.json, checked
+    against `n_cases`; None when the dataset has no splits.json."""
     splits_file = Path(data_dir) / "splits.json"
     if not splits_file.exists():
-        return dataset, None
+        return None
     splits = _read_json(splits_file)
     if not isinstance(splits, dict):
         raise FormatError(f"{splits_file} must hold an object of split lists, got {type(splits).__name__}")
-
-    def pick(name):
+    found = []
+    for name in names:
         idx = splits.get(name, [])
         if not isinstance(idx, list) or not all(type(i) is int for i in idx):
             raise FormatError(f"{splits_file} {name} split must be a list of integers, got {idx!r}")
-        bad = [i for i in idx if not 0 <= i < len(dataset)]
+        bad = [i for i in idx if not 0 <= i < n_cases]
         if bad:
             raise ConfigError(f"splits.json {name} indices out of range: {bad}")
-        return [dataset[i] for i in idx]
-    train_set, val_set = pick("train"), pick("val")
-    if not train_set:
-        raise ConfigError(f"{splits_file} has an empty train split; "
+        found.append(idx)
+    return found
+
+
+def _load_split_datasets(data_dir):
+    dataset = load_dataset(data_dir)
+    found = _split_indices(data_dir, len(dataset), "train", "val")
+    if found is None:
+        return dataset, None
+    train_idx, val_idx = found
+    if not train_idx:
+        raise ConfigError(f"{Path(data_dir) / 'splits.json'} has an empty train split; "
                           "regenerate the dataset with a nonzero train fraction")
-    return train_set, val_set or None
+    return [dataset[i] for i in train_idx], [dataset[i] for i in val_idx] or None
 
 
 def cmd_train(args):
@@ -221,14 +249,22 @@ def cmd_eval(args):
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     if not Path(args.data).is_dir():
         raise FileNotFoundError(f"dataset directory not found: {args.data}")
+    dataset = load_dataset(args.data)
+    cases = list(range(len(dataset)))
+    if args.split != "all":
+        found = _split_indices(args.data, len(dataset), args.split)
+        if not found or not found[0]:
+            raise ConfigError(f"eval --split {args.split} needs a nonempty {args.split} split "
+                              f"in {Path(args.data) / 'splits.json'}")
+        cases = found[0]
     out = Path(args.out)
     _write_manifest(
         out, "eval", 0,
-        {"checkpoint": str(ckpt), "data": str(args.data)},
+        {"checkpoint": str(ckpt), "data": str(args.data), "split": args.split},
         {"csv": out / "metrics.csv", "json": out / "metrics.json"},
     )
     model, _ = load_checkpoint(ckpt)
-    report = evaluate(model, load_dataset(args.data), out_dir=out)
+    report = evaluate(model, [dataset[i] for i in cases], out_dir=out, case_ids=cases)
     print(f"evaluated {report['n_cases']} cases: mean dice {report['mean_dice']['mean']:.4f}")
     return 0
 
@@ -537,6 +573,8 @@ def _build_parser():
     e.add_argument("--out", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
+    e.add_argument("--split", choices=("all", "train", "val", "test"), default="all",
+                   help="score only this split of the dataset's splits.json (default: every case)")
     e.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("gradcheck", help="finite-difference check every block")

@@ -141,11 +141,12 @@ def _mean_defined(values):
     return sum(defined) / len(defined) if defined else math.inf
 
 
-def evaluate(model, dataset, classes=None, out_dir=None):
+def evaluate(model, dataset, classes=None, out_dir=None, case_ids=None):
     """Run `model` over (volume, mask) pairs and aggregate Dice / HD95.
 
     `model` maps a D*H*W*M float volume to per-voxel class logits; argmax
     defines the prediction.  `classes` defaults to all foreground labels.
+    `case_ids` names the cases in the report (default: 0, 1, ...).
     When `out_dir` is given, writes metrics.csv (one row per case plus one
     summary row) and metrics.json (per-class detail).  Returns the report
     dict that backs the JSON file.
@@ -173,7 +174,8 @@ def evaluate(model, dataset, classes=None, out_dir=None):
             "hd95": {str(c): hd95(pred, mask, c) for c in case_classes},
         }
 
-    per_case = [one_case(item) for item in enumerate(dataset)]
+    items = enumerate(dataset) if case_ids is None else zip(case_ids, dataset, strict=True)
+    per_case = [one_case(item) for item in items]
     if not per_case:
         raise ContractError("evaluate needs a nonempty dataset")
     keys = list(per_case[0]["dice"])

@@ -389,6 +389,59 @@ class TestEval:
                      "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--data", str(workdir / "data")]) == 1
 
+    def test_split_scores_only_that_split(self, tmp_path):
+        """eval --split val scores the held-out case alone and names it by
+        its dataset index; the default still scores every case."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC))
+        model_json = tmp_path / "model.json"
+        model_json.write_text(json.dumps(MODEL))
+        data = tmp_path / "data"
+        assert main(["gen", "--out", str(data), "--spec", str(spec), "--cases", "3",
+                     "--fractions", "0.67,0.33,0"]) == 0
+        assert main(["train", "--out", str(tmp_path / "run"), "--data", str(data),
+                     "--model-config", str(model_json), "--steps", "1"]) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint.ckpt")
+        (val_index,) = json.loads((data / "splits.json").read_text())["val"]
+
+        out = tmp_path / "val"
+        assert main(["eval", "--out", str(out), "--checkpoint", ckpt, "--data", str(data),
+                     "--split", "val"]) == 0
+        report = json.loads((out / "metrics.json").read_text())
+        assert report["n_cases"] == 1
+        assert [case["case"] for case in report["per_case"]] == [val_index]
+        assert {row[0] for row in read_csv(out / "metrics.csv")[1:-1]} == {str(val_index)}
+        assert json.loads((out / "manifest.json").read_text())["config"]["split"] == "val"
+
+        everything = tmp_path / "all"
+        assert main(["eval", "--out", str(everything), "--checkpoint", ckpt,
+                     "--data", str(data)]) == 0
+        report = json.loads((everything / "metrics.json").read_text())
+        assert [case["case"] for case in report["per_case"]] == [0, 1, 2]
+        assert json.loads((everything / "manifest.json").read_text())["config"]["split"] == "all"
+
+    def test_named_split_needs_a_nonempty_split(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        argv = ["eval", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+                "--data", str(data)]
+        # the workdir dataset's test fraction is 0
+        assert main(argv + ["--out", str(tmp_path / "e1"), "--split", "test"]) == 1
+        assert "test split" in capsys.readouterr().err
+        (data / "splits.json").unlink()
+        assert main(argv + ["--out", str(tmp_path / "e2"), "--split", "train"]) == 1
+        assert "splits.json" in capsys.readouterr().err
+        assert not (tmp_path / "e1").exists() and not (tmp_path / "e2").exists()
+
+    def test_manifest_records_the_environment(self, workdir):
+        env = json.loads((workdir / "evaldir" / "manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads"}
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["blas_threads"] == ad.blas_threads()
+        if ad.blas_threads() is not None and ad.OP_WORKERS > 1:
+            assert env["blas_threads"] == 1
+
 
 class TestGradcheck:
     def test_suite_passes(self, tmp_path, capsys):

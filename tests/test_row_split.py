@@ -3,6 +3,8 @@
 Each split op must give exactly (np.array_equal, dtypes included) what its
 single-call numpy expression gives, on both sides of the size threshold,
 for row counts the worker count does not divide, and for any worker count.
+The GEMMs of `linear` and `conv3d` split by their own size rule (see
+`_by_rows`), and are checked the same way at the model's layer shapes.
 """
 
 import multiprocessing
@@ -47,6 +49,38 @@ def serial_layer_norm(x, gamma, beta, g):
     dgamma = (g * xhat).reshape(-1, c).sum(axis=0)
     dbeta = g.reshape(-1, c).sum(axis=0)
     return xhat * gamma + beta, (dx, dgamma, dbeta)
+
+
+def serial_linear(x, w, b, g):
+    """linear's output and gradients, each GEMM one numpy call: the forward
+    is flat, the backward batched over the leading extents."""
+    y = np.matmul(x.reshape(-1, w.shape[0]), w) + b
+    gx = np.matmul(g, w.T)
+    gw = unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), w.shape)
+    return y.reshape(g.shape), (gx, gw, unbroadcast(g, b.shape))
+
+
+def serial_conv3d(x, k, b, stride, padding, g):
+    """conv3d's output and gradients by the per-tap slab loop, each GEMM one
+    numpy call, summed in lexicographic tap order."""
+    xp = np.pad(x, [(p, p) for p in padding] + [(0, 0)])
+    ksize, (cin, cout) = k.shape[:3], k.shape[3:]
+    out_sp = tuple((xp.shape[i] - ksize[i]) // stride[i] + 1 for i in range(3))
+    gm = g.reshape(-1, cout)
+    out = np.empty(gm.shape, np.result_type(xp, k))
+    dw = np.empty(k.shape, np.result_type(xp, gm))
+    dxp = np.zeros_like(xp)
+    for i, tap in enumerate(np.ndindex(*ksize)):
+        window = tuple(slice(o, o + n * s, s) for o, n, s in zip(tap, out_sp, stride))
+        slab = xp[window].reshape(-1, cin)
+        if i:
+            out += np.matmul(slab, k[tap])
+        else:
+            np.matmul(slab, k[tap], out=out)
+        np.matmul(slab.T, gm, out=dw[tap])
+        dxp[window] += np.matmul(gm, k[tap].T).reshape(out_sp + (cin,))
+    dx = dxp[tuple(slice(p, p + n) for p, n in zip(padding, x.shape))]
+    return (out + b).reshape(out_sp + (cout,)), (dx, dw, gm.sum(axis=0))
 
 
 def unbroadcast(g, shape):
@@ -158,6 +192,109 @@ def test_binary_mixed_dtypes_promote_like_numpy(name):
     assert_exact(op(Tensor(x), Tensor(y)).data, fwd(x, y))
 
 
+# -- GEMMs at the model's layer shapes, either side of the split size --------
+
+# (C, Cout) of the model's Linear layers: encoder MLPs at each stage width,
+# the fusion embed, the skip gates, a two-class head, and K = 1
+LINEAR_LAYERS = [(1, 32), (32, 128), (128, 32), (64, 256), (128, 512), (512, 128),
+                 (128, 4), (32, 2)]
+
+# (Cin, Cout, kernel, stride, padding): the stage-1 1x1 embed of one
+# modality, two 2x2x2 stride-2 embeds, two decoder 3x3x3 convs and the head
+CONV_LAYERS = {
+    "embed-1x1": (1, 32, 1, 1, 0),
+    "embed-2x2x2-32": (32, 64, 2, 2, 0),
+    "embed-2x2x2-128": (128, 128, 2, 2, 0),
+    "decoder-3x3x3-96": (96, 32, 3, 1, 1),
+    "decoder-3x3x3-256": (256, 128, 3, 1, 1),
+    "head-1x1": (32, 2, 1, 1, 0),
+}
+
+# multiply-adds of each GEMM (rows * Cin * Cout) relative to _GEMM_MIN:
+# one short of two ranges' worth, and enough for two or three ranges
+GEMM_SIZES = {"below": 2, "above": 2, "above-3": 3}
+
+
+def gemm_rows(size, c, cout, unit=1):
+    """The smallest row count, in multiples of `unit`, whose GEMM reaches
+    GEMM_SIZES[size] ranges of _GEMM_MIN, minus one unit below the split."""
+    units = -(-GEMM_SIZES[size] * ad._GEMM_MIN // (c * cout * unit))
+    return units - 1 if size == "below" else units
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("size", list(GEMM_SIZES))
+@pytest.mark.parametrize("layout", ["tokens", "volume"])
+@pytest.mark.parametrize("c,cout", LINEAR_LAYERS)
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_linear_gemms_match_serial_expression(set_workers, dtype, c, cout, layout, size, workers):
+    set_workers(workers)
+    rng = np.random.default_rng(c * cout)
+    if layout == "tokens":
+        shape = (gemm_rows(size, c, cout), c)
+    else:
+        shape = (gemm_rows(size, c, cout, unit=12), 3, 4, c)
+    x, w, b = draw(rng, shape, dtype), draw(rng, (c, cout), dtype), draw(rng, (cout,), dtype)
+    y, g, grads = run_op(ad.linear, x, w, b)
+    ref_y, ref_grads = serial_linear(x, w, b, g)
+    assert_exact(y, ref_y)
+    for got, want in zip(grads, ref_grads, strict=True):
+        assert_exact(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("size", list(GEMM_SIZES))
+@pytest.mark.parametrize("layer", list(CONV_LAYERS))
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_conv3d_gemms_match_serial_expression(set_workers, dtype, layer, size, workers):
+    set_workers(workers)
+    cin, cout, ksize, stride, padding = CONV_LAYERS[layer]
+    # output extents (d, 3, 4): d planes of 12 voxels
+    planes = gemm_rows(size, cin, cout, unit=12)
+    shape = tuple(stride * n + ksize - stride - 2 * padding for n in (planes, 3, 4)) + (cin,)
+    rng = np.random.default_rng(cin * cout)
+    x = draw(rng, shape, dtype)
+    k = draw(rng, (ksize,) * 3 + (cin, cout), dtype, scale=0.1)
+    b = draw(rng, (cout,), dtype)
+    op = lambda x_, k_, b_: ad.conv3d(x_, k_, b_, stride=stride, padding=padding)
+    y, g, grads = run_op(op, x, k, b)
+    ref_y, ref_grads = serial_conv3d(x, k, b, (stride,) * 3, (padding,) * 3, g)
+    assert_exact(y, ref_y)
+    for got, want in zip(grads, ref_grads, strict=True):
+        assert_exact(got, want)
+
+
+def test_gemm_rule_selects_the_split_path(monkeypatch):
+    ranges = []
+    real = ad._split_rows
+
+    def counting(n, kernel):
+        ranges.append(n)
+        return real(n, kernel)
+
+    monkeypatch.setattr(ad, "_split_rows", counting)
+    rng = np.random.default_rng(6)
+    w = draw(rng, (32, 128), np.float32)
+    for size, split in (("below", False), ("above", True)):
+        ranges.clear()
+        x = draw(rng, (gemm_rows(size, 32, 128), 32), np.float32)
+        ad.linear(Tensor(x), Tensor(w))
+        assert len(ranges) == (1 if split else 0), size
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_gemm_ranges_keep_two_rows_and_stay_whole_at_one_column(set_workers, workers):
+    """However much work a GEMM holds, no range gets a single row, and a
+    one-column product is never split."""
+    set_workers(workers)
+    for rows, cols in ((5, 1), (3, 4), (5, 2), (9, 4)):
+        seen = []
+        out = np.empty((rows, cols))
+        ad._by_rows(lambda a, o: seen.append(len(o)), (out,), out, k=ad._GEMM_MIN)
+        assert sum(seen) == rows and min(seen) >= 2
+        assert len(seen) == (1 if cols == 1 else min(workers, rows // 2))
+
+
 # -- the split path is taken, and its result does not depend on the workers --
 
 @pytest.fixture
@@ -267,9 +404,22 @@ def test_concurrent_callers_on_an_oversubscribed_pool(monkeypatch):
 
 
 def _split_in_child():
-    x = draw(np.random.default_rng(7), (N // 8 + 1, 8), np.float32)
+    rng = np.random.default_rng(7)
+    x = draw(rng, (N // 8 + 1, 8), np.float32)
     y, _ = serial_gelu(x, x)
-    os._exit(0 if np.array_equal(ad.gelu(Tensor(x)).data, y) else 1)
+    ok = np.array_equal(ad.gelu(Tensor(x)).data, y)
+    # a split linear and a split conv3d, forward and backward
+    x = draw(rng, (gemm_rows("above-3", 32, 128), 32), np.float32)
+    w, b = draw(rng, (32, 128), np.float32), draw(rng, (128,), np.float32)
+    y, g, grads = run_op(ad.linear, x, w, b)
+    ref_y, ref_grads = serial_linear(x, w, b, g)
+    ok &= all(np.array_equal(a, e) for a, e in zip((y, *grads), (ref_y, *ref_grads)))
+    x = draw(rng, (40, 6, 6, 48), np.float32)
+    k, b = draw(rng, (3, 3, 3, 48, 32), np.float32, scale=0.1), draw(rng, (32,), np.float32)
+    y, g, grads = run_op(lambda *t: ad.conv3d(*t, padding=1), x, k, b)
+    ref_y, ref_grads = serial_conv3d(x, k, b, (1, 1, 1), (1, 1, 1), g)
+    ok &= all(np.array_equal(a, e) for a, e in zip((y, *grads), (ref_y, *ref_grads)))
+    os._exit(0 if ok else 1)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -296,9 +446,13 @@ before = dict(vars(ad))
 x = ad.Tensor(np.ones((ad._SPLIT_MIN // 8 + 1, 8), np.float32), requires_grad=True)
 gamma = ad.Tensor(np.ones(8, np.float32), requires_grad=True)
 beta = ad.Tensor(np.zeros(8, np.float32), requires_grad=True)
+w = ad.Tensor(np.ones((8, 64), np.float32), requires_grad=True)
+vol = ad.Tensor(np.ones((40, 6, 6, 48), np.float32), requires_grad=True)
+kernel = ad.Tensor(np.ones((3, 3, 3, 48, 32), np.float32), requires_grad=True)
 with ad.Tape() as tape:
     h = ad.layer_norm(ad.gelu(x), gamma, beta)
-    loss = ad.tsum(ad.mul(ad.add(h, x), x))
+    loss = ad.tsum(ad.mul(ad.add(h, x), x)) + ad.tsum(ad.linear(x, w))
+    loss = loss + ad.tsum(ad.conv3d(vol, kernel, padding=1))
 ad.backward(loss, tape)
 assert vars(ad) == before, sorted(k for k in vars(ad) if vars(ad)[k] is not before.get(k))
 """
@@ -313,3 +467,38 @@ def test_split_forward_leaves_the_module_unchanged():
     proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS_CHECK], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+BLAS_CHECK = """
+import ctypes
+import mmvseg
+from mmvseg import autodiff as ad
+counts = []
+for path in sorted({line.split(maxsplit=5)[5].strip() for line in open("/proc/self/maps")
+                    if "openblas" in line.rsplit("/", 1)[-1]}):
+    lib = ctypes.CDLL(path)
+    counts += [getattr(lib, name)() for name in ("openblas_get_num_threads",
+                                                 "scipy_openblas_get_num_threads64_",
+                                                 "openblas_get_num_threads64_",
+                                                 "scipy_openblas_get_num_threads")
+               if hasattr(lib, name)]
+print(ad.OP_WORKERS, ad.blas_threads(), *counts)
+"""
+
+
+def test_import_runs_openblas_on_one_thread():
+    """Launched with OPENBLAS_NUM_THREADS=2, a fresh interpreter finds every
+    OpenBLAS it loaded set to one thread once mmvseg is imported."""
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("needs /proc/self/maps to find the BLAS libraries")
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", BLAS_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    workers, reported, *counts = proc.stdout.split()
+    if not counts:
+        pytest.skip("no OpenBLAS is loaded")
+    if workers == "1":
+        pytest.skip("one op worker: BLAS keeps its own thread count")
+    assert counts == ["1"] * len(counts) and reported == "1"
