@@ -19,7 +19,7 @@ import, every OpenBLAS library loaded in the process is set to one thread.
 """
 
 import ctypes
-import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -269,13 +269,13 @@ def backward(loss, tape, leaves=None):
                 p.zero_grad()
 
 
-def _split_rows(n, kernel):
+def _split_rows(n, kernel, parts=None):
     """Call kernel(lo, hi) on contiguous ranges that cover range(n), one
-    range per op worker; the caller runs the first and waits for the rest.
-    Each kernel writes its rows of a preallocated output in place, and never
-    calls _split_rows itself: the pool has a thread fewer than there are
-    workers, so a nested split could wait forever."""
-    k = max(1, min(OP_WORKERS, n))
+    range per op worker but at most `parts`; the caller runs the first and
+    waits for the rest.  Each kernel writes its rows of a preallocated output
+    in place, and never calls _split_rows itself: the pool has a thread fewer
+    than there are workers, so a nested split could wait forever."""
+    k = max(1, min(OP_WORKERS, n, n if parts is None else parts))
     bounds = [n * i // k for i in range(k + 1)]
     futures = [_POOL.submit(kernel, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
@@ -304,10 +304,10 @@ def _by_rows(kernel, args, *outs, block=None, k=None):
     exactly the dot products of the unsplit call."""
     out = outs[0]
     if k is None:
-        units = out.shape[0] if out.size >= _SPLIT_MIN else 1
+        parts = out.shape[0] if out.size >= _SPLIT_MIN else 1
     else:
-        units = _gemm_units(out.size, k, out.shape)
-    if units < 2:
+        parts = _gemm_units(out.size * k, out.shape[0], out.shape[-1])
+    if parts < 2:
         kernel(*args, *outs)
         return out
     n = out.shape[0]
@@ -321,32 +321,23 @@ def _by_rows(kernel, args, *outs, block=None, k=None):
             e = min(s + step, hi)
             kernel(*(rows(a, s, e) for a in args), *(o[s:e] for o in outs))
 
-    _split_units(n, units, work)
+    _split_rows(n, work, parts)
     return out
 
 
-def _gemm_units(size, k, shape):
-    """_by_rows's GEMM size rule: how many runs of whole rows the rows of a
-    product of `shape` (`size` elements, inner extent `k`) fall into; below
-    2 it stays one call."""
-    return min(size * k // _GEMM_MIN, shape[0] // 2) if shape[-1] > 1 else 1
-
-
-def _split_units(n, units, work):
-    """work(lo, hi) over ranges that cover range(n), which falls into
-    `units` runs of rows that no range cuts; one call when units < 2."""
-    if units < 2:
-        work(0, n)
-    else:
-        _split_rows(units, lambda i, j: work(n * i // units, n * j // units))
+def _gemm_units(madds, rows, cols):
+    """_by_rows's GEMM size rule: at most how many ranges of whole rows a
+    product of `madds` multiply-adds, with `rows` rows and `cols` columns,
+    splits into; below 2 it stays one call."""
+    return min(madds // _GEMM_MIN, rows // 2) if cols > 1 else 1
 
 
 def _gemm(a, b):
     """np.matmul(a, b) for a 2-d `b`, or a batched `b` with a's leading
     extents, split by _by_rows's GEMM rule over the first axis of `a` and of
-    the product: a's rows, or the leading batch axis.  A product with fewer
-    multiply-adds than two ranges need is one plain call."""
-    if a.size * b.shape[-1] < 2 * _GEMM_MIN:
+    the product: a's rows, or the leading batch axis.  A product the rule
+    keeps whole is one plain call."""
+    if _gemm_units(a.size * b.shape[-1], a.shape[0], b.shape[-1]) < 2:
         return np.matmul(a, b)
     k = a.shape[-1]
     out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a, b))
@@ -470,10 +461,7 @@ def tsum(a, axis=None, keepdims=False):
 
 def tmean(a, axis=None, keepdims=False):
     axes = _norm_axes(axis, a.ndim)
-    if axes is None:
-        n = a.size
-    else:
-        n = int(np.prod([a.shape[i] for i in axes]))
+    n = a.size if axes is None else math.prod(a.shape[i] for i in axes)
 
     def bwd(g):
         if axes is not None and not keepdims:
@@ -649,7 +637,7 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     Computed by shift-and-accumulate over the kernel taps, so the extra
     memory is O(input) rather than an im2col matrix k^3 times the input.
     Stride-1 taps read row ranges of the flat padded input in place; strided
-    taps and the backward pass copy each tap's window into a slab.
+    taps and the kernel gradient copy each tap's window.
     """
     if x.ndim != 4 or kernel.ndim != 5:
         raise ShapeError(f"conv3d expects x rank 4 and kernel rank 5, got {x.shape} and {kernel.shape}")
@@ -678,9 +666,23 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     # one (rows, Cin) @ (Cin, Cout) GEMM per tap, summed in fixed tap order
     # so reruns are bit-identical
     if stride == (1, 1, 1):
-        full = _conv_frame(xp, w, out_sp)
+        # output voxel (d, h, w) sits at row q = (d*Hp + h)*Wp + w of a frame
+        # with the padded input's H and W extents, and tap (a, b, c)
+        # multiplies input row q + (a*Hp + b)*Wp + c, so each tap's operand
+        # is a contiguous row range of the flat input and needs no copy
+        hp, wp = xp.shape[1:3]
+        flat = xp.reshape(-1, cin)
+        # the last tap's row range ends at the last input row; frame rows
+        # past `rows` are outside every output voxel and stay unset
+        rows = flat.shape[0] - (((kd - 1) * hp + kh - 1) * wp + kw - 1)
+        frame = np.empty((out_sp[0], hp, wp, cout), dtype=np.result_type(xp, w))
+        operands = [flat[(a * hp + b) * wp + c:][:rows] for (a, b, c), _ in taps]
+        target, full = frame.reshape(-1, cout)[:rows], frame[:, : out_sp[1], : out_sp[2]]
     else:
-        full = _conv_slabs(xp, w, taps, out_sp)
+        # strided taps: each copies its window of the padded input for its GEMM
+        operands = [xp[window] for _, window in taps]
+        target = full = np.empty(out_sp + (cout,), dtype=np.result_type(xp, w))
+    _by_rows(_tap_sum(w), operands, target, k=cin)
     # full holds the output voxels, maybe inside a wider frame; one pass
     # copies them out and adds the bias
     out = full if full.flags.c_contiguous else np.empty(full.shape, full.dtype)
@@ -693,34 +695,33 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
 
     def bwd(g):
         gm = g.reshape(-1, cout)
+        w_taps = w.reshape(-1, cin, cout)
         dw = np.empty(kernel.shape, dtype=np.result_type(xp, gm))
 
-        def dw_taps(lo, hi):
-            for tap, window in taps[lo:hi]:
-                np.matmul(xp[window].reshape(-1, cin).T, gm, out=dw[tap])
+        def dw_taps(index, dw_rows):
+            for i, dw_tap in zip(index.ravel(), dw_rows):
+                np.matmul(xp[taps[i][1]].reshape(-1, cin).T, gm, out=dw_tap)
+
+        def dx_taps(g_rows, w_group, dtap_rows, *dx_rows):
+            # each tap of the group, in tap order, over the same output planes
+            g_rows, dtap_flat = g_rows.reshape(-1, cout), dtap_rows.reshape(-1, cin)
+            for wt, dx in zip(w_group, dx_rows):
+                np.matmul(g_rows, wt.T, out=dtap_flat)
+                np.add(dx, dtap_rows, out=dx)
 
         # dw[tap] sums over every voxel, so the op workers take whole taps
-        _split_units(len(taps), _gemm_units(dw.size, gm.shape[0], (len(taps), cin, cout)), dw_taps)
+        _by_rows(dw_taps, (np.arange(len(taps)).reshape(-1, 1, 1),), dw.reshape(-1, cin, cout),
+                 k=gm.shape[0])
         dxp = np.zeros(xp.shape, dtype=xp.dtype)
         dtap = np.empty(out_sp + (cin,), dtype=np.result_type(gm, w))
         g_planes = gm.reshape(out_sp + (cout,))
-
-        def add_tap_grads(group, lo, hi):
-            # output depth planes lo..hi of each tap in `group`, in tap order
-            g_rows, dtap_rows = g_planes[lo:hi].reshape(-1, cout), dtap[lo:hi]
-            for tap, window in group:
-                np.matmul(g_rows, w[tap].T, out=dtap_rows.reshape(-1, cin))
-                dx = dxp[window][lo:hi]
-                np.add(dx, dtap_rows, out=dx)
-
         # taps that share a depth offset write disjoint planes of dxp from
         # disjoint output planes, so the op workers take output planes of one
         # such group at a time, and every voxel sums its taps in tap order
-        units = _gemm_units(dtap.size, cout, dtap.shape)
         group = len(taps) // kd
-        for a in range(kd):
-            _split_units(out_sp[0], units,
-                         functools.partial(add_tap_grads, taps[a * group:(a + 1) * group]))
+        for a in range(0, len(taps), group):
+            _by_rows(dx_taps, (g_planes, w_taps[a:a + group]), dtap,
+                     *(dxp[window] for _, window in taps[a:a + group]), k=cout)
         del dtap
         dx = np.ascontiguousarray(dxp[tuple(slice(p, p + n) for p, n in zip(padding, x.shape))])
         if bias is None:
@@ -728,35 +729,6 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
         return dx, dw, gm.sum(axis=0)
 
     return _record("conv3d", inputs, out, bwd)
-
-
-def _conv_frame(xp, w, out_sp):
-    """Stride-1 taps over the flat padded input.  Output voxel (d, h, w)
-    sits at row q = (d*Hp + h)*Wp + w of a frame with the padded input's
-    H and W extents, and tap (a, b, c) multiplies input row
-    q + (a*Hp + b)*Wp + c, so each tap's operand is a contiguous row range
-    of that input and needs no copy.  Returns the output voxels as a view
-    into the frame."""
-    kd, kh, kw, cin, cout = w.shape
-    hp, wp = xp.shape[1:3]
-    flat = xp.reshape(-1, cin)
-    # the last tap's row range ends at the last input row
-    rows = flat.shape[0] - (((kd - 1) * hp + kh - 1) * wp + kw - 1)
-    # frame rows past `rows` are outside every output voxel and stay unset
-    frame = np.empty((out_sp[0] * hp * wp, cout), dtype=np.result_type(xp, w))
-    operands = [flat[(a * hp + b) * wp + c:][:rows] for a, b, c in np.ndindex(kd, kh, kw)]
-    _by_rows(_tap_sum(w), operands, frame[:rows], k=cin)
-    return frame.reshape(out_sp[0], hp, wp, cout)[:, : out_sp[1], : out_sp[2]]
-
-
-def _conv_slabs(xp, w, taps, out_sp):
-    """Strided taps: each copies its window of the padded input into a
-    (P, Cin) slab for its GEMM; the op workers take ranges of output depth
-    planes."""
-    cin, cout = w.shape[3:]
-    out = np.empty(out_sp + (cout,), dtype=np.result_type(xp, w))
-    _by_rows(_tap_sum(w), [xp[window] for _, window in taps], out, k=cin)
-    return out
 
 
 def _tap_sum(w):
@@ -812,12 +784,7 @@ def global_pool(x):
     """Per-channel mean over all spatial positions: (d, w, h, C) -> (C,)."""
     if x.ndim != 4:
         raise ShapeError(f"global_pool expects rank 4, got {x.shape}")
-    n = x.shape[0] * x.shape[1] * x.shape[2]
-
-    def bwd(g):
-        return (np.broadcast_to(g / n, x.shape).copy(),)
-
-    return _record("global_pool", (x,), x.data.mean(axis=(0, 1, 2)), bwd)
+    return tmean(x, axis=(0, 1, 2))
 
 
 def _upsample_axis_plan(n):

@@ -10,6 +10,7 @@ medical containers so round trips stay bit-exact and dependency-free.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -73,6 +74,9 @@ class PhantomSpec:
         if self.n_classes < 2:
             raise ConfigError("need background plus at least 1 foreground class")
         lo, hi = self.radius_range
+        if not all(map(math.isfinite, (lo, hi, self.noise_sigma))):
+            raise ConfigError(f"radius range {self.radius_range} and noise sigma "
+                              f"{self.noise_sigma} must be finite")
         if not 0 < lo <= hi:
             raise ConfigError(f"bad radius range {self.radius_range}")
         if self.objects_per_class < 1:
@@ -81,6 +85,10 @@ class PhantomSpec:
             raise ConfigError("noise sigma must be >= 0")
         self.shape = tuple(int(s) for s in self.shape)
         self.radius_range = (float(lo), float(hi))
+        try:
+            check_spacing(self.spacing)
+        except ContractError as exc:
+            raise ConfigError(str(exc)) from None
         self._check_visibility(self.visibility_matrix())
 
     def visibility_matrix(self) -> np.ndarray:
@@ -104,6 +112,8 @@ class PhantomSpec:
                 f"visibility must be (modalities, n_classes) = "
                 f"({self.modalities}, {self.n_classes}), got {vis.shape}"
             )
+        if not np.isfinite(vis).all():
+            raise ConfigError("visibility contrasts must be finite")
         if np.any(vis[:, 0] != 0):
             raise ConfigError("background (class 0) must have zero contrast everywhere")
         fg = vis[:, 1:]
@@ -284,8 +294,8 @@ def normalize(volume: MultiModalVolume) -> MultiModalVolume:
 
 def split(n_cases, fractions=(0.8, 0.1, 0.1), seed=0):
     """Seeded disjoint-and-exhaustive (train, val, test) index lists."""
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ConfigError(f"fractions must be 3 nonnegative floats, got {fractions}")
+    if len(fractions) != 3 or not all(math.isfinite(f) and f >= 0 for f in fractions):
+        raise ConfigError(f"fractions must be 3 finite nonnegative floats, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got {sum(fractions)}")
     perm = np.random.default_rng(seed).permutation(n_cases)

@@ -8,6 +8,7 @@ and reruns with the same seed produce byte-identical logs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -38,6 +39,9 @@ class TrainConfig:
     log_wall_time: bool = False
 
     def __post_init__(self):
+        for name in ("lr", "weight_decay", "eps", "smooth", "dice_weight", "ce_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
         if self.weight_decay < 0:
@@ -184,7 +188,8 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
 
     Writes train_log.jsonl (one record per step), optional val_log.jsonl,
     and checkpoint.ckpt.  A non-finite loss aborts before the parameter
-    update, so the last written checkpoint stays valid.
+    update, so the last written checkpoint stays valid; the error names its
+    step, or says that none was written.
     """
     if len(dataset) == 0:
         raise ContractError("training needs a nonempty dataset")
@@ -198,9 +203,13 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
     train_log = out / "train_log.jsonl"
     val_log = out / "val_log.jsonl" if val_dataset is not None else None
 
+    saved_step = None
+
     def save(step):
+        nonlocal saved_step
         save_checkpoint(model, ckpt_path, step=step,
                         opt_state={"t": opt.t, "m": opt.m, "v": opt.v})
+        saved_step = step
 
     params = [p for _, p in named]
     # a batch's mean gradient is summed into float64 buffers; a single
@@ -231,10 +240,9 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
                         if not np.isfinite(loss.data):
                             raise NumericError("loss is not finite")
                     except NumericError as exc:
-                        raise NumericError(
-                            f"non-finite loss at step {step} ({exc}); "
-                            "last checkpoint retained"
-                        ) from exc
+                        kept = ("no checkpoint written" if saved_step is None
+                                else f"checkpoint of step {saved_step} retained")
+                        raise NumericError(f"non-finite loss at step {step} ({exc}); {kept}") from exc
                     loss_sum += float(loss.data)
                     dice_sum += float(dice_term.data)
                     ce_sum += float(ce_term.data)

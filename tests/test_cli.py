@@ -136,6 +136,22 @@ class TestGen:
         assert "sum to 1" in capsys.readouterr().err
         assert not list(tmp_path.rglob("case_*"))
 
+    @pytest.mark.parametrize("spec,fractions", [
+        ({"noise_sigma": float("nan")}, "0.8,0.1,0.1"),
+        ({"radius_range": [2.5, float("inf")]}, "0.8,0.1,0.1"),
+        ({"visibility": [[0, float("nan"), 0], [0, 0, 1]]}, "0.8,0.1,0.1"),
+        ({"spacing": [1, float("nan"), 1]}, "0.8,0.1,0.1"),
+        ({}, "nan,0.5,0.5"),
+    ], ids=["nan-noise-sigma", "infinite-radius", "nan-visibility", "nan-spacing",
+            "nan-fraction"])
+    def test_non_finite_number_fails_before_the_manifest(self, tmp_path, capsys, spec, fractions):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["gen", "--out", str(out), "--spec", str(tmp_path / "spec.json"),
+                     "--cases", "2", "--fractions", fractions]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_spec_value(self, tmp_path):
         bad = tmp_path / "spec.json"
         bad.write_text(json.dumps({"shape": [10, 10, 10]}))
@@ -256,6 +272,27 @@ class TestTrain:
                      "--train-config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert f"{field} must be an integer" in err and "Error" not in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("field", ["lr", "weight_decay", "eps", "smooth",
+                                       "dice_weight", "ce_weight"])
+    def test_non_finite_number_fails_before_the_manifest(self, workdir, tmp_path, capsys, field):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({field: float("nan")}))
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out), "--data", str(workdir / "data"),
+                     "--model-config", str(workdir / "model.json"),
+                     "--train-config", str(cfg), "--steps", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err and "Error" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_nan_lr_flag_fails_before_the_manifest(self, workdir, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out), "--data", str(workdir / "data"),
+                     "--model-config", str(workdir / "model.json"),
+                     "--steps", "2", "--lr", "nan"]) == 1
+        assert "lr must be finite" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     def test_unknown_model_field(self, workdir, tmp_path, capsys):

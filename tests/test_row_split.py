@@ -268,9 +268,9 @@ def test_gemm_rule_selects_the_split_path(monkeypatch):
     ranges = []
     real = ad._split_rows
 
-    def counting(n, kernel):
+    def counting(n, kernel, *parts):
         ranges.append(n)
-        return real(n, kernel)
+        return real(n, kernel, *parts)
 
     monkeypatch.setattr(ad, "_split_rows", counting)
     rng = np.random.default_rng(6)
@@ -328,9 +328,9 @@ def test_threshold_selects_the_split_path(monkeypatch, rows, split):
     ranges = []
     real = ad._split_rows
 
-    def counting(n, kernel):
+    def counting(n, kernel, *parts):
         ranges.append(n)
-        return real(n, kernel)
+        return real(n, kernel, *parts)
 
     monkeypatch.setattr(ad, "_split_rows", counting)
     _all_ops(4, rows, np.float32)
@@ -355,13 +355,17 @@ def test_split_rows_covers_every_row_once(set_workers):
     for workers in (1, 2, 3, 5):
         set_workers(workers)
         for n in (0, 1, 2, 3, 7, 10):
-            seen = np.zeros(n, dtype=int)
+            for parts in (None, 1, 2, 3, 4, 5):
+                seen = np.zeros(n, dtype=int)
+                ranges = []
 
-            def kernel(lo, hi, seen=seen):
-                seen[lo:hi] += 1
+                def kernel(lo, hi, seen=seen, ranges=ranges):
+                    seen[lo:hi] += 1
+                    ranges.append((lo, hi))
 
-            ad._split_rows(n, kernel)
-            assert (seen == 1).all()
+                ad._split_rows(n, kernel, parts)
+                assert (seen == 1).all()
+                assert len(ranges) <= (workers if parts is None else min(workers, parts))
 
 
 def test_kernel_error_reaches_the_caller(set_workers):

@@ -478,6 +478,14 @@ class TestTrainLoop:
         assert meta["step"] == 2
         assert all(np.isfinite(p.data).all() for p in model.params())
 
+    def test_nonfinite_loss_names_the_checkpoint_on_disk(self, tmp_path):
+        cfg = TrainConfig(steps=5, checkpoint_every=2)
+        with pytest.raises(NumericError, match="step 4 .*checkpoint of step 2 retained"):
+            train(toy_model_cfg(), cfg, _PoisonAfter(clean=3), tmp_path / "every2")
+        with pytest.raises(NumericError, match="step 2 .*no checkpoint written"):
+            train(toy_model_cfg(), TrainConfig(steps=5), _PoisonAfter(clean=1), tmp_path / "final")
+        assert not (tmp_path / "final" / "checkpoint.ckpt").exists()
+
     def test_validation_log(self, tmp_path):
         data = [sphere_case()]
         _, summary = train(
