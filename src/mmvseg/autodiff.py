@@ -787,32 +787,28 @@ def global_pool(x):
     return tmean(x, axis=(0, 1, 2))
 
 
-def _upsample_axis_plan(n):
-    # output o samples input at (o + 0.5)/2 - 0.5 (corner alignment off)
-    o = np.arange(2 * n)
-    s = (o + 0.5) / 2.0 - 0.5
-    i0f = np.floor(s)
-    w1 = s - i0f
-    i0 = np.clip(i0f.astype(np.intp), 0, n - 1)
-    i1 = np.clip(i0f.astype(np.intp) + 1, 0, n - 1)
-    return i0, i1, w1
-
-
 def _upsample_once(arr):
+    # per axis out[2i] = x[i-1]/4 + 3x[i]/4 and out[2i+1] = 3x[i]/4 + x[i+1]/4,
+    # indices clamped at the edges (output o samples input at (o + 0.5)/2 - 0.5)
     for axis in range(3):
-        i0, i1, w1 = _upsample_axis_plan(arr.shape[axis])
-        sh = [1] * arr.ndim
-        sh[axis] = w1.size
-        w1b = w1.reshape(sh).astype(arr.dtype)
-        arr = (1.0 - w1b) * np.take(arr, i0, axis=axis) + w1b * np.take(arr, i1, axis=axis)
+        shape = list(arr.shape)
+        shape[axis] *= 2
+        out = np.empty(shape, dtype=arr.dtype)
+        x, om = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+        even, odd = om[0::2], om[1::2]
+        np.multiply(x, 0.75, out=even)
+        even[1:] += 0.25 * x[:-1]
+        even[0] += 0.25 * x[0]
+        np.multiply(x, 0.75, out=odd)
+        odd[:-1] += 0.25 * x[1:]
+        odd[-1] += 0.25 * x[-1]
+        arr = out
     return arr
 
 
 def _upsample_once_adjoint(g):
-    # per axis the forward is out[2i] = x[i-1]/4 + 3x[i]/4 and
-    # out[2i+1] = 3x[i]/4 + x[i+1]/4, indices clamped at the edges; the terms
-    # are added in the order of a scatter-add over the output index, so the
-    # result is bit-identical to one
+    # the transpose of the stencil above; the terms are added in the order of
+    # a scatter-add over the output index, so the result is bit-identical to one
     for axis in (2, 1, 0):
         gm = np.moveaxis(g, axis, 0)
         even, odd = gm[0::2], gm[1::2]

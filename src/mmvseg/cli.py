@@ -14,7 +14,7 @@ import csv
 import json
 import platform
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .fusion import (
     CrossModalityLayer,
     PositionEncodings,
     SpatialMixerLayer,
-    TokenSeq,
     TokenSummarizer,
 )
 from .metrics import evaluate
@@ -41,6 +40,7 @@ from .model import (
     ABLATIONS,
     ModelConfig,
     ablation_model_config,
+    attention_cost_terms,
     benchmark_attention,
     load_checkpoint,
 )
@@ -313,9 +313,9 @@ def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
             n = grid[0] * grid[1] * grid[2]
             tokens = Tensor(rng.normal(size=(n, 8)), requires_grad=True)
             if kind is None:
-                fn = lambda: ad.tmean(layer(TokenSeq(tokens, grid), pos).tokens)
+                fn = lambda: ad.tmean(layer(tokens, pos))
             else:
-                fn = lambda: ad.tmean(getattr(layer, f"{kind}_branch")(tokens, grid, pos))
+                fn = lambda: ad.tmean(getattr(layer, f"{kind}_branch")(tokens, pos))
             return fn, layer.params() + pos.params() + [tokens]
         return build
 
@@ -340,7 +340,7 @@ def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
             layer = CrossModalityLayer(cfg, rng, dtype=f64)
             q = Tensor(rng.normal(size=(n, c)), requires_grad=True)
             kv = Tensor(rng.normal(size=(mp, c)), requires_grad=True)
-            fn = lambda: ad.tmean(layer(TokenSeq(q), TokenSeq(kv)).tokens)
+            fn = lambda: ad.tmean(layer(q, kv))
             return fn, layer.params() + [q, kv]
         return build
 
@@ -350,13 +350,12 @@ def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
         def build():
             dec = Decoder(c, m, (c, c, c, c), DecoderConfig(level_channels=(c, c, c, c)),
                           rng, dtype=f64)
-            n = grid[0] * grid[1] * grid[2]
-            tokens = Tensor(rng.normal(size=(n, c)), requires_grad=True)
+            fused = Tensor(rng.normal(size=grid + (c,)), requires_grad=True)
             shape = tuple(2 * g for g in grid)
             feats = [Tensor(rng.normal(size=shape + (c,)), requires_grad=True)
                      for _ in range(m)]
-            fn = lambda: ad.tmean(dec.gated_skip(TokenSeq(tokens, grid), 4, feats))
-            return fn, dec.gate_fc.params() + feats + [tokens]
+            fn = lambda: ad.tmean(dec.gated_skip(fused, 4, feats))
+            return fn, dec.gate_fc.params() + feats + [fused]
         return build
 
     run("skip-gate", [gate((1, 1, 1), 2, 2), gate((2, 1, 1), 3, 2), gate((1, 2, 1), 2, 3)],
@@ -413,6 +412,12 @@ def cmd_gradcheck(args):
 def cmd_bench_attn(args):
     grids = [_parse_triple(g, "--grid") for g in args.grid]
     window = _parse_triple(args.window, "--window")
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    # bad widths, head counts and untileable grids fail here, before anything is written
+    AttentionConfig(heads=args.heads, dim=args.channels, window=window, qkv_dim=args.channels)
+    for grid in grids:
+        attention_cost_terms(grid, window)
     out = Path(args.out)
     _write_manifest(out, "bench-attn", 0,
                     {"grids": [list(g) for g in grids], "window": list(window),
@@ -446,6 +451,7 @@ def cmd_ablate(args):
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     if not args.data and args.cases < 2:
         raise ConfigError(f"--cases must be >= 2 (one train and one val case), got {args.cases}")
+    train_cfg = TrainConfig(steps=args.steps, lr=args.lr, seed=args.seed)
     out = Path(args.out)
     _write_manifest(out, "ablate", args.seed,
                     {"rows": rows, "cases": args.cases, "steps": args.steps,
@@ -482,7 +488,7 @@ def cmd_ablate(args):
         row_cfg = ablation_model_config(model_cfg, row)
         dices = []
         for seed in range(args.seeds):
-            tcfg = TrainConfig(steps=args.steps, lr=args.lr, seed=args.seed + seed)
+            tcfg = replace(train_cfg, seed=args.seed + seed)
             _, summary = train(row_cfg, tcfg, train_set,
                                out / "runs" / f"{row}-s{seed}", val_dataset=val_set)
             dices.append(summary["final_val_dice"])

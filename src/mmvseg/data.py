@@ -294,6 +294,8 @@ def normalize(volume: MultiModalVolume) -> MultiModalVolume:
 
 def split(n_cases, fractions=(0.8, 0.1, 0.1), seed=0):
     """Seeded disjoint-and-exhaustive (train, val, test) index lists."""
+    if n_cases < 1:
+        raise ConfigError(f"need at least one case, got {n_cases}")
     if len(fractions) != 3 or not all(math.isfinite(f) and f >= 0 for f in fractions):
         raise ConfigError(f"fractions must be 3 finite nonnegative floats, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:

@@ -1,10 +1,9 @@
-"""Decoding from fused bottleneck tokens to full-resolution class logits.
+"""Decoding from the fused bottleneck volume to full-resolution class logits.
 
-The fused tokens are folded back to a volume, and at every level above the
-bottleneck the per-modality encoder skips are gated by a learned importance
-map (one sigmoid scalar per voxel per modality, derived by projecting the
-fused tokens and upsampling) before the usual upsample / concat / conv walk
-up to full resolution.
+At every level above the bottleneck the per-modality encoder skips are gated
+by a learned importance map (one sigmoid scalar per voxel per modality,
+derived by projecting the fused volume and upsampling) before the usual
+upsample / concat / conv walk up to full resolution.
 """
 
 from dataclasses import dataclass
@@ -13,7 +12,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, ShapeError
-from .fusion import TokenSeq
 from .nn import Conv3d, Linear, Module
 
 N_LEVELS = 5
@@ -34,13 +32,6 @@ class DecoderConfig:
             raise ConfigError(f"level_channels must be positive, got {self.level_channels}")
         if self.out_classes < 2:
             raise ConfigError(f"need at least 2 output classes, got {self.out_classes}")
-
-
-def fold_tokens(seq: TokenSeq):
-    """(N, C) tokens back to the (d, w, h, C) volume they were flattened from;
-    exact inverse of the row-major flattening."""
-    d, w, h = seq.require_grid()
-    return ad.reshape(seq.tokens, (d, w, h, seq.tokens.shape[1]))
 
 
 def modality_gated_sum(importance, feats):
@@ -86,19 +77,19 @@ class Decoder(Module):
         self.modalities = modalities
         self.cfg = cfg
 
-    def importance(self, seq: TokenSeq, level):
+    def importance(self, fused, level):
         """Per-voxel, per-modality gates in (0,1) at the extents of `level`:
-        project folded tokens to M channels, upsample 2x per level climbed,
-        squash with the logistic sigmoid."""
+        project the fused (d, w, h, C) volume to M channels, upsample 2x per
+        level climbed, squash with the logistic sigmoid."""
         if self.gate_fc is None:
             raise ContractError("this decoder was built without skip gates")
         if not 1 <= level <= N_LEVELS - 1:
             raise ConfigError(f"gates exist for levels 1..{N_LEVELS - 1}, got {level}")
-        logits = self.gate_fc(fold_tokens(seq))
+        logits = self.gate_fc(fused)
         return ad.sigmoid(ad.upsample2x(logits, times=N_LEVELS - level))
 
-    def gated_skip(self, seq, level, feats):
-        return modality_gated_sum(self.importance(seq, level), feats)
+    def gated_skip(self, fused, level, feats):
+        return modality_gated_sum(self.importance(fused, level), feats)
 
     def __call__(self, bottleneck, skips):
         """bottleneck (d, w, h, C); skips = gated features for levels 4..1."""

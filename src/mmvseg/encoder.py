@@ -6,7 +6,7 @@ projected channel summary added back residually; a local-average-pool block
 and a plain convolutional block are available as ablation backbones.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +33,6 @@ class EncoderConfig:
             raise ConfigError(f"stage_channels must be positive, got {self.stage_channels}")
         if self.block_kind not in _BLOCKS:
             raise ConfigError(f"unknown encoder block kind {self.block_kind!r}")
-
-
-@dataclass
-class FeaturePyramid:
-    """Encoder features at resolutions 1, 1/2, 1/4, 1/8, 1/16."""
-
-    levels: list = field(default_factory=list)
-
-    def top(self):
-        return self.levels[-1]
 
 
 class GlobalPoolBlock(Module):
@@ -120,7 +110,8 @@ class EncoderStage(Module):
 
 
 class Encoder(Module):
-    """One modality volume (D, H, W, in_channels) -> 5-level pyramid."""
+    """One modality volume (D, H, W, in_channels) -> 5-level pyramid, the
+    list of features at resolutions 1, 1/2, 1/4, 1/8, 1/16."""
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
         chans = (cfg.in_channels,) + cfg.stage_channels
@@ -142,4 +133,4 @@ class Encoder(Module):
         for stage in self.stages:
             x = stage(x)
             levels.append(x)
-        return FeaturePyramid(levels)
+        return levels

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .nn import LayerNorm, Linear, Mlp, Module
 
 
@@ -48,36 +48,15 @@ class AttentionConfig:
 
     def __post_init__(self):
         self.window = tuple(int(x) for x in self.window)
-        if self.heads < 1:
-            raise ConfigError(f"heads must be positive, got {self.heads}")
+        for name in ("heads", "dim", "qkv_dim", "ffn_ratio"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.dim % self.heads or self.qkv_dim % self.heads:
             raise ConfigError(
                 f"dim {self.dim} and qkv_dim {self.qkv_dim} must be divisible by heads {self.heads}"
             )
         if len(self.window) != 3 or any(x < 1 for x in self.window):
             raise ConfigError(f"window must be three positive extents, got {self.window}")
-
-
-@dataclass
-class TokenSeq:
-    """A token matrix (N, C); `grid` gives the (depth, row, col) extents the
-    tokens were flattened from, or None for sequences with no spatial layout
-    (the per-modality summary tokens)."""
-
-    tokens: Tensor
-    grid: tuple = None
-
-    @property
-    def n(self):
-        return self.tokens.shape[0]
-
-    def require_grid(self):
-        if self.grid is None:
-            raise ContractError("this operation needs tokens with a spatial grid")
-        d, w, h = self.grid
-        if d * w * h != self.n:
-            raise ShapeError(f"grid {self.grid} does not cover {self.n} tokens")
-        return self.grid
 
 
 def _relative_offset_index(window):
@@ -175,18 +154,16 @@ class SpatialMixerLayer(Module):
         self.ffn = Mlp(c, cfg.ffn_ratio * c, rng, dtype)
         self.cfg = cfg
 
-    def mix(self, tokens, grid, pos):
-        """Sum of the three branch outputs for pre-normalized (N, C) tokens."""
+    def mix(self, tokens, pos):
+        """Sum of the three branch outputs for pre-normalized (N, C) tokens
+        laid out row-major on `pos.grid`."""
         return ad.add(
-            ad.add(
-                self.axial_branch(tokens, grid, pos),
-                self.planar_branch(tokens, grid, pos),
-            ),
-            self.window_branch(tokens, grid, pos),
+            ad.add(self.axial_branch(tokens, pos), self.planar_branch(tokens, pos)),
+            self.window_branch(tokens, pos),
         )
 
-    def axial_branch(self, tokens, grid, pos):
-        d, w, h = grid
+    def axial_branch(self, tokens, pos):
+        d, w, h = pos.grid
         c = tokens.shape[-1]
         x = ad.reshape(tokens, (d, w * h, c))
         x = ad.add(x, ad.reshape(pos.axial_abs, (d, 1, c)))
@@ -194,18 +171,18 @@ class SpatialMixerLayer(Module):
         out = self.axial(cols, cols)
         return ad.reshape(ad.moveaxis(out, 0, 1), (d * w * h, c))
 
-    def planar_branch(self, tokens, grid, pos):
-        d, w, h = grid
+    def planar_branch(self, tokens, pos):
+        d, w, h = pos.grid
         c = tokens.shape[-1]
         x = ad.reshape(tokens, (d, w * h, c))  # one group per depth slice
         x = ad.add(x, pos.planar_abs)
         return ad.reshape(self.planar(x, x), (d * w * h, c))
 
-    def window_branch(self, tokens, grid, pos):
-        d, w, h = grid
+    def window_branch(self, tokens, pos):
+        d, w, h = pos.grid
         wz, wy, wx = self.cfg.window
         if d % wz or w % wy or h % wx:
-            raise ShapeError(f"window {self.cfg.window} does not tile grid {grid}")
+            raise ShapeError(f"window {self.cfg.window} does not tile grid {pos.grid}")
         c = tokens.shape[-1]
         nz, ny, nx = d // wz, w // wy, h // wx
         x = ad.reshape(tokens, (nz, wz, ny, wy, nx, wx, c))
@@ -216,12 +193,12 @@ class SpatialMixerLayer(Module):
         out = ad.moveaxis(out, (3, 4, 5), (1, 3, 5))
         return ad.reshape(out, (d * w * h, c))
 
-    def __call__(self, seq: TokenSeq, pos: PositionEncodings) -> TokenSeq:
-        grid = seq.require_grid()
-        z = seq.tokens
-        z = ad.add(z, self.mix(self.norm1(z), grid, pos))
-        z = ad.add(z, self.ffn(self.norm2(z)))
-        return TokenSeq(z, seq.grid)
+    def __call__(self, tokens, pos: PositionEncodings):
+        d, w, h = pos.grid
+        if tokens.shape[0] != d * w * h:
+            raise ShapeError(f"grid {pos.grid} does not cover {tokens.shape[0]} tokens")
+        z = ad.add(tokens, self.mix(self.norm1(tokens), pos))
+        return ad.add(z, self.ffn(self.norm2(z)))
 
 
 class TokenSummarizer(Module):
@@ -242,15 +219,6 @@ class TokenSummarizer(Module):
         return ad.matmul(weights, ad.reshape(feat, (n, c)))  # (P, C)
 
 
-def spatial_concat(summaries):
-    """Stack per-modality (P, C) summaries into one (M*P, C) sequence,
-    modality-major."""
-    shapes = {s.shape for s in summaries}
-    if len(shapes) != 1:
-        raise ShapeError(f"summary shapes differ across modalities: {sorted(shapes)}")
-    return TokenSeq(ad.concat(summaries, axis=0), grid=None)
-
-
 class CrossModalityLayer(Module):
     """Pre-norm cross-attention: queries from the spatial token stream,
     keys/values from the concatenated modality summaries, then an FFN."""
@@ -263,14 +231,11 @@ class CrossModalityLayer(Module):
         self.norm2 = LayerNorm(c, dtype)
         self.ffn = Mlp(c, cfg.ffn_ratio * c, rng, dtype)
 
-    def __call__(self, seq: TokenSeq, summary: TokenSeq) -> TokenSeq:
-        if seq.tokens.shape[-1] != summary.tokens.shape[-1]:
-            raise ShapeError(
-                f"channel mismatch: {seq.tokens.shape} vs {summary.tokens.shape}"
-            )
-        z = ad.add(seq.tokens, self.attn(self.norm_q(seq.tokens), self.norm_kv(summary.tokens)))
-        z = ad.add(z, self.ffn(self.norm2(z)))
-        return TokenSeq(z, seq.grid)
+    def __call__(self, tokens, summary):
+        if tokens.shape[-1] != summary.shape[-1]:
+            raise ShapeError(f"channel mismatch: {tokens.shape} vs {summary.shape}")
+        z = ad.add(tokens, self.attn(self.norm_q(tokens), self.norm_kv(summary)))
+        return ad.add(z, self.ffn(self.norm2(z)))
 
 
 class Fusion(Module):
@@ -315,20 +280,22 @@ class Fusion(Module):
             if f.shape != want:
                 raise ShapeError(f"modality {i} feature is {f.shape}, expected {want}")
 
-    def embed_tokens(self, feats) -> TokenSeq:
-        """Channel-concat all modalities, project to C, flatten, add the
-        shared absolute position table."""
+    def embed_tokens(self, feats):
+        """Channel-concat all modalities, project to C, flatten row-major to
+        (N, C) tokens, add the shared absolute position table."""
         self._check_features(feats)
         d, w, h = self.grid
         x = feats[0] if len(feats) == 1 else ad.concat(feats, axis=3)
         x = ad.reshape(self.embed(x), (d * w * h, self.cfg.dim))
-        return TokenSeq(ad.add(x, self.pos.embed_abs), self.grid)
+        return ad.add(x, self.pos.embed_abs)
 
-    def __call__(self, feats) -> TokenSeq:
-        seq = self.embed_tokens(feats)
+    def __call__(self, feats):
+        """Per-modality (d, w, h, C) features -> the fused (d, w, h, C) volume."""
+        z = self.embed_tokens(feats)
         for layer in self.layers:
-            seq = layer(seq, self.pos)
-        if self.cross is None:
-            return seq
-        summary = spatial_concat([self.summarize(f) for f in feats])
-        return self.cross(seq, summary)
+            z = layer(z, self.pos)
+        if self.cross is not None:
+            # modality-major bank of (M*P, C) summary tokens
+            summary = ad.concat([self.summarize(f) for f in feats], axis=0)
+            z = self.cross(z, summary)
+        return ad.reshape(z, self.grid + (self.cfg.dim,))

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import _read_exact
-from .decoder import Decoder, DecoderConfig, fold_tokens
+from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .fusion import (
@@ -181,15 +181,15 @@ class Model(Module):
             enc(Tensor(data[..., i : i + 1].astype(dtype)))
             for i, enc in enumerate(self.encoders)
         ]
-        fused = self.fusion([p.top() for p in pyramids])
+        fused = self.fusion([p[-1] for p in pyramids])
         skips = []
         for level in (4, 3, 2, 1):
-            feats = [p.levels[level - 1] for p in pyramids]
+            feats = [p[level - 1] for p in pyramids]
             if self.cfg.use_gated_skips:
                 skips.append(self.decoder.gated_skip(fused, level, feats))
             else:
                 skips.append(reduce(ad.add, feats))
-        return self.decoder(fold_tokens(fused), skips)
+        return self.decoder(fused, skips)
 
     def param_breakdown(self):
         parts = {
@@ -257,7 +257,7 @@ def benchmark_attention(grid, window, channels=128, heads=8, repeats=3, seed=0):
     full(tokens, tokens)
     counted_full = pair_counter.count
     pair_counter.reset()
-    mixer.mix(tokens, grid, pos)
+    mixer.mix(tokens, pos)
     counted_mixer = pair_counter.count
 
     return {
@@ -269,7 +269,7 @@ def benchmark_attention(grid, window, channels=128, heads=8, repeats=3, seed=0):
         "counted_full": counted_full,
         "counted_mixer": counted_mixer,
         "ms_full": timed(lambda: full(tokens, tokens)),
-        "ms_mixer": timed(lambda: mixer.mix(tokens, grid, pos)),
+        "ms_mixer": timed(lambda: mixer.mix(tokens, pos)),
     }
 
 

@@ -125,14 +125,14 @@ def test_criterion_2_attention_oracle():
             mask = (y[:, None] == y[None, :]) & (x[:, None] == x[None, :])
             want = _full_attention(layer.axial, *(tokens + pos.axial_abs.data[z],) * 2,
                                    mask=mask)
-            got = layer.axial_branch(Tensor(tokens), grid, pos).data
+            got = layer.axial_branch(Tensor(tokens), pos).data
             worst = max(worst, float(np.max(np.abs(got - want))))
 
             mask = z[:, None] == z[None, :]
             rem = y * grid[2] + x
             want = _full_attention(layer.planar, *(tokens + pos.planar_abs.data[rem],) * 2,
                                    mask=mask)
-            got = layer.planar_branch(Tensor(tokens), grid, pos).data
+            got = layer.planar_branch(Tensor(tokens), pos).data
             worst = max(worst, float(np.max(np.abs(got - want))))
 
             wz, wy, wx = window
@@ -150,7 +150,7 @@ def test_criterion_2_attention_oracle():
             bias = np.stack([table[np.where(same, bucket, 0), h]
                              for h in range(cfg.heads)])
             want = _full_attention(layer.window, tokens, tokens, mask=same, bias=bias)
-            got = layer.window_branch(Tensor(tokens), grid, pos).data
+            got = layer.window_branch(Tensor(tokens), pos).data
             worst = max(worst, float(np.max(np.abs(got - want))))
             checked += 3
     ok = worst < 1e-10

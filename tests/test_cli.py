@@ -8,6 +8,7 @@ import csv
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,15 @@ class TestGen:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_nonpositive_case_count_fails_before_the_manifest(self, tmp_path, capsys, cases):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "split is empty" warnings either
+            assert main(["gen", "--out", str(out), "--cases", cases]) == 1
+        assert "at least one case" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_spec_value(self, tmp_path):
         bad = tmp_path / "spec.json"
         bad.write_text(json.dumps({"shape": [10, 10, 10]}))
@@ -294,6 +304,17 @@ class TestTrain:
                      "--steps", "2", "--lr", "nan"]) == 1
         assert "lr must be finite" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("field", ["dim", "qkv_dim", "ffn_ratio"])
+    def test_nonpositive_attention_width_fails_before_the_manifest(self, workdir, tmp_path,
+                                                                   capsys, field):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps({**MODEL, "attention": {**MODEL["attention"], field: 0}}))
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out), "--data", str(workdir / "data"),
+                     "--model-config", str(bad), "--steps", "1"]) == 1
+        assert f"{field} must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_model_field(self, workdir, tmp_path, capsys):
         bad = tmp_path / "model.json"
@@ -513,6 +534,19 @@ class TestBenchAttn:
                      "--heads", "2", "--repeats", "1"]) == 0
         assert len(read_csv(out / "bench_attn.csv")) == 3
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--repeats", "0", "--repeats must be >= 1"), ("--channels", "0", "dim must be positive"),
+        ("--window", "2,2,2", "does not tile grid"),
+    ], ids=["zero-repeats", "zero-channels", "untileable-grid"])
+    def test_bad_numbers_fail_before_the_manifest(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bench"
+        args = {"--grid": "3,2,2", "--window": "1,1,1", "--channels": "8", "--heads": "2",
+                "--repeats": "1", flag: value}
+        assert main(["bench-attn", "--out", str(out)]
+                    + [x for kv in args.items() for x in kv]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblate:
     def test_two_rows(self, tmp_path):
@@ -532,6 +566,17 @@ class TestAblate:
                      flag, value]) == 1
         assert flag in capsys.readouterr().err
         assert not (out / "data").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--steps", "0", "steps must be >= 1"), ("--lr", "nan", "lr must be finite"),
+    ], ids=["zero-steps", "nan-lr"])
+    def test_bad_train_numbers_fail_before_the_manifest(self, tmp_path, capsys, flag, value,
+                                                         message):
+        out = tmp_path / "a"
+        assert main(["ablate", "--out", str(out), "--rows", "full", "--cases", "2",
+                     "--steps", "1", flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_case_dataset_rejected(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -3,9 +3,8 @@ import pytest
 
 from mmvseg import Tensor, grad_check
 from mmvseg import autodiff as ad
-from mmvseg.decoder import Decoder, DecoderConfig, fold_tokens, modality_gated_sum
-from mmvseg.errors import ConfigError, ContractError, ShapeError
-from mmvseg.fusion import TokenSeq
+from mmvseg.decoder import Decoder, DecoderConfig, modality_gated_sum
+from mmvseg.errors import ConfigError, ShapeError
 from test_tensor import assert_same_numbers, value_and_grads
 
 
@@ -19,91 +18,60 @@ class TestConfig:
             DecoderConfig(out_classes=1)
 
 
-class TestFoldTokens:
-    def test_inverse_of_flatten(self):
-        rng = np.random.default_rng(0)
-        vol = rng.normal(size=(2, 3, 2, 4))
-        seq = TokenSeq(ad.reshape(Tensor(vol), (12, 4)), grid=(2, 3, 2))
-        assert np.array_equal(fold_tokens(seq).data, vol)
-
-    def test_row_major_token_order(self):
-        d, w, h = 2, 3, 2
-        tokens = np.arange(d * w * h, dtype=np.float64)[:, None].repeat(3, axis=1)
-        vol = fold_tokens(TokenSeq(Tensor(tokens), (d, w, h))).data
-        for z in range(d):
-            for y in range(w):
-                for x in range(h):
-                    assert vol[z, y, x, 0] == z * (w * h) + y * h + x
-
-    def test_zero_tokens_zero_volume(self):
-        out = fold_tokens(TokenSeq(Tensor(np.zeros((8, 3))), (2, 2, 2)))
-        assert not out.data.any()
-
-    def test_grid_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            fold_tokens(TokenSeq(Tensor(np.zeros((9, 3))), (2, 2, 2)))
-
-    def test_missing_grid(self):
-        with pytest.raises(ContractError):
-            fold_tokens(TokenSeq(Tensor(np.zeros((8, 3)))))
-
-
 def make_decoder(c=4, m=2, skips=(3, 3, 2, 2), levels=(4, 3, 3, 2), classes=2, seed=1, dtype=np.float64):
     cfg = DecoderConfig(level_channels=levels, out_classes=classes)
     return Decoder(c, m, skips, cfg, np.random.default_rng(seed), dtype=dtype), cfg
 
 
 class TestImportance:
-    def _seq(self, c=4, grid=(2, 2, 2), seed=2):
-        rng = np.random.default_rng(seed)
-        n = grid[0] * grid[1] * grid[2]
-        return TokenSeq(Tensor(rng.normal(size=(n, c))), grid)
+    def _fused(self, c=4, grid=(2, 2, 2), seed=2):
+        return Tensor(np.random.default_rng(seed).normal(size=grid + (c,)))
 
     def test_level4_doubles_once(self):
         dec, _ = make_decoder()
-        assert dec.importance(self._seq(), 4).shape == (4, 4, 4, 2)
+        assert dec.importance(self._fused(), 4).shape == (4, 4, 4, 2)
 
     def test_level1_reaches_full_resolution(self):
         dec, _ = make_decoder()
-        assert dec.importance(self._seq(), 1).shape == (32, 32, 32, 2)
+        assert dec.importance(self._fused(), 1).shape == (32, 32, 32, 2)
 
     def test_level_out_of_range(self):
         dec, _ = make_decoder()
         with pytest.raises(ConfigError):
-            dec.importance(self._seq(), 5)
+            dec.importance(self._fused(), 5)
 
     def test_zero_fc_gives_half_everywhere(self):
         dec, _ = make_decoder()
         dec.gate_fc.w.data[:] = 0.0
         dec.gate_fc.b.data[:] = 0.0
-        gates = dec.importance(self._seq(), 3).data
+        gates = dec.importance(self._fused(), 3).data
         assert np.array_equal(gates, np.full_like(gates, 0.5))
 
     def test_large_bias_saturates_to_one(self):
         dec, _ = make_decoder()
         dec.gate_fc.w.data[:] = 0.0
         dec.gate_fc.b.data[:] = 50.0
-        gates = dec.importance(self._seq(), 2).data
+        gates = dec.importance(self._fused(), 2).data
         assert np.max(np.abs(gates - 1.0)) < 1e-15
 
     def test_values_strictly_inside_unit_interval(self):
         dec, _ = make_decoder()
-        gates = dec.importance(self._seq(seed=5), 4).data
+        gates = dec.importance(self._fused(seed=5), 4).data
         assert (gates > 0.0).all() and (gates < 1.0).all()
 
     def test_monotone_in_bias(self):
         dec, _ = make_decoder()
-        seq = self._seq(seed=6)
-        before = dec.importance(seq, 3).data.copy()
+        fused = self._fused(seed=6)
+        before = dec.importance(fused, 3).data.copy()
         dec.gate_fc.b.data += 1.0
-        after = dec.importance(seq, 3).data
+        after = dec.importance(fused, 3).data
         assert (after >= before).all() and after.mean() > before.mean()
 
     def test_gate_gradients(self):
         dec, _ = make_decoder()
-        seq = self._seq(seed=7)
+        fused = self._fused(seed=7)
         feats = [Tensor(np.random.default_rng(8 + i).normal(size=(8, 8, 8, 5))) for i in range(2)]
-        f = lambda: ad.tmean(dec.gated_skip(seq, 3, feats))
+        f = lambda: ad.tmean(dec.gated_skip(fused, 3, feats))
         assert grad_check(f, dec.gate_fc.params()) < 1e-4
 
 

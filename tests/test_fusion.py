@@ -3,7 +3,7 @@ import pytest
 
 from mmvseg import Tensor, grad_check
 from mmvseg import autodiff as ad
-from mmvseg.errors import ConfigError, ContractError, ShapeError
+from mmvseg.errors import ConfigError, ShapeError
 from mmvseg.fusion import (
     AttentionConfig,
     CrossModalityLayer,
@@ -11,10 +11,8 @@ from mmvseg.fusion import (
     MultiHeadAttention,
     PositionEncodings,
     SpatialMixerLayer,
-    TokenSeq,
     TokenSummarizer,
     pair_counter,
-    spatial_concat,
 )
 from test_tensor import assert_same_numbers, value_and_grads
 
@@ -64,6 +62,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             AttentionConfig(heads=3, dim=8, qkv_dim=8)
 
+    @pytest.mark.parametrize("field", ["dim", "qkv_dim", "ffn_ratio"])
+    def test_rejects_nonpositive_width(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be positive"):
+            AttentionConfig(**{"heads": 2, "dim": 8, "qkv_dim": 8, field: 0})
+
     def test_rejects_bad_window(self):
         with pytest.raises(ConfigError):
             AttentionConfig(heads=2, dim=8, qkv_dim=8, window=(2, 0, 2))
@@ -74,22 +77,10 @@ class TestConfig:
         assert pos.window_rel_bias.shape == (3 * 5 * 3, cfg.heads)
 
 
-class TestTokenSeq:
-    def test_grid_must_cover_tokens(self):
-        seq = TokenSeq(Tensor(np.zeros((5, 3))), grid=(2, 2, 2))
-        with pytest.raises(ShapeError):
-            seq.require_grid()
-
-    def test_missing_grid_rejected_by_mixer(self):
-        layer, pos, tokens = branch_env((2, 2, 2), (2, 2, 2))
-        with pytest.raises(ContractError):
-            layer(TokenSeq(Tensor(tokens), grid=None), pos)
-
-
 class TestAxialBranch:
     def test_depth1_is_projection_of_token_plus_encoding(self):
         layer, pos, tokens = branch_env((1, 2, 3), (1, 1, 1))
-        out = layer.axial_branch(Tensor(tokens), (1, 2, 3), pos).data
+        out = layer.axial_branch(Tensor(tokens), pos).data
         expected = (tokens + pos.axial_abs.data[0]) @ layer.axial.v.w.data @ layer.axial.out.w.data
         assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -97,7 +88,7 @@ class TestAxialBranch:
         layer, pos, tokens = branch_env((3, 2, 2), (1, 1, 1), seed=3)
         pos.axial_abs.data[:] = 0.0
         tokens[8] = tokens[0]  # same column (y=0, x=0), depths 0 and 2
-        out = layer.axial_branch(Tensor(tokens), (3, 2, 2), pos).data
+        out = layer.axial_branch(Tensor(tokens), pos).data
         assert np.max(np.abs(out[8] - out[0])) < 1e-14
 
     @pytest.mark.parametrize("grid", [(2, 3, 2), (3, 3, 3)])
@@ -106,14 +97,14 @@ class TestAxialBranch:
         z, y, x = token_coords(grid)
         mask = (y[:, None] == y[None, :]) & (x[:, None] == x[None, :])
         expected = full_attention(layer.axial, *(tokens + pos.axial_abs.data[z],) * 2, mask=mask)
-        out = layer.axial_branch(Tensor(tokens), grid, pos).data
+        out = layer.axial_branch(Tensor(tokens), pos).data
         assert np.max(np.abs(out - expected)) < 1e-10
 
 
 class TestPlanarBranch:
     def test_single_token_slices(self):
         layer, pos, tokens = branch_env((3, 1, 1), (1, 1, 1), seed=7)
-        out = layer.planar_branch(Tensor(tokens), (3, 1, 1), pos).data
+        out = layer.planar_branch(Tensor(tokens), pos).data
         expected = (tokens + pos.planar_abs.data[0]) @ layer.planar.v.w.data @ layer.planar.out.w.data
         assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -121,7 +112,7 @@ class TestPlanarBranch:
         layer, pos, tokens = branch_env((2, 2, 2), (1, 1, 1), seed=8)
         pos.planar_abs.data[:] = 0.0
         tokens[0:4] = tokens[0]  # depth slice 0 all equal
-        out = layer.planar_branch(Tensor(tokens), (2, 2, 2), pos).data
+        out = layer.planar_branch(Tensor(tokens), pos).data
         assert np.max(np.abs(out[0:4] - out[0])) < 1e-14
 
     @pytest.mark.parametrize("grid", [(2, 3, 2), (3, 3, 3)])
@@ -131,7 +122,7 @@ class TestPlanarBranch:
         mask = z[:, None] == z[None, :]
         rem = y * grid[2] + x
         expected = full_attention(layer.planar, *(tokens + pos.planar_abs.data[rem],) * 2, mask=mask)
-        out = layer.planar_branch(Tensor(tokens), grid, pos).data
+        out = layer.planar_branch(Tensor(tokens), pos).data
         assert np.max(np.abs(out - expected)) < 1e-10
 
 
@@ -159,7 +150,7 @@ class TestWindowBranch:
         layer, pos, tokens = branch_env(grid, window, seed=11)
         _, bias = self._bias_matrix(pos, grid, window, layer.window.heads)
         expected = full_attention(layer.window, tokens, tokens, bias=bias)
-        out = layer.window_branch(Tensor(tokens), grid, pos).data
+        out = layer.window_branch(Tensor(tokens), pos).data
         assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_tiled_windows_match_masked_full_attention(self):
@@ -167,12 +158,12 @@ class TestWindowBranch:
         layer, pos, tokens = branch_env(grid, window, seed=12)
         mask, bias = self._bias_matrix(pos, grid, window, layer.window.heads)
         expected = full_attention(layer.window, tokens, tokens, mask=mask, bias=bias)
-        out = layer.window_branch(Tensor(tokens), grid, pos).data
+        out = layer.window_branch(Tensor(tokens), pos).data
         assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_window_111_is_value_passthrough(self):
         layer, pos, tokens = branch_env((2, 2, 2), (1, 1, 1), seed=13)
-        out = layer.window_branch(Tensor(tokens), (2, 2, 2), pos).data
+        out = layer.window_branch(Tensor(tokens), pos).data
         expected = tokens @ layer.window.v.w.data @ layer.window.out.w.data
         assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -181,13 +172,13 @@ class TestWindowBranch:
         layer, pos, tokens = branch_env(grid, window, seed=14)
         pos.window_rel_bias.data[:] = 0.0
         expected = full_attention(layer.window, tokens, tokens)
-        out = layer.window_branch(Tensor(tokens), grid, pos).data
+        out = layer.window_branch(Tensor(tokens), pos).data
         assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_indivisible_grid_rejected(self):
         layer, pos, tokens = branch_env((3, 2, 2), (2, 2, 2))
         with pytest.raises(ShapeError, match="tile"):
-            layer.window_branch(Tensor(np.zeros((12, 8))), (3, 2, 2), pos)
+            layer.window_branch(Tensor(np.zeros((12, 8))), pos)
 
 
 def onehot_window_bias(pos, window):
@@ -231,26 +222,31 @@ class TestMixerLayer:
             attn.out.w.data[:] = 0.0
         layer.ffn.fc2.w.data[:] = 0.0
         layer.ffn.fc2.b.data[:] = 0.0
-        out = layer(TokenSeq(Tensor(tokens), (2, 2, 2)), pos)
-        assert np.array_equal(out.tokens.data, tokens)
+        out = layer(Tensor(tokens), pos)
+        assert np.array_equal(out.data, tokens)
+
+    def test_grid_must_cover_tokens(self):
+        layer, pos, tokens = branch_env((2, 2, 2), (2, 2, 2), seed=23)
+        with pytest.raises(ShapeError, match="does not cover 5 tokens"):
+            layer(Tensor(tokens[:5]), pos)
 
     def test_branch_sum_is_sum_of_branches(self):
         grid = (2, 2, 2)
         layer, pos, tokens = branch_env(grid, (2, 2, 2), seed=21)
         t = Tensor(tokens)
-        mixed = layer.mix(t, grid, pos).data
+        mixed = layer.mix(t, pos).data
         parts = (
-            layer.axial_branch(t, grid, pos).data
-            + layer.planar_branch(t, grid, pos).data
-            + layer.window_branch(t, grid, pos).data
+            layer.axial_branch(t, pos).data
+            + layer.planar_branch(t, pos).data
+            + layer.window_branch(t, pos).data
         )
         assert np.array_equal(mixed, parts)
 
     def test_gradients(self):
         layer, pos, tokens = branch_env((2, 2, 2), (2, 2, 2), seed=22)
-        seq = TokenSeq(Tensor(tokens), (2, 2, 2))
+        x = Tensor(tokens)
         params = layer.params() + pos.params()
-        assert grad_check(lambda: ad.tmean(layer(seq, pos).tokens), params) < 1e-4
+        assert grad_check(lambda: ad.tmean(layer(x, pos)), params) < 1e-4
 
 
 class TestTokenSummarizer:
@@ -290,24 +286,6 @@ class TestTokenSummarizer:
         assert np.max(np.abs(out[0] - feat[1, 0, 1])) < 1e-10
 
 
-class TestSpatialConcat:
-    def test_modality_major_order(self):
-        a = Tensor(np.full((2, 3), 1.0))
-        b = Tensor(np.full((2, 3), 2.0))
-        seq = spatial_concat([a, b])
-        assert seq.grid is None
-        assert np.array_equal(seq.tokens.data[:2], a.data)
-        assert np.array_equal(seq.tokens.data[2:], b.data)
-
-    def test_single_modality_unchanged(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3))
-        assert np.array_equal(spatial_concat([a]).tokens.data, a.data)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            spatial_concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
-
-
 class TestCrossModalityLayer:
     def _layer(self, seed=40, c=8):
         rng = np.random.default_rng(seed)
@@ -332,21 +310,21 @@ class TestCrossModalityLayer:
     def test_channel_mismatch_rejected(self):
         layer, rng = self._layer(seed=42)
         with pytest.raises(ShapeError):
-            layer(TokenSeq(Tensor(np.zeros((4, 8)))), TokenSeq(Tensor(np.zeros((2, 6)))))
+            layer(Tensor(np.zeros((4, 8))), Tensor(np.zeros((2, 6))))
 
     def test_modality_permutation_invariance(self):
         layer, rng = self._layer(seed=43)
-        seq = TokenSeq(Tensor(rng.normal(size=(8, 8))), (2, 2, 2))
+        q = Tensor(rng.normal(size=(8, 8)))
         parts = [Tensor(rng.normal(size=(2, 8))) for _ in range(3)]
-        out = layer(seq, spatial_concat(parts)).tokens.data
-        out_perm = layer(seq, spatial_concat([parts[2], parts[0], parts[1]])).tokens.data
+        out = layer(q, ad.concat(parts, axis=0)).data
+        out_perm = layer(q, ad.concat([parts[2], parts[0], parts[1]], axis=0)).data
         assert np.max(np.abs(out - out_perm)) < 1e-13
 
     def test_gradients(self):
         layer, rng = self._layer(seed=44)
-        seq = TokenSeq(Tensor(rng.normal(size=(8, 8))), (2, 2, 2))
-        summary = TokenSeq(Tensor(rng.normal(size=(4, 8))))
-        assert grad_check(lambda: ad.tmean(layer(seq, summary).tokens), layer.params()) < 1e-4
+        q = Tensor(rng.normal(size=(8, 8)))
+        summary = Tensor(rng.normal(size=(4, 8)))
+        assert grad_check(lambda: ad.tmean(layer(q, summary)), layer.params()) < 1e-4
 
 
 class TestFusion:
@@ -359,9 +337,7 @@ class TestFusion:
 
     def test_output_shape(self):
         fusion, feats = self._fusion()
-        out = fusion(feats)
-        assert out.tokens.shape == (8, 4)
-        assert out.grid == (2, 2, 2)
+        assert fusion(feats).shape == (2, 2, 2, 4)
 
     def test_window_must_tile_grid(self):
         with pytest.raises(ShapeError):
@@ -377,8 +353,8 @@ class TestFusion:
     def test_zero_features_embed_to_position_table(self):
         fusion, _ = self._fusion()
         zeros = [Tensor(np.zeros((2, 2, 2, 4))) for _ in range(2)]
-        seq = fusion.embed_tokens(zeros)
-        assert np.array_equal(seq.tokens.data, fusion.pos.embed_abs.data)
+        tokens = fusion.embed_tokens(zeros)
+        assert np.array_equal(tokens.data, fusion.pos.embed_abs.data)
 
     def test_zeroed_projections_pass_embedding_through(self):
         fusion, feats = self._fusion(seed=51)
@@ -390,8 +366,8 @@ class TestFusion:
         fusion.cross.attn.out.w.data[:] = 0.0
         fusion.cross.ffn.fc2.w.data[:] = 0.0
         fusion.cross.ffn.fc2.b.data[:] = 0.0
-        out = fusion(feats)
-        assert np.array_equal(out.tokens.data, fusion.embed_tokens(feats).tokens.data)
+        out = fusion(feats).data.reshape(8, 4)
+        assert np.array_equal(out, fusion.embed_tokens(feats).data)
 
     def test_residual_source_switch(self):
         # the cross-attention residual adds to the mixed query stream
@@ -399,16 +375,16 @@ class TestFusion:
         fusion.cross.attn.out.w.data[:] = 0.0
         fusion.cross.ffn.fc2.w.data[:] = 0.0
         fusion.cross.ffn.fc2.b.data[:] = 0.0
-        out = fusion(feats).tokens.data
+        out = fusion(feats).data.reshape(8, 4)
 
         mixed = fusion.embed_tokens(feats)
         for layer in fusion.layers:
             mixed = layer(mixed, fusion.pos)
-        assert np.array_equal(out, mixed.tokens.data)
+        assert np.array_equal(out, mixed.data)
 
     def test_deterministic_forward(self):
         fusion, feats = self._fusion(seed=53)
-        assert np.array_equal(fusion(feats).tokens.data, fusion(feats).tokens.data)
+        assert np.array_equal(fusion(feats).data, fusion(feats).data)
 
     def test_pair_counter_matches_closed_form(self):
         fusion, feats = self._fusion(m=3, p=2, seed=54)
@@ -420,7 +396,7 @@ class TestFusion:
 
     def test_single_modality_degenerates_cleanly(self):
         fusion, feats = self._fusion(m=1, seed=55)
-        assert fusion(feats).tokens.shape == (8, 4)
+        assert fusion(feats).shape == (2, 2, 2, 4)
         assert fusion.embed.w.shape == (4, 4)
 
     def test_end_to_end_gradients(self):
@@ -428,4 +404,34 @@ class TestFusion:
         # eps=1e-4: the summarizer's last bias shifts whole softmax columns, so
         # its true gradient is exactly zero and smaller steps leave the numeric
         # estimate dominated by roundoff noise above the 1e-8 error floor
-        assert grad_check(lambda: ad.tmean(fusion(feats).tokens), fusion.params(), eps=1e-4) < 1e-4
+        assert grad_check(lambda: ad.tmean(fusion(feats)), fusion.params(), eps=1e-4) < 1e-4
+
+    def _unmixed(self, grid=(2, 3, 2), c=4, seed=57):
+        # no mixer and no cross layer: the output is the folded embedding
+        cfg = make_cfg(c=c, heads=2, window=(1, 1, 1))
+        rng = np.random.default_rng(seed)
+        fusion = Fusion(2, grid, cfg, rng, spatial_layers=0, use_cross=False, dtype=np.float64)
+        feats = [Tensor(rng.normal(size=grid + (c,))) for _ in range(2)]
+        return fusion, feats
+
+    def test_inverse_of_flatten(self):
+        fusion, feats = self._unmixed()
+        tokens = fusion.embed_tokens(feats).data
+        assert np.array_equal(fusion(feats).data, tokens.reshape(2, 3, 2, 4))
+
+    def test_row_major_token_order(self):
+        d, w, h = 2, 3, 2
+        fusion, feats = self._unmixed((d, w, h))
+        fusion.embed.w.data[:] = 0.0
+        fusion.pos.embed_abs.data[:] = np.arange(d * w * h, dtype=np.float64)[:, None]
+        vol = fusion(feats).data
+        for z in range(d):
+            for y in range(w):
+                for x in range(h):
+                    assert vol[z, y, x, 0] == z * (w * h) + y * h + x
+
+    def test_zero_tokens_zero_volume(self):
+        fusion, feats = self._unmixed()
+        fusion.embed.w.data[:] = 0.0
+        fusion.pos.embed_abs.data[:] = 0.0
+        assert not fusion(feats).data.any()

@@ -259,7 +259,7 @@ class TestAttentionCost:
         pos = PositionEncodings(grid, cfg, rng)
         tokens = Tensor(rng.normal(size=(64, 4)).astype(np.float32))
         pair_counter.reset()
-        layer.mix(tokens, grid, pos)
+        layer.mix(tokens, pos)
         assert pair_counter.count == attention_cost(grid, window, "mixer") == 1792
 
     def test_benchmark_reports_consistent_counts(self):

@@ -291,11 +291,31 @@ class TestGlobalPool:
         np.testing.assert_allclose(ad.global_pool(t(x)).data, [2.0])
 
 
+def upsample_axis_plan(n):
+    """Per output index o along an axis of extent n: the two clamped input
+    indices sampled at (o + 0.5)/2 - 0.5 and the weight of the second."""
+    o = np.arange(2 * n)
+    s = (o + 0.5) / 2.0 - 0.5
+    i0f = np.floor(s)
+    i0 = np.clip(i0f.astype(np.intp), 0, n - 1)
+    i1 = np.clip(i0f.astype(np.intp) + 1, 0, n - 1)
+    return i0, i1, s - i0f
+
+
+def gather_upsample(arr):
+    """Reference forward of one 2x upsampling: two np.take gathers per axis."""
+    for axis in range(3):
+        i0, i1, w1 = upsample_axis_plan(arr.shape[axis])
+        w1b = w1.reshape((-1,) + (1,) * (arr.ndim - axis - 1)).astype(arr.dtype)
+        arr = (1.0 - w1b) * np.take(arr, i0, axis=axis) + w1b * np.take(arr, i1, axis=axis)
+    return arr
+
+
 def scatter_add_upsample_adjoint(g):
     """Reference adjoint of one 2x upsampling: np.add.at over the output index."""
     for axis in (2, 1, 0):
         n_in = g.shape[axis] // 2
-        i0, i1, w1 = ad._upsample_axis_plan(n_in)
+        i0, i1, w1 = upsample_axis_plan(n_in)
         gm = np.moveaxis(g, axis, 0)
         w1b = w1.reshape((-1,) + (1,) * (gm.ndim - 1)).astype(g.dtype)
         out = np.zeros((n_in,) + gm.shape[1:], dtype=g.dtype)
@@ -322,6 +342,15 @@ class TestUpsample:
         x[0, 0, 1, 0] = 1.0
         out = ad.upsample2x(t(x), times=1)
         np.testing.assert_allclose(out.data[0, 0, :, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_equals_gather(self, dtype):
+        rng = np.random.default_rng(10)
+        for shape in [(1, 1, 1, 3), (1, 3, 2, 1), (2, 1, 5, 3), (5, 7, 3, 4), (8, 8, 8, 128)]:
+            x = rng.normal(size=shape).astype(dtype)
+            got = ad._upsample_once(x)
+            assert got.dtype == dtype and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, gather_upsample(x))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_adjoint_equals_scatter_add(self, dtype):
