@@ -10,12 +10,17 @@ Volumes are laid out channels-last and row-major: a feature map has shape
 (d, w, h, C) and flattens to tokens in C order (h fastest).
 
 `gelu`, `layer_norm` (forward and `dx`), the forward of `add`, `sub` and
-`mul`, the bias adds of `linear` and `conv3d`, and the GEMMs of `linear` and
-`conv3d` (forward and backward) split large outputs into contiguous ranges
-of rows, one per op worker.  Every element and every per-row reduction is
-computed by the same numpy call as on a single thread, so the results do not
-depend on the split.  The op pool is the process's one parallel runtime: at
-import, every OpenBLAS library loaded in the process is set to one thread.
+`mul`, the bias adds of `linear` and `conv3d`, the GEMMs of `linear` and
+`conv3d` (forward and backward) and the forward of `feed_forward` split
+large outputs into contiguous ranges of rows, one per op worker.  Every
+element and every per-row reduction is computed by the same numpy call as on
+a single thread, so the results do not depend on the split.  The op pool is
+the process's one parallel runtime: at import, every OpenBLAS library loaded
+in the process is set to one thread.
+
+An op that records no tape node keeps no backward state: untaped, `gelu`'s
+cdf, `layer_norm`'s normalized input and `feed_forward`'s hidden layer live
+only in the scratch of one block of rows.
 """
 
 import ctypes
@@ -223,14 +228,21 @@ class Tape:
         return len(self.nodes)
 
 
+def _records(inputs):
+    """Whether an op on `inputs` records a tape node: a tape is active and an
+    input requires gradients.  An op that will not record keeps no backward
+    state."""
+    return _active_tape is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(op, inputs, out_data, backward):
     """Wrap `out_data` in a Tensor, recording a node if gradients are needed."""
     out = Tensor(out_data)
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._leaf = False
-        if _active_tape is not None:
-            _active_tape.nodes.append(Node(op, tuple(inputs), out, backward))
+    if _records(inputs):
+        _active_tape.nodes.append(Node(op, tuple(inputs), out, backward))
     return out
 
 
@@ -291,9 +303,11 @@ def _by_rows(kernel, args, *outs, block=None, k=None):
     writes it with out= ufuncs; returns outs[0].  Below _SPLIT_MIN output
     elements this is one call.  Above it, the op workers take contiguous
     ranges of rows, which a `block` (in elements) cuts further so that a
-    kernel's temporaries stay in cache.  An input of lower rank than the
-    outputs, or of extent 1 on the first axis, broadcasts and is passed
-    whole.
+    kernel's temporaries stay in cache.  A range's last block takes in a
+    tail shorter than a block, so no kernel call gets fewer rows than a
+    block holds, or than its range if that is shorter.  An input of lower
+    rank than the outputs, or of extent 1 on the first axis, broadcasts and
+    is passed whole.
 
     A GEMM kernel passes its inner extent `k`, and one size rule splits it:
     one range per op worker, but every range keeps at least _GEMM_MIN
@@ -301,7 +315,9 @@ def _by_rows(kernel, args, *outs, block=None, k=None):
     one column stays whole.  So a small product stays one BLAS call, and no
     range is a one-row or one-column product, which BLAS may hand to a
     matrix-vector kernel that sums in another order.  Each range computes
-    exactly the dot products of the unsplit call."""
+    exactly the dot products of the unsplit call, and so does each block of
+    a range when no block is shorter than two rows and _GEMM_MIN
+    multiply-adds."""
     out = outs[0]
     if k is None:
         parts = out.shape[0] if out.size >= _SPLIT_MIN else 1
@@ -317,9 +333,13 @@ def _by_rows(kernel, args, *outs, block=None, k=None):
         return a if a.ndim < out.ndim or a.shape[0] == 1 else a[s:e]
 
     def work(lo, hi):
-        for s in range(lo, hi, step):
-            e = min(s + step, hi)
+        s = lo
+        while s < hi:
+            # a tail shorter than a block joins the block before it, so no
+            # block of a range is shorter than `step` rows or the range
+            e = hi if hi - s < 2 * step else s + step
             kernel(*(rows(a, s, e) for a in args), *(o[s:e] for o in outs))
+            s = e
 
     _split_rows(n, work, parts)
     return out
@@ -413,23 +433,28 @@ def tlog(a):
 def gelu(a):
     """Exact (erf-based) Gaussian error linear unit."""
     x = a.data.reshape(-1)
-    cdf = np.empty_like(x)
-    y = _by_rows(_gelu_forward, (x,), np.empty_like(x), cdf, block=_BLOCK)
-
-    def bwd(g):
-        g = g.reshape(-1)
-        return (_by_rows(_gelu_grad, (x, cdf, g), _empty(g, x), block=_BLOCK).reshape(a.shape),)
-
-    return _record("gelu", (a,), y.reshape(a.shape), bwd)
+    # the backward needs the cdf; without a node to record, each block's
+    # cdf is scratch of that block
+    cdf = (np.empty_like(x),) if _records((a,)) else ()
+    y = _by_rows(_gelu_forward, (x,), np.empty_like(x), *cdf, block=_BLOCK)
+    return _record("gelu", (a,), y.reshape(a.shape), lambda g: (_gelu_dx(a.data, *cdf, g),))
 
 
-def _gelu_forward(x, y, cdf):
+def _gelu_forward(x, y, cdf=None):
     # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and y = x * cdf, op by op
-    np.multiply(x, _INV_SQRT2, out=cdf)
+    cdf = np.multiply(x, _INV_SQRT2, out=cdf)
     erf(cdf, out=cdf)
     np.add(cdf, 1.0, out=cdf)
     np.multiply(cdf, 0.5, out=cdf)
     np.multiply(x, cdf, out=y)
+
+
+def _gelu_dx(x, cdf, g, out=None):
+    """gelu's input gradient for upstream `g`, input `x` and the forward's
+    `cdf`, any shape; written into `out` if given, which may be `g`."""
+    flat = g.reshape(-1)
+    dx = _empty(flat, x.reshape(-1)) if out is None else out.reshape(-1)
+    return _by_rows(_gelu_grad, (x.reshape(-1), cdf.reshape(-1), flat), dx, block=_BLOCK).reshape(g.shape)
 
 
 def _gelu_grad(x, cdf, g, dx):
@@ -553,16 +578,17 @@ def linear(x, w, b=None):
     y = _gemm(x.data.reshape(-1, w.shape[0]), w.data)
     if b is not None:
         y = _by_rows(np.add, (y, b.data), y if y.dtype == np.result_type(y, b.data) else _empty(y, b.data))
-
-    def bwd(g):
-        gx = _gemm(g, w.data.T)
-        gw = _unbroadcast(_gemm(np.swapaxes(x.data, -1, -2), g), w.shape)
-        if b is None:
-            return gx, gw
-        return gx, gw, _unbroadcast(g, b.shape)
-
     inputs = (x, w) if b is None else (x, w, b)
-    return _record("linear", inputs, y.reshape(x.shape[:-1] + w.shape[1:]), bwd)
+    return _record("linear", inputs, y.reshape(x.shape[:-1] + w.shape[1:]),
+                   lambda g: _linear_grads(x.data, w.data, g, bias=b is not None))
+
+
+def _linear_grads(x, w, g, bias=True):
+    """linear's input, weight and, with `bias`, bias gradients for upstream
+    `g` of shape (..., Cout) and input `x` of shape (..., C)."""
+    gx = _gemm(g, w.T)
+    gw = _unbroadcast(_gemm(np.swapaxes(x, -1, -2), g), w.shape)
+    return (gx, gw, _unbroadcast(g, w.shape[1:])) if bias else (gx, gw)
 
 
 def softmax_last(a):
@@ -590,26 +616,38 @@ def layer_norm(x, gamma, beta):
             f"layer_norm channel extent {c} does not match gamma {gamma.shape} / beta {beta.shape}"
         )
     rows = x.data.reshape(-1, c)
-    xhat = np.empty_like(rows)
-    inv = np.empty((rows.shape[0], 1), dtype=x.dtype)
+    # the backward needs xhat and inv; without a node to record, they are
+    # scratch of each block
+    state = ()
+    if _records((x, gamma, beta)):
+        state = (np.empty_like(rows), np.empty((rows.shape[0], 1), dtype=x.dtype))
     y = _by_rows(_ln_forward, (rows, gamma.data, beta.data), _empty(rows, gamma.data, beta.data),
-                 xhat, inv, block=_BLOCK)
-
-    def bwd(g):
-        g = g.reshape(-1, c)
-        # dgamma and dbeta sum over rows, so they are never split
-        dgamma = (g * xhat).sum(axis=0)
-        dbeta = g.sum(axis=0)
-        dx = _by_rows(_ln_dx, (g, gamma.data, xhat, inv), _empty(g, gamma.data, xhat), block=_BLOCK)
-        return dx.reshape(x.shape), dgamma, dbeta
-
-    return _record("layer_norm", (x, gamma, beta), y.reshape(x.shape), bwd)
+                 *state, block=_BLOCK)
+    return _record("layer_norm", (x, gamma, beta), y.reshape(x.shape),
+                   lambda g: _ln_grads(g, gamma.data, *state))
 
 
-def _ln_forward(x, gamma, beta, y, xhat, inv):
+def _ln_grads(g, gamma, xhat, inv, out=None):
+    """layer_norm's input, gamma and beta gradients for upstream `g` of any
+    shape (..., C) and the forward's (rows, C) `xhat` and (rows, 1) `inv`;
+    the input gradient is written into `out` if given, which may be `g`."""
+    rows = g.reshape(-1, gamma.shape[0])
+    # dgamma and dbeta sum over rows, so they are never split
+    dgamma = (rows * xhat).sum(axis=0)
+    dbeta = rows.sum(axis=0)
+    dx = _empty(rows, gamma, xhat) if out is None else out.reshape(rows.shape)
+    dx = _by_rows(_ln_dx, (rows, gamma, xhat, inv), dx, block=_BLOCK)
+    return dx.reshape(g.shape), dgamma, dbeta
+
+
+def _ln_forward(x, gamma, beta, y, xhat=None, inv=None):
     xc = x - x.mean(axis=-1, keepdims=True)
-    np.divide(1.0, np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5), out=inv)
-    np.multiply(xc, inv, out=xhat)
+    inv = np.divide(1.0, np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5), out=inv)
+    xhat = np.multiply(xc, inv, out=xc if xhat is None else xhat)
+    _ln_affine(xhat, gamma, beta, y)
+
+
+def _ln_affine(xhat, gamma, beta, y):
     np.add(xhat * gamma, beta, out=y)
 
 
@@ -617,6 +655,78 @@ def _ln_dx(g, gamma, xhat, inv, dx):
     dxhat = g * gamma
     np.multiply(inv, dxhat - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True), out=dx)
+
+
+def feed_forward(x, gamma, beta, w1, b1, w2, b2):
+    """The pre-norm feed-forward x + gelu(layer_norm(x) @ w1 + b1) @ w2 + b2,
+    as one tape node.
+
+    The forward runs the whole chain on blocks of rows, through _by_rows's
+    GEMM rule; each block keeps at least _GEMM_MIN multiply-adds per GEMM and
+    two rows, so every block GEMM computes the dot products of the unsplit
+    call, and output and gradients are bit-identical to the five-node chain
+    layer_norm, linear, gelu, linear, add.  Without a node to record, the
+    hidden layer lives only in block scratch.  A recorded node keeps
+    layer_norm's xhat and inv, the first linear's output and gelu's cdf; its
+    backward runs the chain's backward expressions on full-shape arrays.
+    `x` is listed twice among the node's inputs, for the residual gradient
+    and then layer_norm's, so `backward` sums them in the chain's order."""
+    c = x.shape[-1] if x.ndim >= 2 else None
+    hidden = w1.shape[-1] if w1.ndim == 2 else None
+    shapes = (gamma.shape, beta.shape, w1.shape, b1.shape, w2.shape, b2.shape)
+    if c is None or hidden is None or shapes != ((c,), (c,), (c, hidden), (hidden,), (hidden, c), (c,)):
+        raise ShapeError(
+            f"feed_forward needs x (..., C) of rank >= 2, gamma, beta and b2 (C,), w1 (C, H), b1 (H,) "
+            f"and w2 (H, C), got x {x.shape}, gamma {gamma.shape}, beta {beta.shape}, w1 {w1.shape}, "
+            f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
+    inputs = (x, x, gamma, beta, w1, b1, w2, b2)
+    params = tuple(t.data for t in inputs[2:])
+    rows = x.data.reshape(-1, c)
+    n = rows.shape[0]
+    out = np.empty(rows.shape, np.result_type(rows, *params))
+    state = ()
+    if _records(inputs):
+        state = (np.empty_like(out), np.empty((n, 1), out.dtype), np.empty((n, hidden), out.dtype),
+                 np.empty((n, hidden), out.dtype))
+    # a block's hidden layer is at least 2 * _BLOCK elements, which stays in
+    # L2 and keeps numpy's per-call cost small against the work
+    block_rows = max(2, -(-_GEMM_MIN // (c * hidden)), 2 * _BLOCK // hidden)
+    _by_rows(_ff_kernel(*params), (rows,), out, *state, block=block_rows * c, k=hidden)
+
+    def bwd(g):
+        xhat, inv, a, cdf = state
+        a, cdf = (v.reshape(x.shape[:-1] + (hidden,)) for v in (a, cdf))
+        # gelu's and layer_norm's outputs are recomputed, and their input
+        # gradients overwrite their upstream ones, so the backward allocates
+        # as many full-size arrays as the chain's
+        h = _by_rows(np.multiply, (a, cdf), np.empty_like(a))
+        gh, gw2, gb2 = _linear_grads(h, w2.data, g)
+        del h
+        ga = _gelu_dx(a, cdf, gh, out=gh)
+        y = _by_rows(_ln_affine, (xhat, gamma.data, beta.data), np.empty_like(xhat), block=_BLOCK)
+        gy, gw1, gb1 = _linear_grads(y.reshape(x.shape), w1.data, ga)
+        del y, ga, gh
+        dx, dgamma, dbeta = _ln_grads(gy, gamma.data, xhat, inv, out=gy)
+        return g, dx, dgamma, dbeta, gw1, gb1, gw2, gb2
+
+    return _record("feed_forward", inputs, out.reshape(x.shape), bwd)
+
+
+def _ff_kernel(gamma, beta, w1, b1, w2, b2):
+    """feed_forward's forward on a block of rows: x (rows, C) into y, and
+    into the recorded node's xhat, inv, fc1 output `a` and cdf when given."""
+    def kernel(x, y, xhat=None, inv=None, a=None, cdf=None):
+        ln = np.empty_like(y)
+        _ln_forward(x, gamma, beta, ln, xhat, inv)
+        a = np.matmul(ln, w1, out=a)
+        del ln
+        np.add(a, b1, out=a)
+        h = np.empty_like(a)
+        _gelu_forward(a, h, cdf)
+        np.matmul(h, w2, out=y)
+        np.add(y, b2, out=y)
+        np.add(x, y, out=y)
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ class GlobalPoolBlock(Module):
         pooled = ad.global_pool(self.norm1(x))                  # (C,)
         summary = self.pool_proj(ad.reshape(pooled, (1, self.c)))
         y = ad.add(x, ad.reshape(summary, (1, 1, 1, self.c)))   # broadcast over positions
-        return ad.add(y, self.mlp(self.norm2(y)))
+        return self.mlp.residual(y, self.norm2)
 
 
 class LocalPoolBlock(Module):
@@ -68,7 +68,7 @@ class LocalPoolBlock(Module):
     def __call__(self, x):
         h = self.norm1(x)
         y = ad.add(x, ad.sub(ad.avg_pool3d(h), h))
-        return ad.add(y, self.mlp(self.norm2(y)))
+        return self.mlp.residual(y, self.norm2)
 
 
 class ConvBlock(Module):

@@ -198,7 +198,7 @@ class SpatialMixerLayer(Module):
         if tokens.shape[0] != d * w * h:
             raise ShapeError(f"grid {pos.grid} does not cover {tokens.shape[0]} tokens")
         z = ad.add(tokens, self.mix(self.norm1(tokens), pos))
-        return ad.add(z, self.ffn(self.norm2(z)))
+        return self.ffn.residual(z, self.norm2)
 
 
 class TokenSummarizer(Module):
@@ -235,7 +235,7 @@ class CrossModalityLayer(Module):
         if tokens.shape[-1] != summary.shape[-1]:
             raise ShapeError(f"channel mismatch: {tokens.shape} vs {summary.shape}")
         z = ad.add(tokens, self.attn(self.norm_q(tokens), self.norm_kv(summary)))
-        return ad.add(z, self.ffn(self.norm2(z)))
+        return self.ffn.residual(z, self.norm2)
 
 
 class Fusion(Module):

@@ -189,6 +189,9 @@ class Model(Module):
                 skips.append(self.decoder.gated_skip(fused, level, feats))
             else:
                 skips.append(reduce(ad.add, feats))
+        # without a tape, nothing else holds the encoder features, so they
+        # are freed before the decoder runs
+        del pyramids, feats
         return self.decoder(fused, skips)
 
     def param_breakdown(self):

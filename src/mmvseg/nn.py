@@ -85,7 +85,10 @@ class Conv3d(Module):
 
 
 class Mlp(Module):
-    """linear -> GELU -> linear, the feed-forward sub-block used throughout."""
+    """linear -> GELU -> linear.  Called, it is `TokenSummarizer.score`;
+    the transformer and encoder blocks keep their feed-forward weights in an
+    Mlp and apply x + mlp(norm(x)) through `residual`, one taped
+    `feed_forward` node."""
 
     def __init__(self, c, hidden, rng, dtype=np.float32, cout=None):
         self.fc1 = Linear(c, hidden, rng, dtype)
@@ -93,3 +96,7 @@ class Mlp(Module):
 
     def __call__(self, x):
         return self.fc2(ad.gelu(self.fc1(x)))
+
+    def residual(self, x, norm):
+        """x + self(norm(x)) for a LayerNorm `norm`, as one `feed_forward` node."""
+        return ad.feed_forward(x, norm.gamma, norm.beta, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)

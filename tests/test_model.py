@@ -1,6 +1,7 @@
 import json
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from mmvseg import Model, ModelConfig, attention_cost, load_checkpoint, save_checkpoint
 from mmvseg import autodiff as ad
 from mmvseg.autodiff import grad_check
-from mmvseg.decoder import DecoderConfig
-from mmvseg.encoder import EncoderConfig
+from mmvseg.decoder import Decoder, DecoderConfig
+from mmvseg.encoder import Encoder, EncoderConfig
 from mmvseg.errors import ConfigError, ContractError, FormatError, ShapeError
 from mmvseg.fusion import (
     AttentionConfig,
@@ -153,6 +154,28 @@ class TestForward:
             x = rng.uniform(-3, 3, size=(16, 16, 16, 2)).astype(np.float32)
             out = model(x).data
             assert np.isfinite(out).all(), f"non-finite logits at seed {seed}"
+
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_untaped_forward_frees_stage1_features_before_decoder(self, monkeypatch, gated):
+        refs, alive = [], []
+        encode, decode = Encoder.__call__, Decoder.__call__
+
+        def encoder_call(enc, volume):
+            levels = encode(enc, volume)
+            data = levels[0].data
+            refs.extend(weakref.ref(a) for a in (data, data.base) if a is not None)
+            return levels
+
+        def decoder_call(dec, bottleneck, skips):
+            alive.append(sum(ref() is not None for ref in refs))
+            return decode(dec, bottleneck, skips)
+
+        monkeypatch.setattr(Encoder, "__call__", encoder_call)
+        monkeypatch.setattr(Decoder, "__call__", decoder_call)
+        model = Model(toy_config(use_gated_skips=gated))
+        x = np.random.default_rng(5).uniform(-1, 1, size=(16, 16, 16, 2)).astype(np.float32)
+        model(x)
+        assert len(refs) >= 2 and alive == [0]
 
     def test_ablated_model_still_runs(self):
         cfg = toy_config(use_spatial_attention=False, use_cross_attention=False,

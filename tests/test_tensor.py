@@ -460,6 +460,7 @@ OP_CASES = [
     ("neg", lambda rng: _unary_case(rng, ad.neg)),
     ("reshape", lambda rng: _unary_case(rng, lambda x: ad.reshape(x, (1, -1)))),
     ("linear", lambda rng: _linear_case(rng)),
+    ("feed_forward", lambda rng: _feed_forward_case(rng)),
 ]
 
 # OP_CASES names of the taped primitives whose function name differs
@@ -514,6 +515,16 @@ def _linear_case(rng):
     b = Tensor(rng.normal(size=cout), requires_grad=True)
     r = rng.normal(size=lead + (cout,))
     return lambda: (ad.linear(x, w, b) * Tensor(r)).sum(), [x, w, b]
+
+
+def _feed_forward_case(rng):
+    # a rank-3 input, so the linear weight gradients sum over a batch
+    shape = (int(rng.integers(1, 3)), int(rng.integers(2, 4)), int(rng.integers(2, 5)))
+    c, hidden = shape[-1], int(rng.integers(1, 6))
+    draw = lambda s: Tensor(rng.normal(size=s), requires_grad=True)
+    params = [draw(shape), draw(c), draw(c), draw((c, hidden)), draw(hidden), draw((hidden, c)), draw(c)]
+    r = rng.normal(size=shape)
+    return lambda: (ad.feed_forward(*params) * Tensor(r)).sum(), params
 
 
 def _layer_norm_case(rng):
