@@ -7,13 +7,14 @@ allocate the arrays only a backward pass needs.
 """
 
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from test_row_split import set_workers  # noqa: F401 (a fixture)
+from test_tensor import assert_same_numbers, value_and_grads
 
 from mmvseg import autodiff as ad
-from mmvseg.autodiff import Tape, Tensor, backward
+from mmvseg.autodiff import Tape, Tensor
 from mmvseg.errors import ShapeError
 
 DTYPES = (np.float32, np.float64)
@@ -35,43 +36,17 @@ def ff_params(shape, hidden, dtype, seed=0, requires_grad=True):
             draw((hidden, c), 0.3), draw((c,))]
 
 
-def value_and_grads(fn, leaves, seed=1):
-    """fn()'s value and the gradients of sum(fn() * r) for a seeded r."""
-    for p in leaves:
-        p.grad = None
-    with Tape() as tape:
-        out = fn()
-        r = np.random.default_rng(seed).normal(size=out.shape).astype(out.dtype)
-        loss = ad.tsum(ad.mul(out, Tensor(r)))
-    backward(loss, tape, leaves=leaves)
-    return out.data.copy(), [p.grad.copy() for p in leaves]
+# rows of a GEMM of _GEMM_MIN multiply-adds at 8 channels and hidden width 32
+GEMM_MIN_ROWS = ad._GEMM_MIN // (8 * 32)
 
-
-def assert_exact(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert np.array_equal(a, b)
-
-
-@pytest.fixture
-def set_workers(monkeypatch):
-    """Sets OP_WORKERS; a one-CPU host gets a pool for the extra ranges."""
-    if ad._POOL is None:
-        monkeypatch.setattr(ad, "_POOL", ThreadPoolExecutor(1))
-    return lambda n: monkeypatch.setattr(ad, "OP_WORKERS", n)
-
-
-def block_rows(c, hidden):
-    return max(2, -(-ad._GEMM_MIN // (c * hidden)))
-
-
-# (input shape, hidden width).  Row counts are odd or prime where they are
-# large, so neither the worker count nor the block divides them.
+# (input shape, hidden width).  Row counts are odd where they are large, so
+# neither the worker count nor the block divides them.
 SHAPES = {
     "tokens-1-row": ((1, 8), 32),
     "tokens-2-rows": ((2, 8), 32),
     "tokens-3-rows": ((3, 8), 32),
-    "tokens-below-split": ((2 * block_rows(8, 32) - 1, 8), 32),
-    "tokens-multiblock": ((5 * block_rows(8, 32) + 1, 8), 32),
+    "tokens-below-split": ((2 * GEMM_MIN_ROWS - 1, 8), 32),
+    "tokens-multiblock": ((5 * GEMM_MIN_ROWS + 1, 8), 32),
     "tokens-c128": ((157, 128), 512),
     "volume-c32": ((9, 10, 11, 32), 128),
     "volume-odd": ((3, 31, 97, 8), 32),
@@ -86,14 +61,12 @@ SHAPES = {
 def test_matches_the_five_node_chain(set_workers, dtype, shape, workers):
     set_workers(workers)
     params = ff_params(*SHAPES[shape], dtype)
-    want_y, want_grads = value_and_grads(lambda: chain(*params), params)
-    got_y, got_grads = value_and_grads(lambda: ad.feed_forward(*params), params)
-    assert_exact(got_y, want_y)
-    assert len(got_grads) == 7
-    for got, want in zip(got_grads, want_grads, strict=True):
-        assert_exact(got, want)
+    want = value_and_grads(lambda: chain(*params), params)
+    got = value_and_grads(lambda: ad.feed_forward(*params), params)
+    assert len(got[1]) == 7
+    assert_same_numbers(got, want)
     # the untaped forward computes the same output
-    assert_exact(ad.feed_forward(*params).data, want_y)
+    assert np.array_equal(ad.feed_forward(*params).data, want[0])
 
 
 def test_records_one_node_listing_x_twice():
@@ -112,19 +85,19 @@ def test_residual_gradient_is_summed_first():
     x = params[0]
     want = value_and_grads(lambda: ad.mul(chain(*params), x), params)
     got = value_and_grads(lambda: ad.mul(ad.feed_forward(*params), x), params)
-    for a, b in zip([got[0], *got[1]], [want[0], *want[1]], strict=True):
-        assert_exact(a, b)
+    assert_same_numbers(got, want)
 
 
-@pytest.mark.parametrize("rows,c,hidden", [(7, 4, 16), (2, 8, 32)])
-def test_block_loop_leaves_no_short_tail(set_workers, rows, c, hidden):
-    """Every kernel call of a split GEMM gets at least a block of rows."""
+@pytest.mark.parametrize("blocks", [5, 7])
+def test_block_loop_leaves_no_short_tail(set_workers, blocks):
+    """Every kernel call of a blocked split gets at least a block of rows,
+    though the two ranges' row counts are not multiples of a block."""
     set_workers(2)
-    step = 3
+    step, c = 3, 4
     seen = []
-    out = np.empty((rows * step, c))
+    out = np.empty((blocks * step, c))
     ad._by_rows(lambda o: seen.append(len(o)), (), out, block=step * c, k=ad._GEMM_MIN)
-    assert sum(seen) == rows * step and min(seen) >= step
+    assert sum(seen) == blocks * step and min(seen) >= step
 
 
 @pytest.mark.parametrize("bad", ["gamma", "w1", "w2", "b2", "rank1"])
