@@ -932,18 +932,13 @@ def _upsample_once_adjoint(g):
     return np.ascontiguousarray(g)
 
 
-def upsample2x(x, times=1):
-    """Trilinear upsampling of a channels-last volume; each application
-    doubles every spatial extent.  times=0 is the identity."""
+def upsample2x(x):
+    """Trilinear upsampling of a channels-last volume, doubling every spatial
+    extent: one tape node per call."""
     if x.ndim != 4:
         raise ShapeError(f"upsample2x expects rank 4, got {x.shape}")
-    if times < 0:
-        raise ContractError(f"upsample2x times must be >= 0, got {times}")
-    out = x
-    for _ in range(times):
-        out = _record("upsample2x", (out,), _upsample_once(out.data),
-                      lambda g: (_upsample_once_adjoint(g),))
-    return out
+    return _record("upsample2x", (x,), _upsample_once(x.data),
+                   lambda g: (_upsample_once_adjoint(g),))
 
 
 # ---------------------------------------------------------------------------

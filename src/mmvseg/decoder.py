@@ -1,9 +1,10 @@
 """Decoding from the fused bottleneck volume to full-resolution class logits.
 
 At every level above the bottleneck the per-modality encoder skips are gated
-by a learned importance map (one sigmoid scalar per voxel per modality,
-derived by projecting the fused volume and upsampling) before the usual
-upsample / concat / conv walk up to full resolution.
+by a learned importance map (one sigmoid scalar per voxel per modality) before
+the usual upsample / concat / conv walk up to full resolution.  The fused
+volume is projected to per-modality gate logits once, and the logits are
+upsampled one level at a time as the gates climb the decoder.
 """
 
 from dataclasses import dataclass
@@ -55,7 +56,8 @@ class Decoder(Module):
     """Bottom-up decoder over a 5-level pyramid with modality-gated skips.
 
     `skip_channels` lists the encoder channel widths for levels 4..1 (the
-    order the decoder consumes them).
+    order the decoder consumes them).  A gated decoder owns `gate_fc`, the
+    projection of the fused volume to one gate logit per modality.
     """
 
     def __init__(self, bottleneck_channels, modalities, skip_channels, cfg, rng,
@@ -74,22 +76,24 @@ class Decoder(Module):
             for cin, skip, cout in zip(cins, skip_channels, cfg.level_channels)
         ]
         self.head = Conv3d(cfg.level_channels[-1], cfg.out_classes, 1, rng, dtype=dtype)
-        self.modalities = modalities
-        self.cfg = cfg
 
-    def importance(self, fused, level):
-        """Per-voxel, per-modality gates in (0,1) at the extents of `level`:
-        project the fused (d, w, h, C) volume to M channels, upsample 2x per
-        level climbed, squash with the logistic sigmoid."""
+    def gated_skips(self, fused, levels):
+        """Gated skip volumes for levels 4, 3, ... from the fused (d, w, h, C)
+        volume; `levels` holds each level's M per-modality feature volumes,
+        starting at level 4.  The fused volume is projected to M gate logits
+        once, and the logits are upsampled 2x per level climbed."""
         if self.gate_fc is None:
             raise ContractError("this decoder was built without skip gates")
-        if not 1 <= level <= N_LEVELS - 1:
-            raise ConfigError(f"gates exist for levels 1..{N_LEVELS - 1}, got {level}")
         logits = self.gate_fc(fused)
-        return ad.sigmoid(ad.upsample2x(logits, times=N_LEVELS - level))
+        skips = []
+        for feats in levels:
+            logits = ad.upsample2x(logits)
+            skips.append(self.gated_skip(logits, feats))
+        return skips
 
-    def gated_skip(self, fused, level, feats):
-        return modality_gated_sum(self.importance(fused, level), feats)
+    def gated_skip(self, logits, feats):
+        """One level's skip: the features summed under sigmoid(logits)."""
+        return modality_gated_sum(ad.sigmoid(logits), feats)
 
     def __call__(self, bottleneck, skips):
         """bottleneck (d, w, h, C); skips = gated features for levels 4..1."""

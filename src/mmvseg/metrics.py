@@ -141,11 +141,12 @@ def _mean_defined(values):
     return sum(defined) / len(defined) if defined else math.inf
 
 
-def evaluate(model, dataset, classes=None, out_dir=None, case_ids=None):
+def evaluate(model, dataset, out_dir=None, case_ids=None):
     """Run `model` over (volume, mask) pairs and aggregate Dice / HD95.
 
     `model` maps a D*H*W*M float volume to per-voxel class logits; argmax
-    defines the prediction.  `classes` defaults to all foreground labels.
+    defines the prediction; each case is scored on its foreground labels
+    1..n_classes-1, and all cases must share one class count.
     `case_ids` names the cases in the report (default: 0, 1, ...).
     When `out_dir` is given, writes metrics.csv (one row per case plus one
     summary row) and metrics.json (per-class detail).  Returns the report
@@ -162,7 +163,7 @@ def evaluate(model, dataset, classes=None, out_dir=None, case_ids=None):
             raise ShapeError(
                 f"case {idx}: logits cover {logits.shape[:3]}, mask {mask.shape}"
             )
-        case_classes = classes if classes is not None else range(1, mask.n_classes)
+        case_classes = range(1, mask.n_classes)
         pred = SegmentationMask(
             np.argmax(logits, axis=-1).astype(mask.labels.dtype),
             n_classes=mask.n_classes,
@@ -180,14 +181,12 @@ def evaluate(model, dataset, classes=None, out_dir=None, case_ids=None):
         raise ContractError("evaluate needs a nonempty dataset")
     keys = list(per_case[0]["dice"])
     if any(list(row["dice"]) != keys for row in per_case):
-        raise ContractError("cases disagree on class sets; pass classes explicitly")
-    if classes is None:
-        classes = [int(k) for k in keys]
+        raise ContractError("cases disagree on class sets; every mask needs the same n_classes")
     mean_dice = {k: sum(row["dice"][k] for row in per_case) / len(per_case) for k in keys}
     mean_hd95 = {k: _mean_defined([row["hd95"][k] for row in per_case]) for k in keys}
     report = {
         "n_cases": len(per_case),
-        "classes": [int(c) for c in classes],
+        "classes": [int(k) for k in keys],
         "per_case": per_case,
         "mean_dice": {**mean_dice, "mean": sum(mean_dice.values()) / len(keys)},
         "mean_hd95": {**mean_hd95, "mean": _mean_defined(mean_hd95.values())},

@@ -182,16 +182,14 @@ class Model(Module):
             for i, enc in enumerate(self.encoders)
         ]
         fused = self.fusion([p[-1] for p in pyramids])
-        skips = []
-        for level in (4, 3, 2, 1):
-            feats = [p[level - 1] for p in pyramids]
-            if self.cfg.use_gated_skips:
-                skips.append(self.decoder.gated_skip(fused, level, feats))
-            else:
-                skips.append(reduce(ad.add, feats))
-        # without a tape, nothing else holds the encoder features, so they
-        # are freed before the decoder runs
-        del pyramids, feats
+        levels = [[p[level - 1] for p in pyramids] for level in (4, 3, 2, 1)]
+        if self.cfg.use_gated_skips:
+            skips = self.decoder.gated_skips(fused, levels)
+        else:
+            skips = [reduce(ad.add, feats) for feats in levels]
+        # without a tape, nothing else holds the encoder features or the gate
+        # logits, so they are freed before the decoder runs
+        del pyramids, levels
         return self.decoder(fused, skips)
 
     def param_breakdown(self):

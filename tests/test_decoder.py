@@ -1,10 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from mmvseg import Tensor, grad_check
 from mmvseg import autodiff as ad
 from mmvseg.decoder import Decoder, DecoderConfig, modality_gated_sum
-from mmvseg.errors import ConfigError, ShapeError
+from mmvseg.errors import ConfigError, ContractError, ShapeError
 from test_tensor import assert_same_numbers, value_and_grads
 
 
@@ -23,56 +25,124 @@ def make_decoder(c=4, m=2, skips=(3, 3, 2, 2), levels=(4, 3, 3, 2), classes=2, s
     return Decoder(c, m, skips, cfg, np.random.default_rng(seed), dtype=dtype), cfg
 
 
+def old_gated_skip(dec, fused, level, feats):
+    """The per-level formula the gate chain replaced, kept as its oracle: a
+    fresh projection of the fused volume, upsampled 5 - level times."""
+    logits = dec.gate_fc(fused)
+    for _ in range(5 - level):
+        logits = ad.upsample2x(logits)
+    return modality_gated_sum(ad.sigmoid(logits), feats)
+
+
 class TestImportance:
     def _fused(self, c=4, grid=(2, 2, 2), seed=2):
         return Tensor(np.random.default_rng(seed).normal(size=grid + (c,)))
 
+    @staticmethod
+    def _gates(dec, fused, n_levels, m=2):
+        """The gates of the first `n_levels` levels, read off `gated_skips` by
+        feeding modality i a one-hot channel i: level k's skip is its (D, H,
+        W, M) gate volume."""
+        extents = [tuple(2 ** k * g for g in fused.shape[:3]) for k in range(1, n_levels + 1)]
+        levels = [[Tensor(np.broadcast_to(np.eye(m)[i], e + (m,)).copy()) for i in range(m)]
+                  for e in extents]
+        return [skip.data for skip in dec.gated_skips(fused, levels)]
+
     def test_level4_doubles_once(self):
         dec, _ = make_decoder()
-        assert dec.importance(self._fused(), 4).shape == (4, 4, 4, 2)
+        assert self._gates(dec, self._fused(), 1)[0].shape == (4, 4, 4, 2)
 
     def test_level1_reaches_full_resolution(self):
         dec, _ = make_decoder()
-        assert dec.importance(self._fused(), 1).shape == (32, 32, 32, 2)
+        shapes = [g.shape for g in self._gates(dec, self._fused(), 4)]
+        assert shapes == [(4, 4, 4, 2), (8, 8, 8, 2), (16, 16, 16, 2), (32, 32, 32, 2)]
 
-    def test_level_out_of_range(self):
-        dec, _ = make_decoder()
-        with pytest.raises(ConfigError):
-            dec.importance(self._fused(), 5)
+    def test_ungated_decoder_has_no_gates(self):
+        dec = Decoder(4, 2, (3, 3, 2, 2), DecoderConfig(level_channels=(4, 3, 3, 2)),
+                      np.random.default_rng(1), dtype=np.float64, gated=False)
+        with pytest.raises(ContractError):
+            self._gates(dec, self._fused(), 1)
 
     def test_zero_fc_gives_half_everywhere(self):
         dec, _ = make_decoder()
         dec.gate_fc.w.data[:] = 0.0
         dec.gate_fc.b.data[:] = 0.0
-        gates = dec.importance(self._fused(), 3).data
-        assert np.array_equal(gates, np.full_like(gates, 0.5))
+        for gates in self._gates(dec, self._fused(), 4):
+            assert np.array_equal(gates, np.full_like(gates, 0.5))
 
     def test_large_bias_saturates_to_one(self):
         dec, _ = make_decoder()
         dec.gate_fc.w.data[:] = 0.0
         dec.gate_fc.b.data[:] = 50.0
-        gates = dec.importance(self._fused(), 2).data
-        assert np.max(np.abs(gates - 1.0)) < 1e-15
+        for gates in self._gates(dec, self._fused(), 3):
+            assert np.max(np.abs(gates - 1.0)) < 1e-15
 
     def test_values_strictly_inside_unit_interval(self):
         dec, _ = make_decoder()
-        gates = dec.importance(self._fused(seed=5), 4).data
-        assert (gates > 0.0).all() and (gates < 1.0).all()
+        dec.gate_fc.w.data[:] = np.random.default_rng(4).normal(size=dec.gate_fc.w.shape)
+        for gates in self._gates(dec, self._fused(seed=5), 2):
+            assert (gates > 0.0).all() and (gates < 1.0).all()
 
     def test_monotone_in_bias(self):
         dec, _ = make_decoder()
         fused = self._fused(seed=6)
-        before = dec.importance(fused, 3).data.copy()
+        before = self._gates(dec, fused, 2)
         dec.gate_fc.b.data += 1.0
-        after = dec.importance(fused, 3).data
-        assert (after >= before).all() and after.mean() > before.mean()
+        for old, new in zip(before, self._gates(dec, fused, 2), strict=True):
+            assert (new >= old).all() and new.mean() > old.mean()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_per_level_projection_exactly(self, dtype):
+        dec, _ = make_decoder(dtype=dtype)
+        rng = np.random.default_rng(30)
+        dec.gate_fc.w.data[:] = rng.normal(size=dec.gate_fc.w.shape)
+        dec.gate_fc.b.data[:] = rng.normal(size=dec.gate_fc.b.shape)
+        fused = Tensor(rng.normal(size=(2, 2, 2, 4)).astype(dtype))
+        levels = [[Tensor(rng.normal(size=(2 ** k,) * 3 + (3,)).astype(dtype)) for _ in range(2)]
+                  for k in range(2, 6)]
+        skips = dec.gated_skips(fused, levels)
+        assert len(skips) == 4
+        for level, skip, feats in zip((4, 3, 2, 1), skips, levels):
+            want = old_gated_skip(dec, fused, level, feats).data
+            assert skip.data.dtype == dtype and np.array_equal(skip.data, want)
+
+    def test_one_projection_and_one_upsample_per_level(self):
+        dec, _ = make_decoder()
+        rng = np.random.default_rng(31)
+        fused = Tensor(rng.normal(size=(1, 1, 1, 4)), requires_grad=True)
+        levels = [[Tensor(rng.normal(size=(2 ** k,) * 3 + (3,))) for _ in range(2)]
+                  for k in range(1, 5)]
+        with ad.Tape() as tape:
+            dec.gated_skips(fused, levels)
+        ops = [node.op for node in tape.nodes]
+        assert ops.count("linear") == 1 and ops.count("upsample2x") == 4
+        assert ops.count("sigmoid") == 4
 
     def test_gate_gradients(self):
         dec, _ = make_decoder()
         fused = self._fused(seed=7)
-        feats = [Tensor(np.random.default_rng(8 + i).normal(size=(8, 8, 8, 5))) for i in range(2)]
-        f = lambda: ad.tmean(dec.gated_skip(fused, 3, feats))
+        feats = [Tensor(np.random.default_rng(8 + i).normal(size=(4, 4, 4, 5))) for i in range(2)]
+        f = lambda: ad.tmean(dec.gated_skips(fused, [feats])[0])
         assert grad_check(f, dec.gate_fc.params()) < 1e-4
+
+    @pytest.mark.parametrize("n_levels", [2, 3])
+    def test_gate_gradients_through_shared_levels(self, n_levels):
+        # every level's loss reaches gate_fc through the one projection and
+        # the upsample chain the levels share
+        dec, _ = make_decoder()
+        rng = np.random.default_rng(40 + n_levels)
+        dec.gate_fc.w.data[:] = rng.normal(scale=0.5, size=dec.gate_fc.w.shape)
+        fused = Tensor(rng.normal(size=(1, 2, 1, 4)), requires_grad=True)
+        levels = [[Tensor(rng.normal(size=(2 ** k, 2 ** (k + 1), 2 ** k, 3))) for _ in range(2)]
+                  for k in range(1, n_levels + 1)]
+        weights = [Tensor(rng.normal(size=(2 ** k, 2 ** (k + 1), 2 ** k, 3)))
+                   for k in range(1, n_levels + 1)]
+
+        def f():
+            skips = dec.gated_skips(fused, levels)
+            return reduce(ad.add, [ad.tmean(ad.mul(s, w)) for s, w in zip(skips, weights)])
+
+        assert grad_check(f, dec.gate_fc.params() + [fused]) < 1e-4
 
 
 def onehot_gated_sum(importance, feats):

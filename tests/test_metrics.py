@@ -301,6 +301,11 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(lambda v: v, [])
 
+    def test_cases_with_different_class_counts_rejected(self):
+        data = self._dataset(n_cases=1, n_classes=3) + self._dataset(n_cases=1, n_classes=4)
+        with pytest.raises(ContractError, match="class sets"):
+            evaluate(self._oracle_model(data), data)
+
     def test_logit_extent_mismatch(self):
         data = self._dataset(n_cases=1)
         model = lambda v: np.zeros((2, 2, 2, 3), dtype=np.float32)

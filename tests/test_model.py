@@ -21,6 +21,7 @@ from mmvseg.fusion import (
 )
 from mmvseg.model import attention_cost_terms, benchmark_attention
 from mmvseg.nn import xavier_uniform
+from mmvseg.training import cross_entropy_loss, soft_dice_loss
 
 
 def toy_config(**kw):
@@ -157,8 +158,8 @@ class TestForward:
 
     @pytest.mark.parametrize("gated", [True, False])
     def test_untaped_forward_frees_stage1_features_before_decoder(self, monkeypatch, gated):
-        refs, alive = [], []
-        encode, decode = Encoder.__call__, Decoder.__call__
+        refs, gate_refs, alive = [], [], []
+        encode, decode, gate = Encoder.__call__, Decoder.__call__, Decoder.gated_skip
 
         def encoder_call(enc, volume):
             levels = encode(enc, volume)
@@ -166,16 +167,54 @@ class TestForward:
             refs.extend(weakref.ref(a) for a in (data, data.base) if a is not None)
             return levels
 
+        def gated_skip(dec, logits, feats):
+            if logits.shape[:3] == (16, 16, 16):  # the full-resolution gate logits
+                data = logits.data
+                gate_refs.extend(weakref.ref(a) for a in (data, data.base) if a is not None)
+            return gate(dec, logits, feats)
+
         def decoder_call(dec, bottleneck, skips):
-            alive.append(sum(ref() is not None for ref in refs))
+            alive.append(sum(ref() is not None for ref in refs + gate_refs))
             return decode(dec, bottleneck, skips)
 
         monkeypatch.setattr(Encoder, "__call__", encoder_call)
+        monkeypatch.setattr(Decoder, "gated_skip", gated_skip)
         monkeypatch.setattr(Decoder, "__call__", decoder_call)
         model = Model(toy_config(use_gated_skips=gated))
         x = np.random.default_rng(5).uniform(-1, 1, size=(16, 16, 16, 2)).astype(np.float32)
         model(x)
-        assert len(refs) >= 2 and alive == [0]
+        assert len(refs) >= 2 and bool(gate_refs) == gated and alive == [0]
+
+    def test_gated_forward_projects_the_gates_once(self):
+        # the gated model differs from the ungated one by one gate_fc linear
+        # node and one gate upsample per level
+        x = np.random.default_rng(6).uniform(-1, 1, size=(16, 16, 16, 2)).astype(np.float32)
+        counts = {}
+        for gated in (True, False):
+            model = Model(toy_config(use_gated_skips=gated))
+            with ad.Tape() as tape:
+                model(x)
+            ops = [node.op for node in tape.nodes]
+            counts[gated] = (ops.count("linear"), ops.count("upsample2x"))
+            if gated:
+                w = model.decoder.gate_fc.w
+                assert sum(any(t is w for t in node.inputs) for node in tape.nodes) == 1
+        assert counts[True][0] - counts[False][0] == 1
+        assert counts[True][1] - counts[False][1] == 4 and counts[False][1] == 4
+
+    def test_default_width_forward_and_loss_tape_size(self):
+        # default widths, 2 modalities, 32^3: the forward plus the two loss
+        # terms record 409 nodes
+        model = Model(ModelConfig(modalities=2, n_classes=3, input_shape=(32, 32, 32)))
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, size=(32, 32, 32, 2)).astype(np.float32)
+        y = rng.integers(0, 3, size=(32, 32, 32))
+        with ad.Tape() as tape:
+            logits = model(x)
+            ad.add(soft_dice_loss(logits, y), cross_entropy_loss(logits, y))
+        ops = [node.op for node in tape.nodes]
+        assert len(ops) == 409
+        assert ops.count("upsample2x") == 8
 
     def test_ablated_model_still_runs(self):
         cfg = toy_config(use_spatial_attention=False, use_cross_attention=False,

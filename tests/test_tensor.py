@@ -326,21 +326,16 @@ def scatter_add_upsample_adjoint(g):
 
 
 class TestUpsample:
-    def test_times_zero_is_identity(self):
-        x = t(np.random.default_rng(7).normal(size=(2, 2, 2, 3)))
-        out = ad.upsample2x(x, times=0)
-        np.testing.assert_array_equal(out.data, x.data)
-
     def test_constant_volume(self):
         x = t(np.full((2, 2, 2, 1), 3.5))
-        out = ad.upsample2x(x, times=2)
+        out = ad.upsample2x(ad.upsample2x(x))
         assert out.shape == (8, 8, 8, 1)
         np.testing.assert_allclose(out.data, np.full((8, 8, 8, 1), 3.5), atol=1e-12)
 
     def test_1d_ramp(self):
         x = np.zeros((1, 1, 2, 1))
         x[0, 0, 1, 0] = 1.0
-        out = ad.upsample2x(t(x), times=1)
+        out = ad.upsample2x(t(x))
         np.testing.assert_allclose(out.data[0, 0, :, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -365,7 +360,10 @@ class TestUpsample:
         rng = np.random.default_rng(8)
         for _ in range(10):
             x = rng.normal(size=(rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 4), 2))
-            out = ad.upsample2x(t(x), times=rng.integers(1, 3)).data
+            out = t(x)
+            for _ in range(rng.integers(1, 3)):
+                out = ad.upsample2x(out)
+            out = out.data
             assert out.min() >= x.min() - 1e-12
             assert out.max() <= x.max() + 1e-12
 
@@ -448,7 +446,7 @@ OP_CASES = [
     ("conv3d", lambda rng: _conv_case(rng)),
     ("avg_pool3d", lambda rng: _unary_vol_case(rng, ad.avg_pool3d)),
     ("global_pool", lambda rng: _unary_vol_case(rng, ad.global_pool)),
-    ("upsample2x", lambda rng: _unary_vol_case(rng, lambda x: ad.upsample2x(x, times=1))),
+    ("upsample2x", lambda rng: _unary_vol_case(rng, ad.upsample2x)),
     ("sum_axis", lambda rng: _unary_case(rng, lambda x: ad.tsum(x, axis=-1))),
     ("mean_axis", lambda rng: _unary_case(rng, lambda x: ad.tmean(x, axis=0, keepdims=True))),
     ("concat", lambda rng: _concat_case(rng)),
