@@ -20,7 +20,9 @@ in the process is set to one thread.
 
 An op that records no tape node keeps no backward state: untaped, `gelu`'s
 cdf, `layer_norm`'s normalized input and `feed_forward`'s hidden layer live
-only in the scratch of one block of rows.
+only in the scratch of one block of rows.  No call keeps a padded copy of
+`conv3d`'s input: the stride-1 forward pads one block of output depth
+planes at a time in scratch, and the backward pads when it runs.
 """
 
 import ctypes
@@ -734,9 +736,8 @@ def _ff_kernel(gamma, beta, w1, b1, w2, b2):
 # ---------------------------------------------------------------------------
 
 def _triple(v):
-    if isinstance(v, int):
-        return (v, v, v)
-    return tuple(v)
+    """v per spatial axis: a tuple or list as given, anything else thrice."""
+    return tuple(v) if isinstance(v, (tuple, list)) else (v, v, v)
 
 
 def conv3d(x, kernel, bias=None, stride=1, padding=0):
@@ -744,20 +745,31 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
 
     x: (D, H, W, Cin); kernel: (kd, kh, kw, Cin, Cout); valid-style output
     extents floor((in + 2p - k)/stride) + 1 with symmetric zero padding.
-    Computed by shift-and-accumulate over the kernel taps, so the extra
-    memory is O(input) rather than an im2col matrix k^3 times the input.
-    Stride-1 taps read row ranges of the flat padded input in place; strided
-    taps and the kernel gradient copy each tap's window.
+    `stride` (at least 1) and `padding` (at least 0) are ints, or three of
+    them, one per spatial axis.  Computed by shift-and-accumulate over the
+    kernel taps, so the extra memory is O(input) rather than an im2col
+    matrix k^3 times the input.  The stride-1 forward runs over blocks of
+    output depth planes, and pads only the input planes a block reads, so
+    its extra memory is a few blocks' scratch, not a padded copy of the
+    volume; its taps read row ranges of that scratch in place.  Strided
+    taps and the kernel gradient copy each tap's window of the padded input,
+    which the backward pads again when it runs.
     """
     if x.ndim != 4 or kernel.ndim != 5:
         raise ShapeError(f"conv3d expects x rank 4 and kernel rank 5, got {x.shape} and {kernel.shape}")
     kd, kh, kw, cin, cout = kernel.shape
     if x.shape[3] != cin:
         raise ShapeError(f"conv3d input channels {x.shape[3]} != kernel Cin {cin}")
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"conv3d bias shape {bias.shape} != ({cout},)")
     stride = _triple(stride)
     padding = _triple(padding)
-    if min(stride) < 1:
-        raise ShapeError(f"conv3d stride must be >= 1 per axis, got {stride}")
+    if (len(stride) != 3 or len(padding) != 3
+            or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in stride + padding)
+            or min(stride) < 1 or min(padding) < 0):
+        raise ShapeError(f"conv3d stride must be ints >= 1 and padding ints >= 0 per axis, "
+                         f"got stride {stride} and padding {padding}")
     padded = tuple(x.shape[i] + 2 * padding[i] for i in range(3))
     if padded[0] < kd or padded[1] < kh or padded[2] < kw:
         raise ShapeError(
@@ -765,45 +777,32 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
         )
     out_sp = tuple((padded[i] - k) // stride[i] + 1 for i, k in enumerate((kd, kh, kw)))
 
-    xp = x.data
-    if any(padding):
-        xp = np.pad(xp, ((padding[0],) * 2, (padding[1],) * 2, (padding[2],) * 2, (0, 0)))
-    if bias is not None and bias.shape != (cout,):
-        raise ShapeError(f"conv3d bias shape {bias.shape} != ({cout},)")
     w = kernel.data
+    b = None if bias is None else bias.data
+    out = np.empty(out_sp + (cout,), dtype=np.result_type(x.data, w))
     taps = _conv_taps((kd, kh, kw), stride, out_sp)
 
     # one (rows, Cin) @ (Cin, Cout) GEMM per tap, summed in fixed tap order
     # so reruns are bit-identical
     if stride == (1, 1, 1):
-        # output voxel (d, h, w) sits at row q = (d*Hp + h)*Wp + w of a frame
-        # with the padded input's H and W extents, and tap (a, b, c)
-        # multiplies input row q + (a*Hp + b)*Wp + c, so each tap's operand
-        # is a contiguous row range of the flat input and needs no copy
-        hp, wp = xp.shape[1:3]
-        flat = xp.reshape(-1, cin)
-        # the last tap's row range ends at the last input row; frame rows
-        # past `rows` are outside every output voxel and stay unset
-        rows = flat.shape[0] - (((kd - 1) * hp + kh - 1) * wp + kw - 1)
-        frame = np.empty((out_sp[0], hp, wp, cout), dtype=np.result_type(xp, w))
-        operands = [flat[(a * hp + b) * wp + c:][:rows] for (a, b, c), _ in taps]
-        target, full = frame.reshape(-1, cout)[:rows], frame[:, : out_sp[1], : out_sp[2]]
+        # a block takes enough planes for each tap GEMM to keep _GEMM_MIN
+        # multiply-adds and two rows, and no fewer than its kd - 1 halo
+        # planes, so each input plane is padded into scratch at most twice
+        plane = out_sp[1] * out_sp[2]
+        planes = max(kd - 1, -(-_GEMM_MIN // (plane * cin * cout)), -(-2 // plane))
+        _by_rows(_plane_sum(x.data, w, b, padding), (np.arange(out_sp[0]).reshape(-1, 1, 1, 1),),
+                 out, block=planes * plane * cout, k=cin)
     else:
         # strided taps: each copies its window of the padded input for its GEMM
-        operands = [xp[window] for _, window in taps]
-        target = full = np.empty(out_sp + (cout,), dtype=np.result_type(xp, w))
-    _by_rows(_tap_sum(w), operands, target, k=cin)
-    # full holds the output voxels, maybe inside a wider frame; one pass
-    # copies them out and adds the bias
-    out = full if full.flags.c_contiguous else np.empty(full.shape, full.dtype)
-    if bias is not None:
-        _by_rows(np.add, (full, bias.data), out)
-    elif out is not full:
-        np.copyto(out, full)
+        xp = _pad(x.data, padding)
+        _by_rows(_tap_sum(w), [xp[window] for _, window in taps], out, k=cin)
+        if b is not None:
+            _by_rows(np.add, (out, b), out)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):
+        xp = _pad(x.data, padding)
         gm = g.reshape(-1, cout)
         w_taps = w.reshape(-1, cin, cout)
         dw = np.empty(kernel.shape, dtype=np.result_type(xp, gm))
@@ -839,6 +838,54 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
         return dx, dw, gm.sum(axis=0)
 
     return _record("conv3d", inputs, out, bwd)
+
+
+def _pad(x, padding):
+    """x zero-padded by `padding` on both sides of each spatial axis, or x
+    itself when nothing is padded."""
+    if not any(padding):
+        return x
+    return np.pad(x, [(p, p) for p in padding] + [(0, 0)])
+
+
+def _plane_sum(x, w, bias, padding):
+    """Stride-1 conv3d kernel over a block of output depth planes.  Its row
+    input is the output plane index.  It pads the input planes the block
+    reads into scratch of its own (or views them when nothing is padded),
+    sums the tap products over that scratch with _tap_sum, and writes the
+    block's output voxels plus the bias."""
+    kd, kh, kw, cin, cout = w.shape
+    (pd, ph, pw), (d, h, wd) = padding, x.shape[:3]
+    hp, wp = h + 2 * ph, wd + 2 * pw
+    # output voxel (i, j, l) of a block sits at row q = (i*hp + j)*wp + l of
+    # a frame with the padded H and W extents, and tap (a, b, c) multiplies
+    # scratch row q + (a*hp + b)*wp + c, so each tap's operand is a
+    # contiguous row range of the flat scratch and needs no copy.  The last
+    # tap's range ends at the last scratch row; frame rows past it are
+    # outside every output voxel and stay unset.
+    offsets = [(a * hp + b) * wp + c for a, b, c in np.ndindex(kd, kh, kw)]
+    tail = (kh - 1) * wp + kw - 1
+    tap_sum = _tap_sum(w)
+
+    def kernel(index, out):
+        s, n = int(index.flat[0]), out.shape[0]
+        if any(padding):
+            scratch = np.zeros((n + kd - 1, hp, wp, cin), dtype=x.dtype)
+            lo, hi = max(s - pd, 0), min(s + n + kd - 1 - pd, d)
+            if lo < hi:
+                scratch[lo - s + pd:hi - s + pd, ph:ph + h, pw:pw + wd] = x[lo:hi]
+        else:
+            scratch = x[s:s + n + kd - 1]
+        flat, rows = scratch.reshape(-1, cin), n * hp * wp - tail
+        # without H or W padding a 1x1 kernel's frame is the output itself
+        frame = out if out.shape[1:3] == (hp, wp) else np.empty((n, hp, wp, cout), dtype=out.dtype)
+        tap_sum(*(flat[o:o + rows] for o in offsets), frame.reshape(-1, cout)[:rows])
+        voxels = frame[:, :out.shape[1], :out.shape[2]]
+        if bias is not None:
+            np.add(voxels, bias, out=out)
+        elif frame is not out:
+            np.copyto(out, voxels)
+    return kernel
 
 
 def _tap_sum(w):

@@ -264,6 +264,27 @@ def test_conv3d_gemms_match_serial_expression(set_workers, dtype, layer, size, w
         assert_exact(got, want)
 
 
+# the decoder's 3x3x3 convs at volumes whose worker ranges hold several
+# blocks of output planes; no block size or worker count divides the depth
+DECODER_VOLUMES = {"decoder-3x3x3-96": (23, 20, 20), "decoder-3x3x3-256": (13, 12, 12)}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("layer", list(DECODER_VOLUMES))
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_conv3d_plane_blocks_match_serial_forward(set_workers, dtype, layer, workers):
+    set_workers(workers)
+    cin, cout, ksize, _, padding = CONV_LAYERS[layer]
+    rng = np.random.default_rng(cin + cout)
+    x = draw(rng, DECODER_VOLUMES[layer] + (cin,), dtype)
+    k = draw(rng, (ksize,) * 3 + (cin, cout), dtype, scale=0.1)
+    b = draw(rng, (cout,), dtype)
+    y = ad.conv3d(Tensor(x), Tensor(k), Tensor(b), padding=padding).data
+    g = np.zeros(y.shape, dtype)
+    ref_y, _ = serial_conv3d(x, k, b, (1, 1, 1), (padding,) * 3, g)
+    assert_exact(y, ref_y)
+
+
 def test_gemm_rule_selects_the_split_path(monkeypatch):
     ranges = []
     real = ad._split_rows

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -125,6 +126,42 @@ class TestConv3d:
         out = ad.conv3d(x, t(np.zeros((2, 2, 2, 1, 3))), stride=2)
         assert out.shape == (4, 3, 2, 3)
 
+    @pytest.mark.parametrize("stride,padding", [
+        (1, -1), (1, (1, -1, 1)), (1, 1.0), (1, 0.5), (1, True), (1, (1, 1)),
+        (1, (1, 1, 1, 1)), (2.5, 0), (0, 1), (-1, 0), ((1, 2.0, 1), 0), ((1, 1), 0), ("2", 0),
+        ((2, 2), (0, 0, 0, 0)), ((), 0),
+    ])
+    def test_bad_stride_or_padding_raises_before_allocating(self, stride, padding):
+        x = t(np.zeros((16, 16, 16, 8)))
+        k = t(np.zeros((3, 3, 3, 8, 8)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match="stride must be ints"):
+                ad.conv3d(x, k, stride=stride, padding=padding)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes // 16, peak
+
+    def test_bad_bias_shape_raises_before_allocating(self):
+        x = t(np.zeros((16, 16, 16, 8)))
+        k = t(np.zeros((3, 3, 3, 8, 4)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match="bias shape"):
+                ad.conv3d(x, k, t(np.zeros(3)), padding=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes // 16, peak
+
+    def test_integer_stride_and_padding_of_any_int_type(self):
+        x = t(np.ones((4, 4, 4, 1)))
+        k = t(np.ones((3, 3, 3, 1, 1)))
+        want = ad.conv3d(x, k, stride=1, padding=1).data
+        for stride, padding in ((np.int64(1), np.int32(1)), ([1, 1, 1], [1, 1, 1])):
+            np.testing.assert_array_equal(ad.conv3d(x, k, stride=stride, padding=padding).data, want)
+
 
 def _im2col(xp, ksize, stride, out_sp):
     kd, kh, kw = ksize
@@ -238,6 +275,40 @@ class TestConv3dAgainstIm2col:
         assert grads[0].shape == x.shape
         assert peak <= 4 * (x.data.nbytes + g.nbytes), peak
 
+    def test_forward_pads_a_block_of_planes_at_a_time(self, monkeypatch):
+        # two op workers, each range of 16 output planes cut into several
+        # blocks, so the padded scratch is a few blocks, not the volume
+        if ad._POOL is None:
+            monkeypatch.setattr(ad, "_POOL", ThreadPoolExecutor(1))
+        monkeypatch.setattr(ad, "OP_WORKERS", 2)
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(32, 32, 32, 96)).astype(np.float32))
+        k = Tensor(rng.normal(size=(3, 3, 3, 96, 32)).astype(np.float32))
+        b = Tensor(rng.normal(size=32).astype(np.float32))
+        padded_bytes = 34 ** 3 * 96 * 4
+        tracemalloc.start()
+        try:
+            out = ad.conv3d(x, k, b, padding=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.data.nbytes < padded_bytes // 2, peak
+
+    def test_taped_forward_holds_only_its_output(self):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=(24, 24, 24, 32)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 3, 3, 32, 16)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(16, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ad.conv3d(x, k, b, padding=1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert held - out.data.nbytes < x.data.nbytes // 20, held
+
 
 SLAB_GEOMETRIES = {
     "1x1": ((5, 6, 7, 3), (1, 1, 1, 3, 4), 0),
@@ -252,12 +323,19 @@ SLAB_GEOMETRIES = {
     "kernel-fills-padded-input": ((3, 4, 5, 2), (5, 6, 7, 2, 3), 1),
     "decoder-like": ((8, 8, 8, 48), (3, 3, 3, 48, 16), 1),
     "bias-add-split-by-rows": ((16, 16, 16, 8), (3, 3, 3, 8, 32), 1),
+    # 37 or more output planes cut into blocks of 2 to 4 planes, several per
+    # worker range; no block size or worker count divides the depth
+    "blocks-3x3x3-pad1": ((37, 16, 16, 64), (3, 3, 3, 64, 64), 1),
+    "blocks-pad-1-0-2": ((37, 14, 15, 64), (3, 3, 3, 64, 48), (1, 0, 2)),
+    "blocks-no-padding": ((39, 18, 18, 64), (3, 3, 3, 64, 64), 0),
+    "blocks-1x1": ((37, 16, 16, 64), (1, 1, 1, 64, 64), 0),
+    "blocks-1x1-depth-pad2": ((37, 16, 16, 64), (1, 1, 1, 64, 64), (2, 0, 0)),
 }
 
 
 class TestConv3dStride1AgainstSlabs:
-    # stride-1 taps read row ranges of the flat padded input instead of
-    # copying slabs; the products and their order are unchanged, so the
+    # stride-1 taps read row ranges of a block's flat padded scratch instead
+    # of copying slabs; the products and their order are unchanged, so the
     # outputs must be bit-identical to the slab loop
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("geometry", list(SLAB_GEOMETRIES))
