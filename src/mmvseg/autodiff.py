@@ -11,18 +11,19 @@ Volumes are laid out channels-last and row-major: a feature map has shape
 
 `gelu`, `layer_norm` (forward and `dx`), the forward of `add`, `sub` and
 `mul`, the bias adds of `linear` and `conv3d`, the GEMMs of `linear` and
-`conv3d` (forward and backward) and the forward of `feed_forward` split
-large outputs into contiguous ranges of rows, one per op worker.  Every
-element and every per-row reduction is computed by the same numpy call as on
-a single thread, so the results do not depend on the split.  The op pool is
-the process's one parallel runtime: at import, every OpenBLAS library loaded
-in the process is set to one thread.
+`conv3d` (forward and backward) and the forwards of `feed_forward` and
+`gated_sum` split large outputs into contiguous ranges of rows, one per op
+worker.  Every element and every per-row reduction is computed by the same
+numpy call as on a single thread, so the results do not depend on the
+split.  The op pool is the process's one parallel runtime: at import, every
+OpenBLAS library loaded in the process is set to one thread.
 
 An op that records no tape node keeps no backward state: untaped, `gelu`'s
-cdf, `layer_norm`'s normalized input and `feed_forward`'s hidden layer live
-only in the scratch of one block of rows.  No call keeps a padded copy of
-`conv3d`'s input: the stride-1 forward pads one block of output depth
-planes at a time in scratch, and the backward pads when it runs.
+cdf, `layer_norm`'s normalized input, `feed_forward`'s hidden layer and
+`gated_sum`'s gated products live only in the scratch of one block of rows.
+No call keeps a padded copy of `conv3d`'s input: the stride-1 forward pads
+one block of output depth planes at a time in scratch, and the backward
+pads when it runs.
 """
 
 import ctypes
@@ -548,6 +549,45 @@ def concat(tensors, axis):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return _record("concat", tuple(tensors), np.concatenate([t.data for t in tensors], axis=axis), bwd)
+
+
+def gated_sum(gates, feats):
+    """sum_i feats[i] * gates[..., i:i+1] for M features (..., C) of one
+    shape and gates (..., M), as one tape node.
+
+    The forward runs on blocks of rows: it writes feats[0] times its gate
+    into the output, then adds each further gated feature, in order, from a
+    block of scratch, so no full-size product or partial sum is made.  Each
+    product is rounded before its add, so the output is bit-identical to
+    the chain of take, mul and add nodes, and so are the gradients, which
+    use that chain's expressions: d feats[i] = g * gates[..., i:i+1] and
+    d gates[..., i] = (g * feats[i]).sum(axis=-1)."""
+    feats = list(feats)
+    if (gates.ndim < 1 or not feats or len(feats) != gates.shape[-1]
+            or any(f.shape != feats[0].shape for f in feats) or feats[0].shape[:-1] != gates.shape[:-1]):
+        raise ShapeError(f"gated_sum needs one feature (..., C) per gate channel of (..., M), all of one "
+                         f"shape, got gates {gates.shape} and features {[f.shape for f in feats]}")
+    shape = feats[0].shape
+    rows = [f.data.reshape(-1, shape[-1]) for f in feats]
+    out = np.empty(rows[0].shape, np.result_type(gates.data, *rows))
+    _by_rows(_gated_sum_kernel, (gates.data.reshape(-1, len(feats)), *rows), out, block=_BLOCK)
+
+    def bwd(g):
+        dgates = np.empty(gates.shape, np.result_type(g, *rows))
+        for i, f in enumerate(feats):
+            dgates[..., i] = (g * f.data).sum(axis=-1)
+        return (dgates, *(g * gates.data[..., i:i + 1] for i in range(len(feats))))
+
+    return _record("gated_sum", (gates, *feats), out.reshape(shape), bwd)
+
+
+def _gated_sum_kernel(gates, *operands):
+    *feats, out = operands
+    np.multiply(feats[0], gates[:, :1], out=out)
+    prod = np.empty_like(out)
+    for i, f in enumerate(feats[1:], 1):
+        np.multiply(f, gates[:, i:i + 1], out=prod)
+        np.add(out, prod, out=out)
 
 
 # ---------------------------------------------------------------------------

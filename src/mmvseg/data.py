@@ -217,6 +217,14 @@ def _read_exact(fh, n, what):
     return buf
 
 
+def _read_into(fh, array, what):
+    """Fill the C-contiguous `array` with the file's next bytes, in place."""
+    buf = array.reshape(-1).view(np.uint8)
+    got = fh.readinto(buf)
+    if got != buf.size:
+        raise FormatError(f"truncated file: wanted {buf.size} bytes of {what}, got {got}")
+
+
 def write_mmv(path, volume: MultiModalVolume):
     d, h, w = volume.shape
     blocks = np.moveaxis(volume.data, 3, 0)  # modality-major on disk

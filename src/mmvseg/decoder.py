@@ -37,19 +37,18 @@ class DecoderConfig:
 
 def modality_gated_sum(importance, feats):
     """Gate each modality's feature volume by its scalar importance channel
-    and sum over modalities: importance (D, H, W, M), feats M x (D, H, W, C)."""
+    and sum over modalities: importance (D, H, W, M), feats M x (D, H, W, C)
+    of one shape.  One `gated_sum` node, which makes no full-size gated
+    volume or partial sum."""
     m = importance.shape[-1]
     if len(feats) != m:
         raise ShapeError(f"importance has {m} modality channels but {len(feats)} features given")
-    out = None
     for i, feat in enumerate(feats):
         if feat.shape[:3] != importance.shape[:3]:
             raise ShapeError(
                 f"modality {i} extents {feat.shape[:3]} do not match gates {importance.shape[:3]}"
             )
-        gated = ad.mul(feat, ad.take(importance, [i], axis=-1))  # gate (D, H, W, 1)
-        out = gated if out is None else ad.add(out, gated)
-    return out
+    return ad.gated_sum(importance, feats)
 
 
 class Decoder(Module):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import _read_exact
+from .data import _read_exact, _read_into
 from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, ContractError, FormatError, ShapeError
@@ -328,7 +328,14 @@ def save_checkpoint(model, path, step=0, opt_state=None):
 
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint; returns (model, meta) where meta
-    carries the step counter and optimizer state if one was saved."""
+    carries the step counter and optimizer state if one was saved.
+
+    The model is built from the header's config before the tensor table is
+    read, and each parameter's payload is read straight into the
+    parameter's array when the stored name, shape and item size match it,
+    so loading holds no second copy of the weights.  Any other tensor (the
+    optimizer moments, or a payload stored at another item size, which is
+    cast into the parameter) is read into an array of its own."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise FormatError("not a checkpoint file (bad magic)")
@@ -342,55 +349,57 @@ def load_checkpoint(path):
             header = json.loads(_read_exact(fh, blob_len, "header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"unreadable checkpoint header: {exc}") from exc
+        try:
+            cfg = ModelConfig.from_dict(header["config"])
+        except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+            raise FormatError(f"checkpoint config does not build a model: {exc}") from exc
+        model = Model(cfg)
+        params = dict(model.named_params())
 
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        table = {}
+        seen, others = set(), {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
             name = _read_exact(fh, name_len, "name").decode("utf-8")
-            if name in table:
+            if name in seen:
                 raise FormatError(f"duplicate tensor {name!r} in checkpoint")
+            seen.add(name)
             itemsize, rank = struct.unpack("BB", _read_exact(fh, 2, "item size and rank"))
             if itemsize not in (4, 8):
                 raise FormatError(f"tensor {name!r} has item size {itemsize}, expected 4 or 8")
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, "extent"))[0] for _ in range(rank)
             )
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(fh, itemsize * size, f"payload of {name!r}")
-            table[name] = np.frombuffer(raw, dtype=f"<f{itemsize}").reshape(shape)
+            stored = np.dtype(f"<f{itemsize}")
+            param = params.get(name)
+            if param is not None and shape != param.shape:
+                raise FormatError(
+                    f"tensor {name!r} has shape {shape}, model expects {param.shape}"
+                )
+            if param is not None and param.dtype == stored:
+                _read_into(fh, param.data, f"payload of {name!r}")
+                continue
+            payload = np.empty(shape, dtype=stored)
+            _read_into(fh, payload, f"payload of {name!r}")
+            if param is not None:
+                param.data[...] = payload
+            else:
+                others[name] = payload
         if fh.read(1):
             raise FormatError("trailing data after tensor table")
 
-    try:
-        cfg = ModelConfig.from_dict(header["config"])
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
-        raise FormatError(f"checkpoint config does not build a model: {exc}") from exc
-    model = Model(cfg)
-    consumed = set()
-    for name, param in model.named_params():
-        if name not in table:
+    for name in params:
+        if name not in seen:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
-        stored = table[name]
-        if stored.shape != param.shape:
-            raise FormatError(
-                f"tensor {name!r} has shape {stored.shape}, model expects {param.shape}"
-            )
-        param.data[...] = stored
-        consumed.add(name)
-
     meta = {"step": int(header.get("step", 0)), "opt": None}
     if header.get("optimizer"):
         opt = {"t": int(header.get("opt_t", 0)), "m": {}, "v": {}}
-        for name in list(table):
+        for name in list(others):
             if name.startswith("opt.m/"):
-                opt["m"][name[len("opt.m/") :]] = table[name].copy()
-                consumed.add(name)
+                opt["m"][name[len("opt.m/") :]] = others.pop(name)
             elif name.startswith("opt.v/"):
-                opt["v"][name[len("opt.v/") :]] = table[name].copy()
-                consumed.add(name)
+                opt["v"][name[len("opt.v/") :]] = others.pop(name)
         meta["opt"] = opt
-    stray = set(table) - consumed
-    if stray:
-        raise FormatError(f"checkpoint holds unexpected tensors: {sorted(stray)[:3]}")
+    if others:
+        raise FormatError(f"checkpoint holds unexpected tensors: {sorted(others)[:3]}")
     return model, meta

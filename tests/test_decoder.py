@@ -1,3 +1,5 @@
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 
 import numpy as np
@@ -214,6 +216,36 @@ class TestModalityGatedSum:
     def test_extent_mismatch(self):
         with pytest.raises(ShapeError):
             modality_gated_sum(Tensor(np.ones((2, 2, 2, 1))), [Tensor(np.zeros((2, 2, 4, 3)))])
+
+    def test_one_channel_feature_beside_wider_ones_is_a_shape_error(self):
+        # numpy would broadcast the 1-channel volume across the others' channels
+        feats = [Tensor(np.ones((2, 2, 2, 1))), Tensor(np.ones((2, 2, 2, 3)))]
+        with pytest.raises(ShapeError):
+            modality_gated_sum(Tensor(np.ones((2, 2, 2, 2))), feats)
+
+    def test_features_of_unequal_widths_are_a_shape_error(self):
+        feats = [Tensor(np.ones((2, 2, 2, 3))), Tensor(np.ones((2, 2, 2, 4)))]
+        with pytest.raises(ShapeError):
+            modality_gated_sum(Tensor(np.ones((2, 2, 2, 2))), feats)
+
+    def test_untaped_sum_allocates_little_beyond_its_output(self, monkeypatch):
+        # a 32^3 x 32 level with four modalities: the gated volumes and
+        # partial sums live in per-block scratch, not in full-size arrays.
+        # Two op workers, so the scratch is the same on every host
+        if ad._POOL is None:
+            monkeypatch.setattr(ad, "_POOL", ThreadPoolExecutor(1))
+        monkeypatch.setattr(ad, "OP_WORKERS", 2)
+        rng = np.random.default_rng(14)
+        gates = Tensor(rng.uniform(size=(32, 32, 32, 4)).astype(np.float32))
+        feats = [Tensor(rng.normal(size=(32, 32, 32, 32)).astype(np.float32)) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = modality_gated_sum(gates, feats)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.data.nbytes
 
 
 class TestDecoder:

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import warnings
 import weakref
 
@@ -204,7 +205,9 @@ class TestForward:
 
     def test_default_width_forward_and_loss_tape_size(self):
         # default widths, 2 modalities, 32^3: the forward plus the two loss
-        # terms record 409 nodes
+        # terms record 393 nodes.  Each level's gated skip sum is one
+        # gated_sum node, where the take/mul/add chain for M = 2 recorded
+        # 3M - 1 = 5, so 4 levels record 16 fewer than that chain's 409
         model = Model(ModelConfig(modalities=2, n_classes=3, input_shape=(32, 32, 32)))
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, size=(32, 32, 32, 2)).astype(np.float32)
@@ -213,7 +216,7 @@ class TestForward:
             logits = model(x)
             ad.add(soft_dice_loss(logits, y), cross_entropy_loss(logits, y))
         ops = [node.op for node in tape.nodes]
-        assert len(ops) == 409
+        assert len(ops) == 393
         assert ops.count("upsample2x") == 8
 
     def test_ablated_model_still_runs(self):
@@ -448,6 +451,107 @@ class TestCheckpoint:
             rewrite_config(path, change)
             with pytest.raises(FormatError, match="config"):
                 load_checkpoint(path)
+
+    def test_payload_at_another_item_size_is_cast_into_the_parameter(self, tmp_path):
+        model = self._model(seed=15)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        prefix, records = tensor_records(path.read_bytes())
+        wide = [tensor_record(n, p.data.astype(np.float64)) for n, p in model.named_params()]
+        write_records(path, prefix, wide)
+        again, _ = load_checkpoint(path)
+        for (_, pa), (_, pb) in zip(model.named_params(), again.named_params(), strict=True):
+            assert pb.dtype == np.float32 and np.array_equal(pa.data, pb.data)
+
+    def test_duplicate_tensor(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path)
+        prefix, records = tensor_records(path.read_bytes())
+        write_records(path, prefix, records + records[:1])
+        with pytest.raises(FormatError, match="duplicate tensor"):
+            load_checkpoint(path)
+
+    def test_missing_tensor(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path)
+        prefix, records = tensor_records(path.read_bytes())
+        write_records(path, prefix, records[1:])
+        with pytest.raises(FormatError, match="missing tensor"):
+            load_checkpoint(path)
+
+    def test_shape_mismatch(self, tmp_path):
+        model = self._model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        prefix, records = tensor_records(path.read_bytes())
+        name, param = next(iter(model.named_params()))
+        records[0] = tensor_record(name, np.zeros(param.shape + (2,), np.float32))
+        write_records(path, prefix, records)
+        with pytest.raises(FormatError, match=r"has shape .* model expects"):
+            load_checkpoint(path)
+
+    def test_stray_tensor(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path)
+        prefix, records = tensor_records(path.read_bytes())
+        write_records(path, prefix, records + [tensor_record("stray", np.zeros(3, np.float32))])
+        with pytest.raises(FormatError, match="unexpected tensors: \\['stray'\\]"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_after_the_table(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="trailing data"):
+            load_checkpoint(path)
+
+    def test_load_holds_no_second_copy_of_the_weights(self, tmp_path):
+        # the default model's payloads are read straight into its parameters
+        model = Model(ModelConfig())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        param_bytes = sum(p.data.nbytes for p in model.params())
+        del model
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            again, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sum(p.data.nbytes for p in again.params()) == param_bytes
+        assert peak <= 1.25 * param_bytes
+
+
+def tensor_records(raw):
+    """A checkpoint's bytes up to its tensor count, and each tensor's record
+    (name, item size, rank, extents and payload) in file order."""
+    (blob_len,) = struct.unpack("<I", raw[8:12])
+    pos = 12 + blob_len
+    (count,) = struct.unpack("<I", raw[pos : pos + 4])
+    prefix, pos, records = raw[:pos], pos + 4, []
+    for _ in range(count):
+        start = pos
+        (name_len,) = struct.unpack("<H", raw[pos : pos + 2])
+        pos += 2 + name_len
+        itemsize, rank = raw[pos], raw[pos + 1]
+        shape = struct.unpack(f"<{rank}I", raw[pos + 2 : pos + 2 + 4 * rank])
+        pos += 2 + 4 * rank + itemsize * int(np.prod(shape))
+        records.append(raw[start:pos])
+    assert pos == len(raw)
+    return prefix, records
+
+
+def tensor_record(name, array):
+    """One tensor's record as `save_checkpoint` writes it."""
+    encoded = name.encode("utf-8")
+    payload = np.ascontiguousarray(array, dtype=f"<f{array.dtype.itemsize}")
+    return (struct.pack("<H", len(encoded)) + encoded + struct.pack("BB", payload.itemsize, payload.ndim)
+            + struct.pack(f"<{payload.ndim}I", *payload.shape) + payload.tobytes())
+
+
+def write_records(path, prefix, records):
+    path.write_bytes(prefix + struct.pack("<I", len(records)) + b"".join(records))
 
 
 def rewrite_config(path, change):

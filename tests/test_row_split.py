@@ -20,6 +20,7 @@ from scipy.special import erf
 
 from mmvseg import autodiff as ad
 from mmvseg.autodiff import Tape, Tensor
+from test_tensor import assert_same_numbers, value_and_grads
 
 DTYPES = (np.float32, np.float64)
 N = ad._SPLIT_MIN
@@ -283,6 +284,36 @@ def test_conv3d_plane_blocks_match_serial_forward(set_workers, dtype, layer, wor
     g = np.zeros(y.shape, dtype)
     ref_y, _ = serial_conv3d(x, k, b, (1, 1, 1), (padding,) * 3, g)
     assert_exact(y, ref_y)
+
+
+def chain_gated_sum(gates, feats):
+    """The take, mul and add chain that `gated_sum` replaces: each feature
+    times its gate channel, summed in modality order."""
+    out = None
+    for i, feat in enumerate(feats):
+        gated = ad.mul(feat, ad.take(gates, [i], axis=-1))
+        out = gated if out is None else ad.add(out, gated)
+    return out
+
+
+# volumes above the split threshold whose rows no block or worker count
+# divides: blocks of _BLOCK elements are 2048 rows at 32 channels, 13107 at 5
+GATED_VOLUMES = {"c32": (37, 16, 16, 32), "c5": (53, 40, 13, 5)}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("volume", list(GATED_VOLUMES))
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_gated_sum_matches_the_chain(set_workers, dtype, volume, m, workers):
+    set_workers(workers)
+    shape = GATED_VOLUMES[volume]
+    rng = np.random.default_rng(m)
+    gates = Tensor(rng.uniform(size=shape[:-1] + (m,)).astype(dtype), requires_grad=True)
+    feats = [Tensor(draw(rng, shape, dtype), requires_grad=True) for _ in range(m)]
+    leaves = [gates, *feats]
+    assert_same_numbers(value_and_grads(lambda: ad.gated_sum(gates, feats), leaves),
+                        value_and_grads(lambda: chain_gated_sum(gates, feats), leaves))
 
 
 def test_gemm_rule_selects_the_split_path(monkeypatch):

@@ -537,6 +537,7 @@ OP_CASES = [
     ("reshape", lambda rng: _unary_case(rng, lambda x: ad.reshape(x, (1, -1)))),
     ("linear", lambda rng: _linear_case(rng)),
     ("feed_forward", lambda rng: _feed_forward_case(rng)),
+    ("gated_sum", lambda rng: _gated_sum_case(rng)),
 ]
 
 # OP_CASES names of the taped primitives whose function name differs
@@ -601,6 +602,16 @@ def _feed_forward_case(rng):
     params = [draw(shape), draw(c), draw(c), draw((c, hidden)), draw(hidden), draw((hidden, c)), draw(c)]
     r = rng.normal(size=shape)
     return lambda: (ad.feed_forward(*params) * Tensor(r)).sum(), params
+
+
+def _gated_sum_case(rng):
+    # M features of one shape, each weighted by its channel of the gates
+    lead = tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(1, 4))))
+    m, c = (int(n) for n in rng.integers(1, 4, size=2))
+    gates = Tensor(rng.normal(size=lead + (m,)), requires_grad=True)
+    feats = [Tensor(rng.normal(size=lead + (c,)), requires_grad=True) for _ in range(m)]
+    r = rng.normal(size=lead + (c,))
+    return lambda: (ad.gated_sum(gates, feats) * Tensor(r)).sum(), [gates, *feats]
 
 
 def _layer_norm_case(rng):
