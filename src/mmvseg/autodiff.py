@@ -788,12 +788,11 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     `stride` (at least 1) and `padding` (at least 0) are ints, or three of
     them, one per spatial axis.  Computed by shift-and-accumulate over the
     kernel taps, so the extra memory is O(input) rather than an im2col
-    matrix k^3 times the input.  The stride-1 forward runs over blocks of
-    output depth planes, and pads only the input planes a block reads, so
-    its extra memory is a few blocks' scratch, not a padded copy of the
-    volume; its taps read row ranges of that scratch in place.  Strided
-    taps and the kernel gradient copy each tap's window of the padded input,
-    which the backward pads again when it runs.
+    matrix k^3 times the input.  At stride 1, _plane_sum computes the
+    forward and the input gradient (the output gradient, padded by k - 1 - p,
+    convolved with the kernel transposed in (Cin, Cout)); neither pads a copy
+    of the volume.  Strided taps and the kernel gradient copy each tap's
+    window of the padded input.
     """
     if x.ndim != 4 or kernel.ndim != 5:
         raise ShapeError(f"conv3d expects x rank 4 and kernel rank 5, got {x.shape} and {kernel.shape}")
@@ -820,22 +819,15 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     w = kernel.data
     b = None if bias is None else bias.data
     out = np.empty(out_sp + (cout,), dtype=np.result_type(x.data, w))
-    taps = _conv_taps((kd, kh, kw), stride, out_sp)
+    windows = _conv_windows((kd, kh, kw), stride, out_sp)
 
     # one (rows, Cin) @ (Cin, Cout) GEMM per tap, summed in fixed tap order
     # so reruns are bit-identical
     if stride == (1, 1, 1):
-        # a block takes enough planes for each tap GEMM to keep _GEMM_MIN
-        # multiply-adds and two rows, and no fewer than its kd - 1 halo
-        # planes, so each input plane is padded into scratch at most twice
-        plane = out_sp[1] * out_sp[2]
-        planes = max(kd - 1, -(-_GEMM_MIN // (plane * cin * cout)), -(-2 // plane))
-        _by_rows(_plane_sum(x.data, w, b, padding), (np.arange(out_sp[0]).reshape(-1, 1, 1, 1),),
-                 out, block=planes * plane * cout, k=cin)
+        _plane_sum(x.data, w, b, padding, out)
     else:
-        # strided taps: each copies its window of the padded input for its GEMM
         xp = _pad(x.data, padding)
-        _by_rows(_tap_sum(w), [xp[window] for _, window in taps], out, k=cin)
+        _by_rows(_tap_sum(w), [xp[window] for window in windows], out, k=cin)
         if b is not None:
             _by_rows(np.add, (out, b), out)
 
@@ -844,35 +836,27 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     def bwd(g):
         xp = _pad(x.data, padding)
         gm = g.reshape(-1, cout)
-        w_taps = w.reshape(-1, cin, cout)
         dw = np.empty(kernel.shape, dtype=np.result_type(xp, gm))
 
         def dw_taps(index, dw_rows):
             for i, dw_tap in zip(index.ravel(), dw_rows):
-                np.matmul(xp[taps[i][1]].reshape(-1, cin).T, gm, out=dw_tap)
-
-        def dx_taps(g_rows, w_group, dtap_rows, *dx_rows):
-            # each tap of the group, in tap order, over the same output planes
-            g_rows, dtap_flat = g_rows.reshape(-1, cout), dtap_rows.reshape(-1, cin)
-            for wt, dx in zip(w_group, dx_rows):
-                np.matmul(g_rows, wt.T, out=dtap_flat)
-                np.add(dx, dtap_rows, out=dx)
+                np.matmul(xp[windows[i]].reshape(-1, cin).T, gm, out=dw_tap)
 
         # dw[tap] sums over every voxel, so the op workers take whole taps
-        _by_rows(dw_taps, (np.arange(len(taps)).reshape(-1, 1, 1),), dw.reshape(-1, cin, cout),
+        _by_rows(dw_taps, (np.arange(len(windows)).reshape(-1, 1, 1),), dw.reshape(-1, cin, cout),
                  k=gm.shape[0])
-        dxp = np.zeros(xp.shape, dtype=xp.dtype)
-        dtap = np.empty(out_sp + (cin,), dtype=np.result_type(gm, w))
-        g_planes = gm.reshape(out_sp + (cout,))
-        # taps that share a depth offset write disjoint planes of dxp from
-        # disjoint output planes, so the op workers take output planes of one
-        # such group at a time, and every voxel sums its taps in tap order
-        group = len(taps) // kd
-        for a in range(0, len(taps), group):
-            _by_rows(dx_taps, (g_planes, w_taps[a:a + group]), dtap,
-                     *(dxp[window] for _, window in taps[a:a + group]), k=cout)
-        del dtap
-        dx = np.ascontiguousarray(dxp[tuple(slice(p, p + n) for p, n in zip(padding, x.shape))])
+        del xp
+        if stride == (1, 1, 1):
+            # g is padded by k - 1 - p, or cropped when the padding exceeds k - 1
+            back = [k - 1 - p for p, k in zip(padding, kernel.shape)]
+            crop = tuple(slice(max(-q, 0), n - max(-q, 0)) for q, n in zip(back, g.shape))
+            dx = np.empty(x.shape, dtype=x.data.dtype)
+            _plane_sum(g[crop], w.swapaxes(3, 4), None, tuple(max(q, 0) for q in back), dx, mirrored=True)
+        else:
+            dxp = np.zeros(padded + (cin,), dtype=x.data.dtype)
+            for window, wt in zip(windows, w.reshape(-1, cin, cout)):
+                dxp[window] += _gemm(gm, wt.T).reshape(out_sp + (cin,))
+            dx = np.ascontiguousarray(dxp[tuple(slice(p, p + n) for p, n in zip(padding, x.shape))])
         if bias is None:
             return dx, dw
         return dx, dw, gm.sum(axis=0)
@@ -888,12 +872,14 @@ def _pad(x, padding):
     return np.pad(x, [(p, p) for p in padding] + [(0, 0)])
 
 
-def _plane_sum(x, w, bias, padding):
-    """Stride-1 conv3d kernel over a block of output depth planes.  Its row
-    input is the output plane index.  It pads the input planes the block
-    reads into scratch of its own (or views them when nothing is padded),
-    sums the tap products over that scratch with _tap_sum, and writes the
-    block's output voxels plus the bias."""
+def _plane_sum(x, w, bias, padding, out, mirrored=False):
+    """Stride-1 conv3d of `x` by `w` with zero `padding`, plus `bias`, into
+    `out`, over blocks of output depth planes split among the op workers.
+    A block pads the input planes it reads into scratch of its own and sums
+    one GEMM per tap over it with _tap_sum, in lexicographic tap order.
+    `mirrored` makes tap t read at tap T-1-t's offset: with w transposed in
+    (Cin, Cout) that is the input gradient of the convolution by w, each
+    voxel summing its taps in the forward's order (padding adds zeros)."""
     kd, kh, kw, cin, cout = w.shape
     (pd, ph, pw), (d, h, wd) = padding, x.shape[:3]
     hp, wp = h + 2 * ph, wd + 2 * pw
@@ -904,6 +890,8 @@ def _plane_sum(x, w, bias, padding):
     # tap's range ends at the last scratch row; frame rows past it are
     # outside every output voxel and stay unset.
     offsets = [(a * hp + b) * wp + c for a, b, c in np.ndindex(kd, kh, kw)]
+    if mirrored:
+        offsets = [offsets[-1] - o for o in offsets]
     tail = (kh - 1) * wp + kw - 1
     tap_sum = _tap_sum(w)
 
@@ -925,7 +913,14 @@ def _plane_sum(x, w, bias, padding):
             np.add(voxels, bias, out=out)
         elif frame is not out:
             np.copyto(out, voxels)
-    return kernel
+
+    # a block takes enough planes for each tap GEMM to keep _GEMM_MIN
+    # multiply-adds and two rows, and no fewer than its kd - 1 halo planes,
+    # so each input plane is padded into scratch at most twice
+    plane = out.shape[1] * out.shape[2]
+    planes = max(kd - 1, -(-_GEMM_MIN // (plane * cin * cout)), -(-2 // plane))
+    _by_rows(kernel, (np.arange(out.shape[0]).reshape(-1, 1, 1, 1),), out,
+             block=planes * plane * cout, k=cin)
 
 
 def _tap_sum(w):
@@ -946,15 +941,11 @@ def _tap_sum(w):
     return kernel
 
 
-def _conv_taps(ksize, stride, out_sp):
-    """((a, b, c), window) for every kernel tap in lexicographic order, where
-    window slices the padded input at the positions that tap multiplies."""
-    return [
-        ((a, b, c), tuple(slice(o, o + n * s, s) for o, n, s in zip((a, b, c), out_sp, stride)))
-        for a in range(ksize[0])
-        for b in range(ksize[1])
-        for c in range(ksize[2])
-    ]
+def _conv_windows(ksize, stride, out_sp):
+    """For every kernel tap in lexicographic order, the slices of the padded
+    input at the positions that tap multiplies."""
+    return [tuple(slice(o, o + n * s, s) for o, n, s in zip(tap, out_sp, stride))
+            for tap in np.ndindex(*ksize)]
 
 
 def avg_pool3d(x):

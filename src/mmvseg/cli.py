@@ -390,6 +390,8 @@ def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out = Path(args.out)
     _write_manifest(out, "gradcheck", args.seed,
                     {"tolerance": 1e-4},

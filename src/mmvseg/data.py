@@ -83,6 +83,8 @@ class PhantomSpec:
             raise ConfigError("objects_per_class must be >= 1")
         if self.noise_sigma < 0:
             raise ConfigError("noise sigma must be >= 0")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         self.shape = tuple(int(s) for s in self.shape)
         self.radius_range = (float(lo), float(hi))
         try:

@@ -90,8 +90,9 @@ class ModelConfig:
                 f"attention dim {self.attention.dim} must equal the top encoder width "
                 f"{self.encoder.stage_channels[-1]}"
             )
-        if self.spatial_layers < 0:
-            raise ConfigError(f"spatial_layers must be >= 0, got {self.spatial_layers}")
+        for name in ("spatial_layers", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.dtype not in _DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
         self.decoder = replace(self.decoder, out_classes=self.n_classes)
@@ -353,6 +354,9 @@ def load_checkpoint(path):
             cfg = ModelConfig.from_dict(header["config"])
         except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
             raise FormatError(f"checkpoint config does not build a model: {exc}") from exc
+        counters = {key: header.get(key, 0) for key in ("step", "opt_t")}
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in counters.values()):
+            raise FormatError(f"checkpoint header step and opt_t must be integers, got {counters}")
         model = Model(cfg)
         params = dict(model.named_params())
 
@@ -391,9 +395,9 @@ def load_checkpoint(path):
     for name in params:
         if name not in seen:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
-    meta = {"step": int(header.get("step", 0)), "opt": None}
+    meta = {"step": counters["step"], "opt": None}
     if header.get("optimizer"):
-        opt = {"t": int(header.get("opt_t", 0)), "m": {}, "v": {}}
+        opt = {"t": counters["opt_t"], "m": {}, "v": {}}
         for name in list(others):
             if name.startswith("opt.m/"):
                 opt["m"][name[len("opt.m/") :]] = others.pop(name)

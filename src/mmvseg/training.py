@@ -50,7 +50,7 @@ class TrainConfig:
             raise ConfigError("loss weights must be nonnegative")
         if self.dice_weight == 0 and self.ce_weight == 0:
             raise ConfigError("at least one loss weight must be positive")
-        for name in ("steps", "batch_size", "checkpoint_every", "val_every"):
+        for name in ("steps", "batch_size", "checkpoint_every", "val_every", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -62,9 +62,9 @@ class TrainConfig:
                 or not all(0 <= b < 1 for b in self.betas)):
             raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         self.betas = (float(self.betas[0]), float(self.betas[1]))
-        for name in ("checkpoint_every", "val_every"):
+        for name in ("checkpoint_every", "val_every", "seed"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0 (0 = off), got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def _target_labels(logits, target, what):

@@ -594,6 +594,30 @@ class TestAblate:
         assert "unknown ablation rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,args", [
+    ("gen", ["--cases", "2"]), ("train", ["--steps", "1"]),
+    ("ablate", ["--rows", "full", "--cases", "2", "--steps", "1"]), ("gradcheck", []),
+], ids=["gen", "train", "ablate", "gradcheck"])
+def test_negative_seed_fails_before_the_manifest(workdir, tmp_path, capsys, command, args):
+    if command == "train":
+        args = args + ["--data", str(workdir / "data"), "--model-config", str(workdir / "model.json")]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--seed", "-1", *args]) == 1
+    err = capsys.readouterr().err
+    assert "seed must be" in err and "Error" not in err
+    assert not out.exists()
+
+
+def test_negative_model_seed_fails_before_the_manifest(workdir, tmp_path, capsys):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({**MODEL, "seed": -1}))
+    out = tmp_path / "out"
+    assert main(["train", "--out", str(out), "--data", str(workdir / "data"),
+                 "--model-config", str(cfg), "--steps", "1"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestReport:
     def test_train_run(self, workdir, tmp_path):
         out = tmp_path / "report"

@@ -49,6 +49,9 @@ class TestSpec:
             tiny_spec(objects_per_class=0)
         with pytest.raises(ConfigError):
             tiny_spec(noise_sigma=-0.1)
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+                tiny_spec(seed=seed)
 
     def test_default_visibility_is_complementary(self):
         vis = tiny_spec(modalities=2, n_classes=4).visibility_matrix()

@@ -72,6 +72,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             toy_config(**{field: value})
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            toy_config(seed=-1)
+
     def test_dict_round_trip(self):
         cfg = toy_config(n_classes=3, use_cross_attention=False)
         again = ModelConfig.from_dict(cfg.to_dict())
@@ -444,6 +448,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("change", [{"step": "x"}, {"step": 1.5}, {"step": None},
+                                        {"optimizer": True, "opt_t": "3"},
+                                        {"optimizer": True, "opt_t": True}],
+                             ids=["string-step", "fractional-step", "null-step",
+                                  "string-opt-t", "bool-opt-t"])
+    def test_non_integer_header_counter_is_a_format_error(self, tmp_path, change):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path, step=3)
+        rewrite_header(path, lambda header: header.update(change))
+        with pytest.raises(FormatError, match="step and opt_t must be integers"):
+            load_checkpoint(path)
+
     def test_stored_config_that_does_not_build_is_a_format_error(self, tmp_path):
         path = tmp_path / "model.ckpt"
         for change in ({"bogus": 1}, {"n_classes": 1}):
@@ -556,9 +572,14 @@ def write_records(path, prefix, records):
 
 def rewrite_config(path, change):
     """Update the model config stored in a checkpoint's JSON header in place."""
+    rewrite_header(path, lambda header: header["config"].update(change))
+
+
+def rewrite_header(path, update):
+    """Apply `update` to a checkpoint's JSON header in place."""
     raw = path.read_bytes()
     (blob_len,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + blob_len])
-    header["config"].update(change)
+    update(header)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :])

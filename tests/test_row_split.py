@@ -20,7 +20,7 @@ from scipy.special import erf
 
 from mmvseg import autodiff as ad
 from mmvseg.autodiff import Tape, Tensor
-from test_tensor import assert_same_numbers, value_and_grads
+from test_tensor import SLAB_GEOMETRIES, assert_same_numbers, value_and_grads
 
 DTYPES = (np.float32, np.float64)
 N = ad._SPLIT_MIN
@@ -265,25 +265,45 @@ def test_conv3d_gemms_match_serial_expression(set_workers, dtype, layer, size, w
         assert_exact(got, want)
 
 
-# the decoder's 3x3x3 convs at volumes whose worker ranges hold several
-# blocks of output planes; no block size or worker count divides the depth
-DECODER_VOLUMES = {"decoder-3x3x3-96": (23, 20, 20), "decoder-3x3x3-256": (13, 12, 12)}
+# (x shape, kernel shape, padding) of stride-1 convolutions: the decoder's
+# 3x3x3 convs at volumes whose worker ranges hold several blocks of output
+# planes (no block size or worker count divides the depth), and the
+# geometries of test_tensor's slab test
+PLANE_GEOMETRIES = {
+    "decoder-3x3x3-96": ((23, 20, 20, 96), (3, 3, 3, 96, 32), 1),
+    "decoder-3x3x3-256": ((13, 12, 12, 256), (3, 3, 3, 256, 128), 1),
+    **SLAB_GEOMETRIES,
+}
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("layer", list(DECODER_VOLUMES))
+@pytest.mark.parametrize("geometry", list(PLANE_GEOMETRIES))
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_conv3d_plane_blocks_match_serial_forward(set_workers, dtype, layer, workers):
+def test_conv3d_plane_blocks_match_serial_forward(set_workers, dtype, geometry, workers):
+    """The stride-1 plane blocks compute the forward and the input gradient;
+    both, and the kernel and bias gradients, match the serial loop."""
     set_workers(workers)
-    cin, cout, ksize, _, padding = CONV_LAYERS[layer]
-    rng = np.random.default_rng(cin + cout)
-    x = draw(rng, DECODER_VOLUMES[layer] + (cin,), dtype)
-    k = draw(rng, (ksize,) * 3 + (cin, cout), dtype, scale=0.1)
-    b = draw(rng, (cout,), dtype)
-    y = ad.conv3d(Tensor(x), Tensor(k), Tensor(b), padding=padding).data
-    g = np.zeros(y.shape, dtype)
-    ref_y, _ = serial_conv3d(x, k, b, (1, 1, 1), (padding,) * 3, g)
+    x_shape, k_shape, padding = PLANE_GEOMETRIES[geometry]
+    padding = ad._triple(padding)
+    rng = np.random.default_rng(sum(k_shape[3:]))
+    x = draw(rng, x_shape, dtype)
+    k = draw(rng, k_shape, dtype, scale=0.1)
+    b = draw(rng, k_shape[4:], dtype)
+    y, g, grads = run_op(lambda x_, k_, b_: ad.conv3d(x_, k_, b_, padding=padding), x, k, b)
+    ref_y, ref_grads = serial_conv3d(x, k, b, (1, 1, 1), padding, g)
     assert_exact(y, ref_y)
+    for name, got, want in zip(("dx", "dw", "db"), grads, ref_grads, strict=True):
+        if geometry == "kernel-fills-padded-input" and name == "dx":
+            # one output voxel, so each of the serial loop's per-tap input
+            # gradient products has one row, which BLAS may sum as a
+            # matrix-vector product in another order than the plane blocks'
+            # GEMMs of several rows; checked within the im2col test's
+            # float64 tolerance, and 1e-5 of the largest value in float32
+            assert got.dtype == want.dtype and got.shape == want.shape
+            tol = {np.float32: 1e-5, np.float64: 1e-10}[dtype] * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        else:
+            assert_exact(got, want)
 
 
 def chain_gated_sum(gates, feats):

@@ -89,7 +89,8 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="betas"):
             TrainConfig(betas=betas)
 
-    @pytest.mark.parametrize("field", ["steps", "batch_size", "checkpoint_every", "val_every"])
+    @pytest.mark.parametrize("field", ["steps", "batch_size", "checkpoint_every", "val_every",
+                                       "seed"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
