@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -69,22 +70,22 @@ class PhantomSpec:
             raise ConfigError(
                 f"phantom extents must be positive multiples of 16, got {self.shape}"
             )
-        if self.modalities < 1:
-            raise ConfigError("need at least 1 modality")
-        if self.n_classes < 2:
-            raise ConfigError("need background plus at least 1 foreground class")
+        for name, least in (("modalities", 1), ("n_classes", 2), ("objects_per_class", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if (not isinstance(self.radius_range, (list, tuple)) or len(self.radius_range) != 2
+                or any(isinstance(r, bool) or not isinstance(r, numbers.Real)
+                       for r in self.radius_range)):
+            raise ConfigError(f"radius range must be two numbers, got {self.radius_range!r}")
         lo, hi = self.radius_range
         if not all(map(math.isfinite, (lo, hi, self.noise_sigma))):
             raise ConfigError(f"radius range {self.radius_range} and noise sigma "
                               f"{self.noise_sigma} must be finite")
         if not 0 < lo <= hi:
             raise ConfigError(f"bad radius range {self.radius_range}")
-        if self.objects_per_class < 1:
-            raise ConfigError("objects_per_class must be >= 1")
         if self.noise_sigma < 0:
             raise ConfigError("noise sigma must be >= 0")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         self.shape = tuple(int(s) for s in self.shape)
         self.radius_range = (float(lo), float(hi))
         try:

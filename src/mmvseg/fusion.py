@@ -246,15 +246,13 @@ class Fusion(Module):
         self,
         modalities,
         grid,
-        cfg: AttentionConfig = None,
-        rng=None,
+        cfg: AttentionConfig,
+        rng,
         summary_tokens=32,
         spatial_layers=2,
         use_cross=True,
         dtype=np.float32,
     ):
-        cfg = cfg if cfg is not None else AttentionConfig()
-        rng = rng if rng is not None else np.random.default_rng(0)
         if modalities < 1:
             raise ConfigError(f"need at least one modality, got {modalities}")
         grid = tuple(int(g) for g in grid)

@@ -26,7 +26,7 @@ from .fusion import (
     SpatialMixerLayer,
     pair_counter,
 )
-from .nn import Module
+from .nn import Module, flat_views
 
 DOWNSAMPLE = 16  # spatial reduction from input to bottleneck
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -280,18 +280,15 @@ def benchmark_attention(grid, window, channels=128, heads=8, repeats=3, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _collect_tensors(model, opt_state):
-    tensors = list(model.named_params())
+def _checkpoint_table(named, opt_state):
+    """(name, array) of each checkpoint tensor in table order: the
+    parameters, then `opt.m/<name>` and `opt.v/<name>` per parameter, cut
+    from the flat moments of `opt_state` if there is one."""
+    table = [(name, p.data) for name, p in named]
     if opt_state is not None:
-        for name, _ in list(tensors):
-            tensors.append((f"opt.m/{name}", Tensor(opt_state["m"][name])))
-            tensors.append((f"opt.v/{name}", Tensor(opt_state["v"][name])))
-    seen = set()
-    for name, _ in tensors:
-        if name in seen:
-            raise FormatError(f"duplicate tensor name {name!r}")
-        seen.add(name)
-    return tensors
+        for (name, m), (_, v) in zip(flat_views(named, opt_state["m"]), flat_views(named, opt_state["v"])):
+            table += [(f"opt.m/{name}", m), (f"opt.v/{name}", v)]
+    return table
 
 
 def save_checkpoint(model, path, step=0, opt_state=None):
@@ -305,7 +302,7 @@ def save_checkpoint(model, path, step=0, opt_state=None):
     header = {"config": model.cfg.to_dict(), "step": int(step), "optimizer": opt_state is not None}
     if opt_state is not None:
         header["opt_t"] = int(opt_state["t"])
-    tensors = _collect_tensors(model, opt_state)
+    tensors = _checkpoint_table(list(model.named_params()), opt_state)
 
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
@@ -315,28 +312,27 @@ def save_checkpoint(model, path, step=0, opt_state=None):
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         fh.write(struct.pack("<I", len(tensors)))
-        for name, tensor in tensors:
+        for name, array in tensors:
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-            payload = np.ascontiguousarray(tensor.data, dtype=f"<f{tensor.dtype.itemsize}")
+            payload = np.ascontiguousarray(array, dtype=f"<f{array.itemsize}")
             fh.write(struct.pack("BB", payload.itemsize, payload.ndim))
-            for extent in payload.shape:
-                fh.write(struct.pack("<I", extent))
-            fh.write(payload.tobytes())
+            fh.write(struct.pack(f"<{payload.ndim}I", *payload.shape))
+            fh.write(payload)
     os.replace(tmp, path)
 
 
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint; returns (model, meta) where meta
-    carries the step counter and optimizer state if one was saved.
+    carries the step counter and optimizer state if one was saved, its
+    moments as flat float64 arrays.
 
     The model is built from the header's config before the tensor table is
-    read, and each parameter's payload is read straight into the
-    parameter's array when the stored name, shape and item size match it,
-    so loading holds no second copy of the weights.  Any other tensor (the
-    optimizer moments, or a payload stored at another item size, which is
-    cast into the parameter) is read into an array of its own."""
+    read.  Each payload is read straight into its target, a parameter or a
+    slice of the flat moments, so loading holds no second copy of them; one
+    stored at another item size is cast into it.  A tensor with no target,
+    or a target with no tensor, is a FormatError."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise FormatError("not a checkpoint file (bad magic)")
@@ -358,52 +354,41 @@ def load_checkpoint(path):
         if any(isinstance(v, bool) or not isinstance(v, int) for v in counters.values()):
             raise FormatError(f"checkpoint header step and opt_t must be integers, got {counters}")
         model = Model(cfg)
-        params = dict(model.named_params())
+        opt = None
+        if header.get("optimizer"):
+            size = model.param_count()
+            opt = {"t": counters["opt_t"], "m": np.empty(size), "v": np.empty(size)}
+        targets = dict(_checkpoint_table(list(model.named_params()), opt))
 
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        seen, others = set(), {}
+        seen = set()
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
             name = _read_exact(fh, name_len, "name").decode("utf-8")
             if name in seen:
                 raise FormatError(f"duplicate tensor {name!r} in checkpoint")
+            if name not in targets:
+                raise FormatError(f"checkpoint holds unexpected tensors: {[name]}")
             seen.add(name)
             itemsize, rank = struct.unpack("BB", _read_exact(fh, 2, "item size and rank"))
             if itemsize not in (4, 8):
                 raise FormatError(f"tensor {name!r} has item size {itemsize}, expected 4 or 8")
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4, "extent"))[0] for _ in range(rank)
-            )
-            stored = np.dtype(f"<f{itemsize}")
-            param = params.get(name)
-            if param is not None and shape != param.shape:
+            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "extents"))
+            target = targets[name]
+            if shape != target.shape:
                 raise FormatError(
-                    f"tensor {name!r} has shape {shape}, model expects {param.shape}"
+                    f"tensor {name!r} has shape {shape}, model expects {target.shape}"
                 )
-            if param is not None and param.dtype == stored:
-                _read_into(fh, param.data, f"payload of {name!r}")
-                continue
-            payload = np.empty(shape, dtype=stored)
-            _read_into(fh, payload, f"payload of {name!r}")
-            if param is not None:
-                param.data[...] = payload
+            if target.itemsize == itemsize:
+                _read_into(fh, target, f"payload of {name!r}")
             else:
-                others[name] = payload
+                payload = np.empty(shape, dtype=f"<f{itemsize}")
+                _read_into(fh, payload, f"payload of {name!r}")
+                target[...] = payload
         if fh.read(1):
             raise FormatError("trailing data after tensor table")
 
-    for name in params:
+    for name in targets:
         if name not in seen:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
-    meta = {"step": counters["step"], "opt": None}
-    if header.get("optimizer"):
-        opt = {"t": counters["opt_t"], "m": {}, "v": {}}
-        for name in list(others):
-            if name.startswith("opt.m/"):
-                opt["m"][name[len("opt.m/") :]] = others.pop(name)
-            elif name.startswith("opt.v/"):
-                opt["v"][name[len("opt.v/") :]] = others.pop(name)
-        meta["opt"] = opt
-    if others:
-        raise FormatError(f"checkpoint holds unexpected tensors: {sorted(others)[:3]}")
-    return model, meta
+    return model, {"step": counters["step"], "opt": opt}

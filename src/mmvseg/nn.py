@@ -5,15 +5,44 @@ that model construction is reproducible from a single seed.  Weight matrices
 and convolution kernels are Xavier-uniform, biases start at zero.
 """
 
+from itertools import accumulate
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import ShapeError
 
 
 def xavier_uniform(rng, shape, fan_in, fan_out, dtype):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+def flat_views(named, flat):
+    """Yield (name, view) per (name, tensor) of the list `named`: the
+    tensor's shape cut from the 1-d `flat` in that order.  This is the one
+    flat layout of parameters, gradients, moments and checkpoint tables."""
+    sizes = [p.size for _, p in named]
+    if flat.shape != (sum(sizes),):
+        raise ShapeError(f"flat buffer of shape {flat.shape} does not hold {sum(sizes)} values")
+    for (name, p), end in zip(named, accumulate(sizes)):
+        yield name, flat[end - p.size : end].reshape(p.shape)
+
+
+class FlatParams:
+    """The (name, parameter) pairs `named`, with each parameter's `data` and
+    `grad` made views into the flat `data` and the zeroed flat `grad`."""
+
+    def __init__(self, named):
+        self.named = list(named)
+        # one dtype: a parameter of any other one is a TypeError, not a cast
+        self.data = np.concatenate([p.data.reshape(-1) for _, p in self.named],
+                                   dtype=self.named[0][1].dtype, casting="no")
+        self.grad = np.zeros_like(self.data)
+        views = zip(self.named, flat_views(self.named, self.data), flat_views(self.named, self.grad))
+        for (_, p), (_, data), (_, grad) in views:
+            p.data, p.grad = data, grad
 
 
 class Module:

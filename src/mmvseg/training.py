@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -20,6 +21,7 @@ from .autodiff import Tape, Tensor, backward
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .metrics import SegmentationMask, dice_score
 from .model import Model, save_checkpoint
+from .nn import FlatParams, flat_views
 
 
 @dataclass
@@ -128,30 +130,24 @@ def combined_loss(logits: Tensor, target, dice_weight: float = 1.0,
 
 @dataclass
 class OptimState:
+    """AdamW's step count and its float64 moments, flat in `flat_views` order."""
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
 
-def init_opt_state(named_params) -> OptimState:
-    state = OptimState()
-    for name, p in named_params:
-        state.m[name] = np.zeros(p.shape, dtype=np.float64)
-        state.v[name] = np.zeros(p.shape, dtype=np.float64)
-    return state
-
-
-def adamw_step(named_params, grads, state: OptimState, cfg: TrainConfig):
-    """One AdamW update in place; weight decay is decoupled from the moments."""
+def adamw_step(params: FlatParams, grads, state: OptimState, cfg: TrainConfig):
+    """One AdamW update in place from the flat gradient `grads`, with weight
+    decay decoupled from the moments; a non-finite gradient changes nothing."""
+    if not np.isfinite(grads).all():
+        name = next(n for n, g in flat_views(params.named, grads) if not np.isfinite(g).all())
+        raise NumericError(f"non-finite gradient for {name}")
     b1, b2 = cfg.betas
     state.t += 1
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for name, p in named_params:
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
-        m, v = state.m[name], state.v[name]
+
+    def kernel(g, p, m, v):
         # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in float64, in place
         a = np.multiply(g, 1.0 - b1, dtype=np.float64)
         np.multiply(m, b1, out=m)
@@ -166,8 +162,9 @@ def adamw_step(named_params, grads, state: OptimState, cfg: TrainConfig):
         a += cfg.eps
         np.divide(np.divide(m, c1), a, out=a)
         a *= cfg.lr
-        p.data = np.subtract(p.data * (1.0 - cfg.lr * cfg.weight_decay), a, out=a).astype(p.dtype, copy=False)
-    return state
+        p[...] = np.subtract(p * (1.0 - cfg.lr * cfg.weight_decay), a, out=a)
+
+    ad._by_rows(kernel, (grads,), params.data, state.m, state.v, block=ad._BLOCK)
 
 
 def _mean_foreground_dice(model: Model, dataset) -> float:
@@ -196,8 +193,8 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = Model(model_cfg)
-    named = list(model.named_params())
-    opt = init_opt_state(named)
+    params = FlatParams(model.named_params())
+    opt = OptimState(np.zeros(params.data.size), np.zeros(params.data.size))
     order_rng = np.random.default_rng(train_cfg.seed)
     ckpt_path = out / "checkpoint.ckpt"
     train_log = out / "train_log.jsonl"
@@ -207,86 +204,75 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
 
     def save(step):
         nonlocal saved_step
-        save_checkpoint(model, ckpt_path, step=step,
-                        opt_state={"t": opt.t, "m": opt.m, "v": opt.v})
+        save_checkpoint(model, ckpt_path, step=step, opt_state=vars(opt))
         saved_step = step
 
-    params = [p for _, p in named]
-    # a batch's mean gradient is summed into float64 buffers; a single
-    # sample's gradients go to the optimizer as they are
-    batch_grads = ({name: np.empty(p.shape, dtype=np.float64) for name, p in named}
-                   if train_cfg.batch_size > 1 else None)
+    # a batch's mean gradient is summed in float64; a single sample's
+    # gradient goes to the optimizer as it is
+    batch_grad = np.empty(params.data.size) if train_cfg.batch_size > 1 else None
     order = []
-    with open(train_log, "w") as log_fh:
-        val_fh = open(val_log, "w") if val_log else None
-        try:
-            for step in range(1, train_cfg.steps + 1):
-                t0 = perf_counter()
-                if batch_grads is not None:
-                    for buf in batch_grads.values():
-                        buf.fill(0.0)
-                loss_sum = dice_sum = ce_sum = 0.0
-                for _ in range(train_cfg.batch_size):
-                    if not order:
-                        order = list(order_rng.permutation(len(dataset)))
-                    volume, target = dataset[int(order.pop(0))]
-                    try:
-                        with Tape() as tape:
-                            logits = model(volume)
-                            dice_term = soft_dice_loss(logits, target, train_cfg.smooth)
-                            ce_term = cross_entropy_loss(logits, target)
-                            loss = ad.add(train_cfg.dice_weight * dice_term,
-                                          train_cfg.ce_weight * ce_term)
-                        if not np.isfinite(loss.data):
-                            raise NumericError("loss is not finite")
-                    except NumericError as exc:
-                        kept = ("no checkpoint written" if saved_step is None
-                                else f"checkpoint of step {saved_step} retained")
-                        raise NumericError(f"non-finite loss at step {step} ({exc}); {kept}") from exc
-                    loss_sum += float(loss.data)
-                    dice_sum += float(dice_term.data)
-                    ce_sum += float(ce_term.data)
-                    for p in params:
-                        p.grad = None
-                    backward(loss, tape, leaves=params)
-                    if batch_grads is not None:
-                        for name, p in named:
-                            batch_grads[name] += p.grad / train_cfg.batch_size
-                adamw_step(named, batch_grads or {name: p.grad for name, p in named}, opt, train_cfg)
+    with open(train_log, "w") as log_fh, (open(val_log, "w") if val_log else nullcontext()) as val_fh:
+        for step in range(1, train_cfg.steps + 1):
+            t0 = perf_counter()
+            if batch_grad is not None:
+                batch_grad.fill(0.0)
+            loss_sum = dice_sum = ce_sum = 0.0
+            for _ in range(train_cfg.batch_size):
+                if not order:
+                    order = list(order_rng.permutation(len(dataset)))
+                volume, target = dataset[int(order.pop(0))]
+                try:
+                    with Tape() as tape:
+                        logits = model(volume)
+                        dice_term = soft_dice_loss(logits, target, train_cfg.smooth)
+                        ce_term = cross_entropy_loss(logits, target)
+                        loss = ad.add(train_cfg.dice_weight * dice_term,
+                                      train_cfg.ce_weight * ce_term)
+                    if not np.isfinite(loss.data):
+                        raise NumericError("loss is not finite")
+                except NumericError as exc:
+                    kept = ("no checkpoint written" if saved_step is None
+                            else f"checkpoint of step {saved_step} retained")
+                    raise NumericError(f"non-finite loss at step {step} ({exc}); {kept}") from exc
+                loss_sum += float(loss.data)
+                dice_sum += float(dice_term.data)
+                ce_sum += float(ce_term.data)
+                params.grad.fill(0.0)
+                backward(loss, tape)
+                if batch_grad is not None:
+                    batch_grad += params.grad / train_cfg.batch_size
+            adamw_step(params, params.grad if batch_grad is None else batch_grad, opt, train_cfg)
 
-                record = {
-                    "step": step,
-                    "loss": loss_sum / train_cfg.batch_size,
-                    "dice_loss": dice_sum / train_cfg.batch_size,
-                    "ce_loss": ce_sum / train_cfg.batch_size,
-                    "lr": train_cfg.lr,
-                }
-                if train_cfg.log_wall_time:
-                    record["wall_ms"] = (perf_counter() - t0) * 1e3
-                log_fh.write(json.dumps(record) + "\n")
-
-                if val_fh and train_cfg.val_every and step % train_cfg.val_every == 0:
-                    val_fh.write(json.dumps(
-                        {"step": step, "dice": _mean_foreground_dice(model, val_dataset)}
-                    ) + "\n")
-                if train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
-                    save(step)
-
-            summary = {
-                "steps_run": train_cfg.steps,
-                "final_loss": record["loss"],
-                "checkpoint": str(ckpt_path),
-                "train_log": str(train_log),
-                "val_log": str(val_log) if val_log else None,
+            record = {
+                "step": step,
+                "loss": loss_sum / train_cfg.batch_size,
+                "dice_loss": dice_sum / train_cfg.batch_size,
+                "ce_loss": ce_sum / train_cfg.batch_size,
+                "lr": train_cfg.lr,
             }
-            if val_dataset is not None:
-                final_dice = _mean_foreground_dice(model, val_dataset)
+            if train_cfg.log_wall_time:
+                record["wall_ms"] = (perf_counter() - t0) * 1e3
+            log_fh.write(json.dumps(record) + "\n")
+
+            if val_fh and train_cfg.val_every and step % train_cfg.val_every == 0:
                 val_fh.write(json.dumps(
-                    {"step": train_cfg.steps, "dice": final_dice, "final": True}
+                    {"step": step, "dice": _mean_foreground_dice(model, val_dataset)}
                 ) + "\n")
-                summary["final_val_dice"] = final_dice
-        finally:
-            if val_fh:
-                val_fh.close()
+            if train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
+                save(step)
+
+        summary = {
+            "steps_run": train_cfg.steps,
+            "final_loss": record["loss"],
+            "checkpoint": str(ckpt_path),
+            "train_log": str(train_log),
+            "val_log": str(val_log) if val_log else None,
+        }
+        if val_dataset is not None:
+            final_dice = _mean_foreground_dice(model, val_dataset)
+            val_fh.write(json.dumps(
+                {"step": train_cfg.steps, "dice": final_dice, "final": True}
+            ) + "\n")
+            summary["final_val_dice"] = final_dice
     save(train_cfg.steps)
     return model, summary

@@ -153,6 +153,18 @@ class TestGen:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"objects_per_class": 1.5}, "objects_per_class must be an integer"),
+        ({"radius_range": [2, 4, 5]}, "radius range must be two numbers"),
+    ], ids=["fractional-objects-per-class", "three-radii"])
+    def test_mistyped_spec_field_fails_before_the_manifest(self, tmp_path, capsys, spec, message):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["gen", "--out", str(out), "--spec", str(tmp_path / "spec.json"),
+                     "--cases", "2"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cases", ["0", "-1"])
     def test_nonpositive_case_count_fails_before_the_manifest(self, tmp_path, capsys, cases):
         out = tmp_path / "out"

@@ -53,6 +53,16 @@ class TestSpec:
             with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
                 tiny_spec(seed=seed)
 
+    @pytest.mark.parametrize("field,value", [
+        ("modalities", 2.0), ("modalities", True), ("n_classes", "3"), ("n_classes", False),
+        ("objects_per_class", 1.5), ("radius_range", (2.0, 4.0, 5.0)), ("radius_range", (2.0,)),
+        ("radius_range", ("2", 4.0)), ("radius_range", (True, 4.0)), ("radius_range", 3.0),
+    ])
+    def test_rejects_mistyped_fields(self, field, value):
+        message = "radius range must be two numbers" if field == "radius_range" else "must be an integer"
+        with pytest.raises(ConfigError, match=message):
+            tiny_spec(**{field: value})
+
     def test_default_visibility_is_complementary(self):
         vis = tiny_spec(modalities=2, n_classes=4).visibility_matrix()
         assert vis.shape == (2, 4)

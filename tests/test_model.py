@@ -356,19 +356,18 @@ class TestCheckpoint:
             assert na == nb and np.array_equal(pa.data, pb.data)
 
     def test_optimizer_state_round_trip(self, tmp_path):
+        # float32 moments are stored as float32 and load as flat float64
         model = self._model(seed=12)
-        opt = {
-            "t": 3,
-            "m": {n: np.full(p.shape, 0.25, dtype=np.float32) for n, p in model.named_params()},
-            "v": {n: np.full(p.shape, 0.5, dtype=np.float32) for n, p in model.named_params()},
-        }
+        size = model.param_count()
+        opt = {"t": 3, "m": np.full(size, 0.25, dtype=np.float32),
+               "v": np.full(size, 0.5, dtype=np.float32)}
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, step=3, opt_state=opt)
         _, meta = load_checkpoint(path)
         assert meta["opt"]["t"] == 3
-        some = next(iter(meta["opt"]["m"]))
-        assert np.array_equal(meta["opt"]["m"][some], opt["m"][some])
-        assert np.array_equal(meta["opt"]["v"][some], opt["v"][some])
+        for key in ("m", "v"):
+            assert meta["opt"][key].dtype == np.float64
+            assert np.array_equal(meta["opt"][key], opt[key])
 
     def test_float64_model_round_trips_bit_exact(self, tmp_path):
         model = self._model(seed=14, dtype="float64")
@@ -384,22 +383,47 @@ class TestCheckpoint:
         # stored as float64: values beyond float32 range and below its
         # resolution come back unchanged
         model = self._model(seed=13)
+        size = model.param_count()
         rng = np.random.default_rng(13)
-        opt = {
-            "t": 1,
-            "m": {n: rng.normal(size=p.shape) for n, p in model.named_params()},
-            "v": {n: np.full(p.shape, 1e43) for n, p in model.named_params()},
-        }
+        opt = {"t": 1, "m": rng.normal(size=size), "v": np.full(size, 1e43)}
         path = tmp_path / "model.ckpt"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             save_checkpoint(model, path, step=1, opt_state=opt)
         _, meta = load_checkpoint(path)
         for key in ("m", "v"):
-            assert meta["opt"][key].keys() == opt[key].keys()
-            for name, stored in meta["opt"][key].items():
-                assert stored.dtype == np.float64
-                assert np.array_equal(stored, opt[key][name])
+            assert meta["opt"][key].dtype == np.float64
+            assert np.array_equal(meta["opt"][key], opt[key])
+
+    def test_moments_are_stored_per_parameter_after_the_parameters(self, tmp_path):
+        # the flat moments are cut per parameter in named_params order, and
+        # each parameter's m and v records follow one another in the table
+        model = self._model(seed=16)
+        size = model.param_count()
+        m, v = np.arange(size, dtype=np.float64), -np.arange(size, dtype=np.float64)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path, step=2, opt_state={"t": 2, "m": m, "v": v})
+        params = [tensor_record(n, p.data) for n, p in model.named_params()]
+        moments, lo = [], 0
+        for name, p in model.named_params():
+            cut = slice(lo, lo + p.size)
+            moments += [tensor_record(f"opt.m/{name}", m[cut].reshape(p.shape)),
+                        tensor_record(f"opt.v/{name}", v[cut].reshape(p.shape))]
+            lo += p.size
+        assert tensor_records(path.read_bytes())[1] == params + moments
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_missing_moment_is_a_format_error(self, tmp_path, moment):
+        model = self._model(seed=17)
+        named = list(model.named_params())
+        size = model.param_count()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path, step=1, opt_state={"t": 1, "m": np.ones(size), "v": np.ones(size)})
+        prefix, records = tensor_records(path.read_bytes())
+        del records[len(named) + "mv".index(moment)]  # the first parameter's moment
+        write_records(path, prefix, records)
+        with pytest.raises(FormatError, match=f"missing tensor 'opt.{moment}/{named[0][0]}'"):
+            load_checkpoint(path)
 
     def test_version_2_file_is_unsupported(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,15 +13,17 @@ from mmvseg.errors import ConfigError, ContractError, NumericError, ShapeError
 from mmvseg.fusion import AttentionConfig
 from mmvseg.metrics import SegmentationMask
 from mmvseg.model import ABLATIONS, Model, ModelConfig, ablation_model_config, load_checkpoint
+from mmvseg.nn import FlatParams, flat_views
 from mmvseg.training import (
+    OptimState,
     TrainConfig,
     adamw_step,
     combined_loss,
     cross_entropy_loss,
-    init_opt_state,
     soft_dice_loss,
     train,
 )
+from test_row_split import set_workers  # noqa: F401  (fixture)
 from test_tensor import assert_same_numbers, value_and_grads
 
 
@@ -276,6 +279,29 @@ def expression_adamw_step(named_params, grads, state, cfg):
         p.data = (p.data * (1.0 - cfg.lr * cfg.weight_decay) - cfg.lr * update).astype(p.dtype)
 
 
+def flat_store(named):
+    """A FlatParams store over `named` and a fresh optimizer state for it."""
+    store = FlatParams(named)
+    return store, OptimState(np.zeros(store.data.size), np.zeros(store.data.size))
+
+
+def expression_state(named):
+    """Per-name zero moments for `expression_adamw_step`."""
+    return SimpleNamespace(t=0, m={n: np.zeros(p.shape) for n, p in named},
+                           v={n: np.zeros(p.shape) for n, p in named})
+
+
+def assert_matches_expressions(store, state, named, want_state):
+    """The flat store and state equal the oracle's tensors and moments bit for bit."""
+    assert state.t == want_state.t
+    assert state.m.dtype == state.v.dtype == np.float64
+    m, v = dict(flat_views(store.named, state.m)), dict(flat_views(store.named, state.v))
+    for (name, p), (_, q) in zip(store.named, named, strict=True):
+        assert p.dtype == q.dtype and np.array_equal(p.data, q.data)
+        assert np.array_equal(m[name], want_state.m[name])
+        assert np.array_equal(v[name], want_state.v[name])
+
+
 class TestAdamW:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_update_equals_expressions(self, dtype):
@@ -285,49 +311,63 @@ class TestAdamW:
         cfg = TrainConfig(lr=3e-3, weight_decay=1e-2)
         runs = []
         for _ in range(2):
-            named = [(f"p{i}", Tensor(np.random.default_rng(i).normal(size=s).astype(dtype),
-                                      requires_grad=True)) for i, s in enumerate(shapes)]
-            runs.append((named, init_opt_state(named)))
+            runs.append([(f"p{i}", Tensor(np.random.default_rng(i).normal(size=s).astype(dtype),
+                                          requires_grad=True)) for i, s in enumerate(shapes)])
+        store, state = flat_store(runs[0])
+        want_state = expression_state(runs[1])
         for _ in range(4):
             grads = {f"p{i}": rng.normal(size=s).astype(dtype) for i, s in enumerate(shapes)}
             grads["p1"][0] = -0.0
-            adamw_step(runs[0][0], grads, runs[0][1], cfg)
-            expression_adamw_step(runs[1][0], grads, runs[1][1], cfg)
-        (got, got_state), (want, want_state) = runs
-        assert got_state.t == want_state.t == 4
-        for (name, p), (_, q) in zip(got, want):
-            assert p.dtype == q.dtype == dtype and np.array_equal(p.data, q.data)
-            assert np.array_equal(got_state.m[name], want_state.m[name])
-            assert np.array_equal(got_state.v[name], want_state.v[name])
-            assert got_state.m[name].dtype == np.float64
+            adamw_step(store, np.concatenate([g.reshape(-1) for g in grads.values()]), state, cfg)
+            expression_adamw_step(runs[1], grads, want_state, cfg)
+        assert state.t == 4
+        assert store.data.dtype == dtype
+        assert_matches_expressions(store, state, runs[1], want_state)
 
-    def _named(self, values):
-        return [(f"p{i}", Tensor(np.asarray(v, dtype=np.float64), requires_grad=True))
-                for i, v in enumerate(values)]
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_update_is_the_same_for_any_worker_count(self, set_workers, dtype, workers):
+        # above _SPLIT_MIN values the update runs in blocks on the op workers,
+        # with ragged tensor edges that no block boundary lines up with
+        set_workers(workers)
+        shapes = [(ad._SPLIT_MIN // 3 + 1,), (3, 7, 10001), (ad._BLOCK + 5,), (2,)]
+        assert sum(math.prod(s) for s in shapes) > ad._SPLIT_MIN
+        runs = [[(f"p{i}", Tensor(np.random.default_rng(i).normal(size=s).astype(dtype),
+                                  requires_grad=True)) for i, s in enumerate(shapes)]
+                for _ in range(2)]
+        store, state = flat_store(runs[0])
+        want_state = expression_state(runs[1])
+        cfg = TrainConfig(lr=3e-3, weight_decay=1e-2)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            grad = rng.normal(size=store.data.size).astype(dtype)
+            adamw_step(store, grad, state, cfg)
+            expression_adamw_step(runs[1], dict(flat_views(store.named, grad)), want_state, cfg)
+        assert_matches_expressions(store, state, runs[1], want_state)
+
+    def _store(self, values):
+        return flat_store([(f"p{i}", Tensor(np.asarray(v, dtype=np.float64), requires_grad=True))
+                           for i, v in enumerate(values)])
 
     def test_zero_grads_zero_decay_fixed_point(self):
-        named = self._named([[1.0, -2.0], [0.5]])
-        before = [p.data.copy() for _, p in named]
-        cfg = TrainConfig(weight_decay=0.0)
-        state = init_opt_state(named)
-        adamw_step(named, {n: np.zeros(p.shape) for n, p in named}, state, cfg)
-        for (_, p), b in zip(named, before):
-            assert np.array_equal(p.data, b)
+        store, state = self._store([[1.0, -2.0], [0.5]])
+        before = store.data.copy()
+        adamw_step(store, np.zeros(store.data.size), state, TrainConfig(weight_decay=0.0))
+        assert np.array_equal(store.data, before)
 
     def test_zero_grads_pure_decay(self):
-        named = self._named([[1.0, -2.0, 0.25]])
-        before = named[0][1].data.copy()
+        store, state = self._store([[1.0, -2.0, 0.25]])
+        before = store.data.copy()
         cfg = TrainConfig(lr=0.01, weight_decay=0.1)
-        adamw_step(named, {"p0": np.zeros(3)}, init_opt_state(named), cfg)
-        assert np.array_equal(named[0][1].data, before * (1.0 - 0.01 * 0.1))
+        adamw_step(store, np.zeros(3), state, cfg)
+        assert np.array_equal(store.named[0][1].data, before * (1.0 - 0.01 * 0.1))
 
     def test_matches_hand_iterated_recurrence(self):
         g = 0.3
         cfg = TrainConfig(lr=1e-2, weight_decay=1e-2)
-        named = self._named([[1.0]])
-        state = init_opt_state(named)
+        store, state = self._store([[1.0]])
         for _ in range(2):
-            adamw_step(named, {"p0": np.array([g])}, state, cfg)
+            adamw_step(store, np.array([g]), state, cfg)
 
         b1, b2 = cfg.betas
         p, m, v = 1.0, 0.0, 0.0
@@ -337,26 +377,30 @@ class TestAdamW:
             mh = m / (1 - b1**t)
             vh = v / (1 - b2**t)
             p = p * (1 - cfg.lr * cfg.weight_decay) - cfg.lr * mh / (math.sqrt(vh) + cfg.eps)
-        assert named[0][1].data[0] == pytest.approx(p, abs=1e-12)
+        assert store.named[0][1].data[0] == pytest.approx(p, abs=1e-12)
 
     def test_nonfinite_grad_names_parameter(self):
-        named = self._named([[1.0]])
+        store, state = self._store([[1.0]])
         with pytest.raises(NumericError, match="p0"):
-            adamw_step(named, {"p0": np.array([np.nan])}, init_opt_state(named), TrainConfig())
+            adamw_step(store, np.array([np.nan]), state, TrainConfig())
 
-    def test_moments_shaped_like_params(self):
-        named = self._named([[1.0, 2.0], [[3.0], [4.0]]])
-        state = init_opt_state(named)
-        for name, p in named:
-            assert state.m[name].shape == p.shape
-            assert state.v[name].shape == p.shape
-        assert state.t == 0
+    def test_nonfinite_grad_changes_nothing(self):
+        # the finite first tensor is not updated before the second one raises
+        store, state = self._store([[1.0], [2.0, 3.0]])
+        cfg = TrainConfig(lr=0.1)
+        adamw_step(store, np.array([0.5, 0.25, -0.5]), state, cfg)
+        before = [store.data.copy(), state.m.copy(), state.v.copy()]
+        with pytest.raises(NumericError, match="non-finite gradient for p1"):
+            adamw_step(store, np.array([0.5, 0.25, np.nan]), state, cfg)
+        assert state.t == 1
+        for got, want in zip((store.data, state.m, state.v), before):
+            assert np.array_equal(got, want)
 
     def test_quadratic_probe_descends(self):
         target = np.array([1.0, -2.0, 0.5])
         w = Tensor(np.zeros(3), requires_grad=True)
         cfg = TrainConfig(lr=1e-2, weight_decay=0.0)
-        state = init_opt_state([("w", w)])
+        store, state = flat_store([("w", w)])
 
         def loss_value():
             d = w.data - target
@@ -367,9 +411,9 @@ class TestAdamW:
             with Tape() as tape:
                 d = ad.sub(w, Tensor(target))
                 loss = ad.tsum(ad.mul(d, d))
-            w.grad = None
-            backward(loss, tape, leaves=[w])
-            adamw_step([("w", w)], {"w": w.grad}, state, cfg)
+            store.grad.fill(0.0)
+            backward(loss, tape)
+            adamw_step(store, store.grad, state, cfg)
             losses.append(loss_value())
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -400,7 +444,8 @@ class TestAdamW:
 
         cfg = TrainConfig(lr=1e-3)
         for p, g in ((pa, pa.grad), (pb, manual)):
-            adamw_step([("p", p)], {"p": g}, init_opt_state([("p", p)]), cfg)
+            store, state = flat_store([("p", p)])
+            adamw_step(store, g.reshape(-1), state, cfg)
         assert np.array_equal(pa.data, pb.data)
 
 
@@ -466,8 +511,10 @@ class TestTrainLoop:
         model, meta = load_checkpoint(tmp_path / "checkpoint.ckpt")
         assert meta["step"] == 2
         assert meta["opt"]["t"] == 2
-        some = next(iter(meta["opt"]["m"].values()))
-        assert np.isfinite(some).all()
+        for key in ("m", "v"):
+            moments = meta["opt"][key]
+            assert moments.dtype == np.float64 and moments.shape == (model.param_count(),)
+            assert np.isfinite(moments).all() and moments.any()
         assert isinstance(model, Model)
 
     def test_nonfinite_loss_aborts_keeping_last_checkpoint(self, tmp_path):
