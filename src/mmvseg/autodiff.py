@@ -434,7 +434,11 @@ def tlog(a):
 
 
 def gelu(a):
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Exact (erf-based) Gaussian error linear unit, x * (1 + erf(x/sqrt 2)) / 2.
+
+    float64 takes erf from scipy.  float32 evaluates the same function to
+    float32 accuracy: erf is the rational form of _erf32, whose largest
+    error against the exact erf is below 5e-7."""
     x = a.data.reshape(-1)
     # the backward needs the cdf; without a node to record, each block's
     # cdf is scratch of that block
@@ -444,12 +448,53 @@ def gelu(a):
 
 
 def _gelu_forward(x, y, cdf=None):
-    # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and y = x * cdf, op by op
+    # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and y = x * cdf, op by op;
+    # float32's erf takes y as scratch before y is written
     cdf = np.multiply(x, _INV_SQRT2, out=cdf)
-    erf(cdf, out=cdf)
+    if cdf.dtype == np.float32:
+        _erf32(cdf, y)
+    else:
+        erf(cdf, out=cdf)
     np.add(cdf, 1.0, out=cdf)
     np.multiply(cdf, 0.5, out=cdf)
     np.multiply(x, cdf, out=y)
+
+
+# Eigen's generic_fast_erf_float (XLA's float32 erf): erf(z) = z P(z^2) / Q(z^2)
+# for z clamped to [-4, 4], with P of degree 6 in z^2 and Q of degree 4,
+# coefficients from the highest power down
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02))
+
+
+def _erf32(z, scratch):
+    """erf of the contiguous float32 array `z`, in place; `scratch`, of z's
+    size, holds z^2.  P and Q run one _BLOCK of elements at a time through
+    one block-sized buffer.  The result is odd in z bit for bit, keeps the
+    sign of zero, maps +-inf to +-1 and NaN to NaN."""
+    z, sq = z.reshape(-1), scratch.reshape(-1)
+    np.clip(z, -4.0, 4.0, out=z)
+    np.multiply(z, z, out=sq)
+    buf = np.empty(min(z.size, _BLOCK), z.dtype)
+    for lo in range(0, z.size, _BLOCK):
+        zs, s = z[lo:lo + _BLOCK], sq[lo:lo + _BLOCK]
+        poly = buf[:zs.size]
+        np.multiply(zs, _horner(s, _ERF_P, poly), out=zs)
+        np.divide(zs, _horner(s, _ERF_Q, poly), out=zs)
+
+
+def _horner(s, coeffs, out):
+    """The polynomial in `s` with `coeffs` (highest power first), into `out`."""
+    np.multiply(s, coeffs[0], out=out)
+    np.add(out, coeffs[1], out=out)
+    for c in coeffs[2:]:
+        np.multiply(out, s, out=out)
+        np.add(out, c, out=out)
+    return out
 
 
 def _gelu_dx(x, cdf, g, out=None):

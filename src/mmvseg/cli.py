@@ -263,7 +263,7 @@ def cmd_eval(args):
         {"checkpoint": str(ckpt), "data": str(args.data), "split": args.split},
         {"csv": out / "metrics.csv", "json": out / "metrics.json"},
     )
-    model, _ = load_checkpoint(ckpt)
+    model, _ = load_checkpoint(ckpt, moments=False)
     report = evaluate(model, [dataset[i] for i in cases], out_dir=out, case_ids=cases)
     print(f"evaluated {report['n_cases']} cases: mean dice {report['mean_dice']['mean']:.4f}")
     return 0

@@ -323,10 +323,13 @@ def save_checkpoint(model, path, step=0, opt_state=None):
     os.replace(tmp, path)
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, moments=True):
     """Rebuild a model from a checkpoint; returns (model, meta) where meta
     carries the step counter and optimizer state if one was saved, its
-    moments as flat float64 arrays.
+    moments as flat float64 arrays.  With moments=False the moments'
+    payloads are skipped, not read, and meta's "opt" is None; their names,
+    item sizes and shapes are still checked, and a missing or truncated
+    moment is still a FormatError.
 
     The model is built from the header's config before the tensor table is
     read.  Each payload is read straight into its target, a parameter or a
@@ -357,8 +360,11 @@ def load_checkpoint(path):
         opt = None
         if header.get("optimizer"):
             size = model.param_count()
-            opt = {"t": counters["opt_t"], "m": np.empty(size), "v": np.empty(size)}
+            # skipped moments are checked against zero-stride views, which hold no memory
+            flat = np.empty if moments else (lambda n: np.broadcast_to(np.empty(1), (n,)))
+            opt = {"t": counters["opt_t"], "m": flat(size), "v": flat(size)}
         targets = dict(_checkpoint_table(list(model.named_params()), opt))
+        file_size = os.fstat(fh.fileno()).st_size
 
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         seen = set()
@@ -379,7 +385,12 @@ def load_checkpoint(path):
                 raise FormatError(
                     f"tensor {name!r} has shape {shape}, model expects {target.shape}"
                 )
-            if target.itemsize == itemsize:
+            if not moments and name.startswith("opt."):
+                nbytes, got = target.size * itemsize, file_size - fh.tell()
+                if got < nbytes:
+                    raise FormatError(f"truncated file: wanted {nbytes} bytes of payload of {name!r}, got {got}")
+                fh.seek(nbytes, os.SEEK_CUR)
+            elif target.itemsize == itemsize:
                 _read_into(fh, target, f"payload of {name!r}")
             else:
                 payload = np.empty(shape, dtype=f"<f{itemsize}")
@@ -391,4 +402,4 @@ def load_checkpoint(path):
     for name in targets:
         if name not in seen:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
-    return model, {"step": counters["step"], "opt": opt}
+    return model, {"step": counters["step"], "opt": opt if moments else None}

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mmvseg import autodiff as ad
+from mmvseg import cli
 from mmvseg.cli import main
 from mmvseg.data import load_dataset
 from mmvseg.metrics import SegmentationMask, hd95
@@ -417,6 +418,18 @@ class TestEval:
         assert main(["eval", "--out", str(tmp_path / "e"), "--checkpoint", str(ckpt),
                      "--data", str(workdir / "data")]) == 2
         assert "checkpoint config" in capsys.readouterr().err
+
+    def test_skipping_the_moments_keeps_metrics_identical(self, workdir, tmp_path, monkeypatch):
+        # the trained checkpoint holds AdamW moments; eval skips them, and
+        # scores what it scored when it read them
+        ckpt = workdir / "run" / "checkpoint.ckpt"
+        assert load_checkpoint(ckpt)[1]["opt"] is not None
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(workdir / "data")]
+        assert main(argv + ["--out", str(tmp_path / "skipped")]) == 0
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path, moments: load_checkpoint(path))
+        assert main(argv + ["--out", str(tmp_path / "read")]) == 0
+        metrics = [(tmp_path / run / "metrics.json").read_bytes() for run in ("skipped", "read")]
+        assert metrics[0] == metrics[1]
 
     def test_rerun_with_op_workers_keeps_metrics_identical(self, tmp_path):
         """At 32^3 the stage-1 ops take the row-split path; reruns write the

@@ -422,8 +422,35 @@ class TestCheckpoint:
         prefix, records = tensor_records(path.read_bytes())
         del records[len(named) + "mv".index(moment)]  # the first parameter's moment
         write_records(path, prefix, records)
-        with pytest.raises(FormatError, match=f"missing tensor 'opt.{moment}/{named[0][0]}'"):
-            load_checkpoint(path)
+        for moments in (True, False):
+            with pytest.raises(FormatError, match=f"missing tensor 'opt.{moment}/{named[0][0]}'"):
+                load_checkpoint(path, moments=moments)
+
+    def test_skipped_moments_are_still_checked(self, tmp_path):
+        model = self._model(seed=18)
+        size = model.param_count()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path, step=4, opt_state={"t": 4, "m": np.ones(size), "v": np.ones(size)})
+        again, meta = load_checkpoint(path, moments=False)
+        assert meta == {"step": 4, "opt": None}
+        for (_, pa), (_, pb) in zip(model.named_params(), again.named_params(), strict=True):
+            assert np.array_equal(pa.data, pb.data)
+        prefix, records = tensor_records(path.read_bytes())
+        named = list(model.named_params())
+        last = f"opt.v/{named[-1][0]}"
+        for tail, message in ((records[-1][:-4], f"truncated file: .* of payload of '{last}'"),
+                              (records[-1] + b"\0", "trailing data")):
+            write_records(path, prefix, records[:-1] + [tail])
+            with pytest.raises(FormatError, match=message):
+                load_checkpoint(path, moments=False)
+        # the first parameter's first moment at the wrong shape, then item size
+        name, param = named[0]
+        for bad, message in ((np.zeros(param.shape + (2,)), "has shape"),
+                             (np.zeros(param.shape, np.float16), "item size 2")):
+            moment = tensor_record(f"opt.m/{name}", bad)
+            write_records(path, prefix, records[:len(named)] + [moment] + records[len(named) + 1:])
+            with pytest.raises(FormatError, match=message):
+                load_checkpoint(path, moments=False)
 
     def test_version_2_file_is_unsupported(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -561,6 +588,26 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert sum(p.data.nbytes for p in again.params()) == param_bytes
         assert peak <= 1.25 * param_bytes
+
+    def test_load_without_moments_holds_only_the_weights(self, tmp_path):
+        # eval's load of a trained default checkpoint skips its two float64
+        # moments, four times the float32 parameter bytes
+        model = Model(ModelConfig())
+        size = model.param_count()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path, step=1, opt_state={"t": 1, "m": np.zeros(size), "v": np.zeros(size)})
+        param_bytes = sum(p.data.nbytes for p in model.params())
+        del model
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            again, meta = load_checkpoint(path, moments=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert meta["opt"] is None
+        assert sum(p.data.nbytes for p in again.params()) == param_bytes
+        assert peak < 1.3 * param_bytes
 
 
 def tensor_records(raw):

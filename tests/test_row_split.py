@@ -29,9 +29,31 @@ N = ad._SPLIT_MIN
 # -- the single-call expressions the split ops must reproduce ---------------
 
 def serial_gelu(x, g):
-    cdf = 0.5 * (1.0 + erf(x * ad._INV_SQRT2))
+    z = x * ad._INV_SQRT2
+    cdf = 0.5 * (1.0 + (rational_erf32(z) if x.dtype == np.float32 else erf(z)))
     pdf = np.exp(-0.5 * x * x) * ad._INV_SQRT2PI
     return x * cdf, g * (cdf + x * pdf)
+
+
+# float32 erf(z) = z P(z^2) / Q(z^2) for z clamped to [-4, 4] (Eigen's
+# generic_fast_erf_float); test_rational_erf32_error_bound ties it to erf
+ERF32_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                    -1.60960333262415e-02], np.float32)
+ERF32_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                    -7.37332916720468e-03, -1.42647390514189e-02], np.float32)
+
+
+def rational_erf32(z):
+    z = np.clip(z, np.float32(-4), np.float32(4))
+    s = z * z
+    p = s * ERF32_P[0] + ERF32_P[1]
+    for c in ERF32_P[2:]:
+        p = p * s + c
+    q = s * ERF32_Q[0] + ERF32_Q[1]
+    for c in ERF32_Q[2:]:
+        q = q * s + c
+    return z * p / q
 
 
 def serial_layer_norm(x, gamma, beta, g):
@@ -154,6 +176,68 @@ def test_gelu_matches_serial_expression(shape, dtype):
     ref_y, ref_dx = serial_gelu(x, g)
     assert_exact(y, ref_y)
     assert_exact(dx, ref_dx)
+
+
+# -- float32 GELU's rational erf ---------------------------------------------
+
+def erf_points():
+    """2,000,001 points evenly over [-10, 10] and 10^6 N(0, 2^2) draws."""
+    draws = np.random.default_rng(11).normal(0.0, 2.0, 10 ** 6)
+    return np.concatenate([np.linspace(-10.0, 10.0, 2_000_001), draws]).astype(np.float32)
+
+
+def library_erf32(z):
+    z = z.copy()
+    ad._erf32(z, np.empty_like(z))
+    return z
+
+
+def test_rational_erf32_error_bound():
+    z = erf_points()
+    exact = erf(z.astype(np.float64))
+    got = library_erf32(z)
+    assert got.dtype == np.float32
+    assert np.abs(got - exact).max() <= 5e-7
+    assert np.abs(rational_erf32(z) - exact).max() <= 5e-7
+    assert_exact(got, rational_erf32(z))
+
+
+def test_rational_erf32_is_odd_bit_for_bit():
+    z = erf_points()
+    assert np.array_equal(library_erf32(-z).view(np.uint32), (-library_erf32(z)).view(np.uint32))
+
+
+def test_rational_erf32_special_values_map_as_erf():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 4.0, -4.0, 1e30, -1e30], np.float32)
+    got, want = library_erf32(z), erf(z)
+    assert_exact(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_gelu_on_the_erf_grid_matches_serial_expression(dtype):
+    # float64 is scipy's erf bit for bit; float32 is the rational form
+    x = erf_points().astype(dtype)
+    y = ad.gelu(Tensor(x)).data
+    assert_exact(y, serial_gelu(x, x)[0])
+
+
+def test_float32_gelu_and_feed_forward_do_not_depend_on_the_workers(set_workers):
+    rng = np.random.default_rng(12)
+    x = draw(rng, (N // 8 + 5, 8), np.float32)
+    ff = [draw(rng, s, np.float32, scale) for s, scale in
+          (((N // 32 + 3, 32), 3.0), ((32,), 1.0), ((32,), 1.0), ((32, 128), 0.3), ((128,), 1.0),
+           ((128, 32), 0.3), ((32,), 1.0))]
+    results = []
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        y, _, (dx,) = run_op(ad.gelu, x)
+        ff_y, _, ff_grads = run_op(ad.feed_forward, *ff)
+        untaped = (ad.gelu(Tensor(x)).data, ad.feed_forward(*map(Tensor, ff)).data)
+        results.append((y, dx, ff_y, *ff_grads, *untaped))
+    for got in results[1:]:
+        for a, b in zip(results[0], got, strict=True):
+            assert_exact(b, a)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
