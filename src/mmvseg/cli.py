@@ -221,7 +221,8 @@ def cmd_train(args):
         value = getattr(args, key)
         if value is not None:
             train_dict[key] = value
-    train_dict["log_wall_time"] = bool(args.wall_time)
+    if args.wall_time:
+        train_dict["log_wall_time"] = True
     try:
         train_cfg = TrainConfig(**train_dict)
     except TypeError as exc:
@@ -363,9 +364,8 @@ def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
 
     def decoder(grid, c, classes):
         def build():
-            dec = Decoder(c, 1, (c, c, c, c), DecoderConfig(level_channels=(c, c, c, c),
-                                                            out_classes=classes),
-                          rng, dtype=f64, gated=False)
+            dec = Decoder(c, 1, (c, c, c, c), DecoderConfig(level_channels=(c, c, c, c)),
+                          rng, dtype=f64, gated=False, n_classes=classes)
             bottleneck = Tensor(rng.normal(size=grid + (c,)), requires_grad=True)
             skips = [Tensor(rng.normal(size=tuple(g * 2 ** k for g in grid) + (c,)),
                             requires_grad=True)

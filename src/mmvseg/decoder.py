@@ -21,7 +21,6 @@ N_LEVELS = 5
 @dataclass
 class DecoderConfig:
     level_channels: tuple = (128, 64, 64, 32)  # levels 4, 3, 2, 1
-    out_classes: int = 2
 
     def __post_init__(self):
         self.level_channels = tuple(int(c) for c in self.level_channels)
@@ -31,24 +30,6 @@ class DecoderConfig:
             )
         if any(c < 1 for c in self.level_channels):
             raise ConfigError(f"level_channels must be positive, got {self.level_channels}")
-        if self.out_classes < 2:
-            raise ConfigError(f"need at least 2 output classes, got {self.out_classes}")
-
-
-def modality_gated_sum(importance, feats):
-    """Gate each modality's feature volume by its scalar importance channel
-    and sum over modalities: importance (D, H, W, M), feats M x (D, H, W, C)
-    of one shape.  One `gated_sum` node, which makes no full-size gated
-    volume or partial sum."""
-    m = importance.shape[-1]
-    if len(feats) != m:
-        raise ShapeError(f"importance has {m} modality channels but {len(feats)} features given")
-    for i, feat in enumerate(feats):
-        if feat.shape[:3] != importance.shape[:3]:
-            raise ShapeError(
-                f"modality {i} extents {feat.shape[:3]} do not match gates {importance.shape[:3]}"
-            )
-    return ad.gated_sum(importance, feats)
 
 
 class Decoder(Module):
@@ -56,13 +37,16 @@ class Decoder(Module):
 
     `skip_channels` lists the encoder channel widths for levels 4..1 (the
     order the decoder consumes them).  A gated decoder owns `gate_fc`, the
-    projection of the fused volume to one gate logit per modality.
+    projection of the fused volume to one gate logit per modality.  The
+    head maps the last level to `n_classes` logits.
     """
 
     def __init__(self, bottleneck_channels, modalities, skip_channels, cfg, rng,
-                 dtype=np.float32, gated=True):
+                 dtype=np.float32, gated=True, n_classes=2):
         if len(skip_channels) != N_LEVELS - 1:
             raise ConfigError(f"skip_channels needs {N_LEVELS - 1} entries, got {len(skip_channels)}")
+        if n_classes < 2:
+            raise ConfigError(f"need at least 2 output classes, got {n_classes}")
         self.gate_fc = Linear(bottleneck_channels, modalities, rng, dtype) if gated else None
         if self.gate_fc is not None:
             # neutral gates (exactly 0.5) at init: a random projection starts
@@ -74,7 +58,7 @@ class Decoder(Module):
             Conv3d(cin + skip, cout, 3, rng, padding=1, dtype=dtype)
             for cin, skip, cout in zip(cins, skip_channels, cfg.level_channels)
         ]
-        self.head = Conv3d(cfg.level_channels[-1], cfg.out_classes, 1, rng, dtype=dtype)
+        self.head = Conv3d(cfg.level_channels[-1], n_classes, 1, rng, dtype=dtype)
 
     def gated_skips(self, fused, levels):
         """Gated skip volumes for levels 4, 3, ... from the fused (d, w, h, C)
@@ -92,7 +76,7 @@ class Decoder(Module):
 
     def gated_skip(self, logits, feats):
         """One level's skip: the features summed under sigmoid(logits)."""
-        return modality_gated_sum(ad.sigmoid(logits), feats)
+        return ad.gated_sum(ad.sigmoid(logits), feats)
 
     def __call__(self, bottleneck, skips):
         """bottleneck (d, w, h, C); skips = gated features for levels 4..1."""

@@ -22,7 +22,6 @@ class EncoderConfig:
     stage_channels: tuple = (32, 64, 128, 128, 128)
     blocks_per_stage: int = 2
     mlp_ratio: int = 4
-    in_channels: int = 1
     block_kind: str = "global_pool"  # global_pool | local_pool | conv
 
     def __post_init__(self):
@@ -110,22 +109,19 @@ class EncoderStage(Module):
 
 
 class Encoder(Module):
-    """One modality volume (D, H, W, in_channels) -> 5-level pyramid, the
+    """One single-channel modality volume (D, H, W, 1) -> 5-level pyramid, the
     list of features at resolutions 1, 1/2, 1/4, 1/8, 1/16."""
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
-        chans = (cfg.in_channels,) + cfg.stage_channels
+        chans = (1,) + cfg.stage_channels
         self.stages = [
             EncoderStage(i + 1, chans[i], chans[i + 1], cfg, rng, dtype)
             for i in range(N_STAGES)
         ]
-        self.cfg = cfg
 
     def __call__(self, volume):
-        if volume.ndim != 4 or volume.shape[3] != self.cfg.in_channels:
-            raise ShapeError(
-                f"encoder expects (D, H, W, {self.cfg.in_channels}), got {volume.shape}"
-            )
+        if volume.ndim != 4 or volume.shape[3] != 1:
+            raise ShapeError(f"encoder expects (D, H, W, 1), got {volume.shape}")
         if any(s % 16 for s in volume.shape[:3]):
             raise ShapeError(f"spatial extents must be divisible by 16, got {volume.shape[:3]}")
         levels = []

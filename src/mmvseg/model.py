@@ -26,19 +26,18 @@ from .fusion import (
     SpatialMixerLayer,
     pair_counter,
 )
-from .nn import Module, flat_views
+from .nn import Module
 
 DOWNSAMPLE = 16  # spatial reduction from input to bottleneck
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 CHECKPOINT_MAGIC = b"NFCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
 class ModelConfig:
-    """Everything needed to rebuild a model; `n_classes` overrides the nested
-    decoder config so there is a single source of truth for the class count."""
+    """Everything needed to rebuild a model."""
 
     modalities: int = 4
     n_classes: int = 4
@@ -83,8 +82,6 @@ class ModelConfig:
             raise ConfigError(
                 f"window {self.attention.window} does not tile bottleneck grid {self.bottleneck_grid}"
             )
-        if self.encoder.in_channels != 1:
-            raise ConfigError("each modality volume is single-channel")
         if self.attention.dim != self.encoder.stage_channels[-1]:
             raise ConfigError(
                 f"attention dim {self.attention.dim} must equal the top encoder width "
@@ -95,7 +92,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.dtype not in _DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
-        self.decoder = replace(self.decoder, out_classes=self.n_classes)
 
     @property
     def bottleneck_grid(self):
@@ -163,6 +159,7 @@ class Model(Module):
             rng,
             dtype=dtype,
             gated=cfg.use_gated_skips,
+            n_classes=cfg.n_classes,
         )
         self.cfg = cfg
 
@@ -280,45 +277,35 @@ def benchmark_attention(grid, window, channels=128, heads=8, repeats=3, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_table(named, opt_state):
-    """(name, array) of each checkpoint tensor in table order: the
-    parameters, then `opt.m/<name>` and `opt.v/<name>` per parameter, cut
-    from the flat moments of `opt_state` if there is one."""
-    table = [(name, p.data) for name, p in named]
-    if opt_state is not None:
-        for (name, m), (_, v) in zip(flat_views(named, opt_state["m"]), flat_views(named, opt_state["v"])):
-            table += [(f"opt.m/{name}", m), (f"opt.v/{name}", v)]
-    return table
-
-
 def save_checkpoint(model, path, step=0, opt_state=None):
     """Write the model (and optional optimizer state) to `path` atomically.
 
-    Layout: magic, version u32, length-prefixed JSON header, tensor count
-    u32, then per tensor: name (u16 length + UTF-8), item size u8 (4 for
-    float32, 8 for float64), rank u8, extents u32 each, and the little-endian
-    payload in the tensor's own dtype, so every value round-trips exactly.
+    Layout: magic, version u32, and a length-prefixed JSON header whose
+    "tensors" lists each parameter's [name, shape] in `named_params` order.
+    Then each parameter's little-endian values in that order, in the model
+    dtype, and with `opt_state` its flat moments m and v as one little-endian
+    float64 payload each, so every value round-trips exactly.
     """
-    header = {"config": model.cfg.to_dict(), "step": int(step), "optimizer": opt_state is not None}
+    named = list(model.named_params())
+    header = {"config": model.cfg.to_dict(), "step": int(step), "optimizer": opt_state is not None,
+              "tensors": [[name, list(p.shape)] for name, p in named]}
+    payloads = [np.ascontiguousarray(p.data, dtype=f"<f{p.data.itemsize}") for _, p in named]
     if opt_state is not None:
         header["opt_t"] = int(opt_state["t"])
-    tensors = _checkpoint_table(list(model.named_params()), opt_state)
+        size = model.param_count()
+        for key in ("m", "v"):
+            moment = np.ascontiguousarray(opt_state[key], dtype="<f8")
+            if moment.shape != (size,):
+                raise ShapeError(f"moment {key} of shape {moment.shape} does not hold {size} values")
+            payloads.append(moment)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
 
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, array in tensors:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            payload = np.ascontiguousarray(array, dtype=f"<f{array.itemsize}")
-            fh.write(struct.pack("BB", payload.itemsize, payload.ndim))
-            fh.write(struct.pack(f"<{payload.ndim}I", *payload.shape))
+        for payload in payloads:
             fh.write(payload)
     os.replace(tmp, path)
 
@@ -326,16 +313,14 @@ def save_checkpoint(model, path, step=0, opt_state=None):
 def load_checkpoint(path, moments=True):
     """Rebuild a model from a checkpoint; returns (model, meta) where meta
     carries the step counter and optimizer state if one was saved, its
-    moments as flat float64 arrays.  With moments=False the moments'
-    payloads are skipped, not read, and meta's "opt" is None; their names,
-    item sizes and shapes are still checked, and a missing or truncated
-    moment is still a FormatError.
+    moments as flat float64 arrays.  With moments=False the moments are
+    skipped, not read, and meta's "opt" is None; a file too short to hold
+    them is still a FormatError.
 
-    The model is built from the header's config before the tensor table is
-    read.  Each payload is read straight into its target, a parameter or a
-    slice of the flat moments, so loading holds no second copy of them; one
-    stored at another item size is cast into it.  A tensor with no target,
-    or a target with no tensor, is a FormatError."""
+    The model is built from the header's config, and the header's tensor
+    list must equal the model's [name, shape] list.  Each payload is then
+    read straight into its parameter, so loading holds no second copy of
+    the weights."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise FormatError("not a checkpoint file (bad magic)")
@@ -357,49 +342,24 @@ def load_checkpoint(path, moments=True):
         if any(isinstance(v, bool) or not isinstance(v, int) for v in counters.values()):
             raise FormatError(f"checkpoint header step and opt_t must be integers, got {counters}")
         model = Model(cfg)
+        named = list(model.named_params())
+        if header.get("tensors") != [[name, list(p.shape)] for name, p in named]:
+            raise FormatError("checkpoint tensor list does not match the model its config builds")
+        for name, p in named:
+            _read_into(fh, p.data, f"payload of {name!r}")
+
         opt = None
         if header.get("optimizer"):
             size = model.param_count()
-            # skipped moments are checked against zero-stride views, which hold no memory
-            flat = np.empty if moments else (lambda n: np.broadcast_to(np.empty(1), (n,)))
-            opt = {"t": counters["opt_t"], "m": flat(size), "v": flat(size)}
-        targets = dict(_checkpoint_table(list(model.named_params()), opt))
-        file_size = os.fstat(fh.fileno()).st_size
-
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        seen = set()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
-            if name in seen:
-                raise FormatError(f"duplicate tensor {name!r} in checkpoint")
-            if name not in targets:
-                raise FormatError(f"checkpoint holds unexpected tensors: {[name]}")
-            seen.add(name)
-            itemsize, rank = struct.unpack("BB", _read_exact(fh, 2, "item size and rank"))
-            if itemsize not in (4, 8):
-                raise FormatError(f"tensor {name!r} has item size {itemsize}, expected 4 or 8")
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "extents"))
-            target = targets[name]
-            if shape != target.shape:
-                raise FormatError(
-                    f"tensor {name!r} has shape {shape}, model expects {target.shape}"
-                )
-            if not moments and name.startswith("opt."):
-                nbytes, got = target.size * itemsize, file_size - fh.tell()
-                if got < nbytes:
-                    raise FormatError(f"truncated file: wanted {nbytes} bytes of payload of {name!r}, got {got}")
-                fh.seek(nbytes, os.SEEK_CUR)
-            elif target.itemsize == itemsize:
-                _read_into(fh, target, f"payload of {name!r}")
+            if moments:
+                opt = {"t": counters["opt_t"], "m": np.empty(size), "v": np.empty(size)}
+                for key in ("m", "v"):
+                    _read_into(fh, opt[key], f"moment {key}")
             else:
-                payload = np.empty(shape, dtype=f"<f{itemsize}")
-                _read_into(fh, payload, f"payload of {name!r}")
-                target[...] = payload
+                nbytes, got = 2 * 8 * size, os.fstat(fh.fileno()).st_size - fh.tell()
+                if got < nbytes:
+                    raise FormatError(f"truncated file: wanted {nbytes} bytes of moments, got {got}")
+                fh.seek(nbytes, os.SEEK_CUR)
         if fh.read(1):
-            raise FormatError("trailing data after tensor table")
-
-    for name in targets:
-        if name not in seen:
-            raise FormatError(f"checkpoint is missing tensor {name!r}")
-    return model, {"step": counters["step"], "opt": opt if moments else None}
+            raise FormatError("trailing data after the payloads")
+    return model, {"step": counters["step"], "opt": opt}

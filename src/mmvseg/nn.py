@@ -22,7 +22,7 @@ def xavier_uniform(rng, shape, fan_in, fan_out, dtype):
 def flat_views(named, flat):
     """Yield (name, view) per (name, tensor) of the list `named`: the
     tensor's shape cut from the 1-d `flat` in that order.  This is the one
-    flat layout of parameters, gradients, moments and checkpoint tables."""
+    flat layout of parameters, gradients and moments."""
     sizes = [p.size for _, p in named]
     if flat.shape != (sum(sizes),):
         raise ShapeError(f"flat buffer of shape {flat.shape} does not hold {sum(sizes)} values")

@@ -120,14 +120,6 @@ def cross_entropy_loss(logits: Tensor, target) -> Tensor:
     return ad.tmean(ad.sub(lse, picked))
 
 
-def combined_loss(logits: Tensor, target, dice_weight: float = 1.0,
-                  ce_weight: float = 1.0, smooth: float = 1e-5) -> Tensor:
-    return ad.add(
-        dice_weight * soft_dice_loss(logits, target, smooth),
-        ce_weight * cross_entropy_loss(logits, target),
-    )
-
-
 @dataclass
 class OptimState:
     """AdamW's step count and its float64 moments, flat in `flat_views` order."""

@@ -348,6 +348,35 @@ class TestTrain:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r" / "checkpoint.ckpt").exists()
 
+    @pytest.mark.parametrize("part,field,value", [("encoder", "in_channels", 1),
+                                                  ("decoder", "out_classes", 3)])
+    def test_removed_model_field_is_a_config_error(self, workdir, tmp_path, capsys, part, field, value):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps({**MODEL, part: {**MODEL[part], field: value}}))
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", str(workdir / "data"),
+                     "--model-config", str(bad), "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "bad model config field" in err and field in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("train_config,flags,logged", [
+        ({"log_wall_time": True}, [], True),
+        ({}, ["--wall-time"], True),
+        ({"log_wall_time": False}, ["--wall-time"], True),
+        ({}, [], False),
+    ], ids=["config", "flag", "flag-over-config", "neither"])
+    def test_wall_time_from_train_config_or_flag(self, workdir, tmp_path, train_config, flags, logged):
+        train_json = tmp_path / "train.json"
+        train_json.write_text(json.dumps(train_config))
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out), "--data", str(workdir / "data"),
+                     "--model-config", str(workdir / "model.json"), "--train-config", str(train_json),
+                     "--steps", "1", *flags]) == 0
+        record = json.loads((out / "train_log.jsonl").read_text().splitlines()[0])
+        assert ("wall_ms" in record) == logged
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["train"]["log_wall_time"] is logged
+
     def test_ablation_flag_reaches_model(self, workdir, tmp_path):
         out = tmp_path / "ablated"
         assert main(["train", "--out", str(out), "--data", str(workdir / "data"),

