@@ -15,20 +15,24 @@ Volumes are laid out channels-last and row-major: a feature map has shape
 `gated_sum` split large outputs into contiguous ranges of rows, one per op
 worker.  Every element and every per-row reduction is computed by the same
 numpy call as on a single thread, so the results do not depend on the
-split.  The op pool is the process's one parallel runtime: at import, every
-OpenBLAS library loaded in the process is set to one thread.
+split.  The parameter gradients of `linear`, `layer_norm`, `feed_forward`
+and the stride-1 `conv3d` sum over rows by one fixed-chunk rule
+(`_chunk_sums`), so their bits depend on the row count alone.  The op pool
+is the process's one parallel runtime: at import, every OpenBLAS library
+loaded in the process is set to one thread.
 
 An op that records no tape node keeps no backward state: untaped, `gelu`'s
 cdf, `layer_norm`'s normalized input, `feed_forward`'s hidden layer and
 `gated_sum`'s gated products live only in the scratch of one block of rows.
-No call keeps a padded copy of `conv3d`'s input: the stride-1 forward pads
-one block of output depth planes at a time in scratch, and the backward
-pads when it runs.
+No call keeps a padded copy of `conv3d`'s input: at stride 1 the forward
+and the kernel gradient pad one block of output depth planes at a time in
+scratch, and a strided backward pads when it runs.
 """
 
 import ctypes
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,11 +43,20 @@ from .errors import ContractError, NumericError, ShapeError
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
-_active_tape = None
+
+class _ActiveTape(threading.local):
+    """The tape each thread records onto: the innermost `Tape` it entered."""
+
+    tape = None
+
+
+_active_tape = _ActiveTape()
 
 _SPLIT_MIN = 1 << 17  # output elements; smaller outputs take one kernel call
 _GEMM_MIN = 1 << 21  # multiply-adds per range of a split GEMM
 _BLOCK = 1 << 16  # elements per block of a multi-pass kernel, so temporaries stay in L2
+_CHUNK_ROWS = 1 << 11  # rows per chunk of a fixed-chunk sum, at least
+_MAX_CHUNKS = 16  # chunks per sum, so the partials stay a few MB
 
 # One op worker per CPU this process may run on.  The caller runs the first
 # range itself, so the pool holds one thread fewer.  The pool is built at
@@ -208,7 +221,9 @@ class Tape:
     """Single-owner, append-only record of operations in execution order.
 
     Use as a context manager around the forward pass that should be
-    differentiated.  A tape must not be shared across concurrent recordings.
+    differentiated.  The active tape is per thread: ops record onto the
+    tape their own thread entered last, so threads may each record under a
+    tape of their own, but must not share one.
     """
 
     def __init__(self):
@@ -216,14 +231,12 @@ class Tape:
         self._prev = None
 
     def __enter__(self):
-        global _active_tape
-        self._prev = _active_tape
-        _active_tape = self
+        self._prev = _active_tape.tape
+        _active_tape.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _active_tape
-        _active_tape = self._prev
+        _active_tape.tape = self._prev
         self._prev = None
         return False
 
@@ -235,7 +248,7 @@ def _records(inputs):
     """Whether an op on `inputs` records a tape node: a tape is active and an
     input requires gradients.  An op that will not record keeps no backward
     state."""
-    return _active_tape is not None and any(t.requires_grad for t in inputs)
+    return _active_tape.tape is not None and any(t.requires_grad for t in inputs)
 
 
 def _record(op, inputs, out_data, backward):
@@ -245,7 +258,7 @@ def _record(op, inputs, out_data, backward):
         out.requires_grad = True
         out._leaf = False
     if _records(inputs):
-        _active_tape.nodes.append(Node(op, tuple(inputs), out, backward))
+        _active_tape.tape.nodes.append(Node(op, tuple(inputs), out, backward))
     return out
 
 
@@ -356,17 +369,39 @@ def _gemm_units(madds, rows, cols):
 
 
 def _gemm(a, b):
-    """np.matmul(a, b) for a 2-d `b`, or a batched `b` with a's leading
-    extents, split by _by_rows's GEMM rule over the first axis of `a` and of
-    the product: a's rows, or the leading batch axis.  A product the rule
-    keeps whole is one plain call."""
+    """np.matmul(a, b) for (rows, K) `a` and (K, N) `b`, split over a's rows
+    by _by_rows's GEMM rule.  A product the rule keeps whole is one plain
+    call."""
     if _gemm_units(a.size * b.shape[-1], a.shape[0], b.shape[-1]) < 2:
         return np.matmul(a, b)
-    k = a.shape[-1]
     out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a, b))
-    if b.ndim > 2:
-        return _by_rows(np.matmul, (a, b), out, k=k)
-    return _by_rows(lambda a_rows, out_rows: np.matmul(a_rows, b, out=out_rows), (a,), out, k=k)
+    return _by_rows(lambda a_rows, out_rows: np.matmul(a_rows, b, out=out_rows), (a,), out, k=a.shape[-1])
+
+
+def _chunk_sums(n, kernel, shapes, dtype, unit=1, parts=None):
+    """Sums over n items (rows, or output planes of `unit` voxels each) by
+    one fixed rule, so that their bits do not depend on the op workers (the
+    fixed-partition reproducible sum of Demmel & Nguyen, ARITH 2013).  The
+    items are cut into k chunks, at least _CHUNK_ROWS rows each unless there
+    are fewer and at most _MAX_CHUNKS, whose bounds depend on n and unit
+    alone.  kernel(lo, hi, *partials) writes chunk [lo, hi)'s partial of
+    each sum, an array of each of `shapes`, into the slots it is given, and
+    may write rows lo:hi of outputs of its own; it never calls _split_rows.
+    The op workers, at most `parts` of them, take whole chunks, and the
+    partials are added in chunk order."""
+    k = max(1, min(n, n * unit // _CHUNK_ROWS, _MAX_CHUNKS))
+    bounds = [n * i // k for i in range(k + 1)]
+    partials = [np.empty((k,) + tuple(shape), dtype) for shape in shapes]
+
+    def run(first, last):
+        for i in range(first, last):
+            kernel(bounds[i], bounds[i + 1], *(p[i] for p in partials))
+
+    if min(k, OP_WORKERS, k if parts is None else parts) < 2:
+        run(0, k)
+    else:
+        _split_rows(k, run, parts)
+    return [sum(p[1:], p[0]) for p in partials]
 
 
 def _empty(*arrays):
@@ -444,7 +479,12 @@ def gelu(a):
     # cdf is scratch of that block
     cdf = (np.empty_like(x),) if _records((a,)) else ()
     y = _by_rows(_gelu_forward, (x,), np.empty_like(x), *cdf, block=_BLOCK)
-    return _record("gelu", (a,), y.reshape(a.shape), lambda g: (_gelu_dx(a.data, *cdf, g),))
+
+    def bwd(g):
+        g = g.reshape(-1)
+        return (_by_rows(_gelu_grad, (x, *cdf, g), _empty(g, x), block=_BLOCK).reshape(a.shape),)
+
+    return _record("gelu", (a,), y.reshape(a.shape), bwd)
 
 
 def _gelu_forward(x, y, cdf=None):
@@ -495,14 +535,6 @@ def _horner(s, coeffs, out):
         np.multiply(out, s, out=out)
         np.add(out, c, out=out)
     return out
-
-
-def _gelu_dx(x, cdf, g, out=None):
-    """gelu's input gradient for upstream `g`, input `x` and the forward's
-    `cdf`, any shape; written into `out` if given, which may be `g`."""
-    flat = g.reshape(-1)
-    dx = _empty(flat, x.reshape(-1)) if out is None else out.reshape(-1)
-    return _by_rows(_gelu_grad, (x.reshape(-1), cdf.reshape(-1), flat), dx, block=_BLOCK).reshape(g.shape)
 
 
 def _gelu_grad(x, cdf, g, dx):
@@ -657,25 +689,33 @@ def matmul(a, b):
 def linear(x, w, b=None):
     """Affine map on the last extent, x @ w + b: one (P, C) @ (C, Cout) GEMM
     over the flattened leading extents, with the bias added in place.  The
-    backward is the adjoint of the batched `matmul` followed by `add`."""
+    backward takes the input gradient as one split GEMM over the rows, and
+    the weight and bias gradients as fixed-chunk sums over the rows: per
+    chunk, x[chunk].T @ g[chunk] and g[chunk].sum(axis=0)."""
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear needs (..., C) @ (C, Cout) with rank >= 2 input, got {x.shape} @ {w.shape}")
     if b is not None and b.shape != w.shape[1:]:
         raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[1]},)")
-    y = _gemm(x.data.reshape(-1, w.shape[0]), w.data)
+    c, cout = w.shape
+    rows = x.data.reshape(-1, c)
+    y = _gemm(rows, w.data)
     if b is not None:
         y = _by_rows(np.add, (y, b.data), y if y.dtype == np.result_type(y, b.data) else _empty(y, b.data))
+
+    def bwd(g):
+        g = g.reshape(-1, cout)
+
+        def kernel(lo, hi, gw, gb=None):
+            np.matmul(rows[lo:hi].T, g[lo:hi], out=gw)
+            if gb is not None:
+                np.sum(g[lo:hi], axis=0, out=gb)
+
+        shapes = (w.shape,) if b is None else (w.shape, (cout,))
+        sums = _chunk_sums(len(g), kernel, shapes, np.result_type(rows, g), parts=g.size * c // _GEMM_MIN)
+        return (_gemm(g, w.data.T).reshape(x.shape), *sums)
+
     inputs = (x, w) if b is None else (x, w, b)
-    return _record("linear", inputs, y.reshape(x.shape[:-1] + w.shape[1:]),
-                   lambda g: _linear_grads(x.data, w.data, g, bias=b is not None))
-
-
-def _linear_grads(x, w, g, bias=True):
-    """linear's input, weight and, with `bias`, bias gradients for upstream
-    `g` of shape (..., Cout) and input `x` of shape (..., C)."""
-    gx = _gemm(g, w.T)
-    gw = _unbroadcast(_gemm(np.swapaxes(x, -1, -2), g), w.shape)
-    return (gx, gw, _unbroadcast(g, w.shape[1:])) if bias else (gx, gw)
+    return _record("linear", inputs, y.reshape(x.shape[:-1] + (cout,)), bwd)
 
 
 def softmax_last(a):
@@ -714,16 +754,24 @@ def layer_norm(x, gamma, beta):
                    lambda g: _ln_grads(g, gamma.data, *state))
 
 
-def _ln_grads(g, gamma, xhat, inv, out=None):
+def _ln_grads(g, gamma, xhat, inv):
     """layer_norm's input, gamma and beta gradients for upstream `g` of any
-    shape (..., C) and the forward's (rows, C) `xhat` and (rows, 1) `inv`;
-    the input gradient is written into `out` if given, which may be `g`."""
+    shape (..., C) and the forward's (rows, C) `xhat` and (rows, 1) `inv`,
+    in one pass over fixed chunks of rows: each chunk writes its rows of
+    the input gradient and its partials (g * xhat)[chunk].sum(axis=0) and
+    g[chunk].sum(axis=0)."""
     rows = g.reshape(-1, gamma.shape[0])
-    # dgamma and dbeta sum over rows, so they are never split
-    dgamma = (rows * xhat).sum(axis=0)
-    dbeta = rows.sum(axis=0)
-    dx = _empty(rows, gamma, xhat) if out is None else out.reshape(rows.shape)
-    dx = _by_rows(_ln_dx, (rows, gamma, xhat, inv), dx, block=_BLOCK)
+    dx = _empty(rows, gamma, xhat)
+
+    def kernel(lo, hi, dgamma, dbeta):
+        g_rows, xhat_rows = rows[lo:hi], xhat[lo:hi]
+        _ln_dx(g_rows, gamma, xhat_rows, inv[lo:hi], dx[lo:hi])
+        np.sum(g_rows * xhat_rows, axis=0, out=dgamma)
+        np.sum(g_rows, axis=0, out=dbeta)
+
+    parts = None if rows.size >= _SPLIT_MIN else 1
+    dgamma, dbeta = _chunk_sums(len(rows), kernel, (gamma.shape, gamma.shape), np.result_type(rows, xhat),
+                                parts=parts)
     return dx.reshape(g.shape), dgamma, dbeta
 
 
@@ -751,13 +799,18 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2):
     The forward runs the whole chain on blocks of rows, through _by_rows's
     GEMM rule; each block keeps at least _GEMM_MIN multiply-adds per GEMM and
     two rows, so every block GEMM computes the dot products of the unsplit
-    call, and output and gradients are bit-identical to the five-node chain
-    layer_norm, linear, gelu, linear, add.  Without a node to record, the
-    hidden layer lives only in block scratch.  A recorded node keeps
-    layer_norm's xhat and inv, the first linear's output and gelu's cdf; its
-    backward runs the chain's backward expressions on full-shape arrays.
-    `x` is listed twice among the node's inputs, for the residual gradient
-    and then layer_norm's, so `backward` sums them in the chain's order."""
+    call.  Without a node to record, the hidden layer lives only in block
+    scratch.  A recorded node keeps layer_norm's xhat and inv, the first
+    linear's output and gelu's cdf.  Its backward is one pass over
+    _chunk_sums's fixed chunks of rows: each chunk rebuilds gelu's and
+    layer_norm's outputs and runs the chain's backward expressions on its
+    rows in scratch of its own, writing its rows of the input gradient and
+    its partials of the six parameter gradients, the same partials as the
+    chain's `linear` and `layer_norm`.  So output and gradients are
+    bit-identical to the five-node chain layer_norm, linear, gelu, linear,
+    add, and no (rows, H) array is allocated.  `x` is listed twice among the
+    node's inputs, for the residual gradient and then layer_norm's, so
+    `backward` sums them in the chain's order."""
     c = x.shape[-1] if x.ndim >= 2 else None
     hidden = w1.shape[-1] if w1.ndim == 2 else None
     shapes = (gamma.shape, beta.shape, w1.shape, b1.shape, w2.shape, b2.shape)
@@ -782,19 +835,30 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2):
 
     def bwd(g):
         xhat, inv, a, cdf = state
-        a, cdf = (v.reshape(x.shape[:-1] + (hidden,)) for v in (a, cdf))
-        # gelu's and layer_norm's outputs are recomputed, and their input
-        # gradients overwrite their upstream ones, so the backward allocates
-        # as many full-size arrays as the chain's
-        h = _by_rows(np.multiply, (a, cdf), np.empty_like(a))
-        gh, gw2, gb2 = _linear_grads(h, w2.data, g)
-        del h
-        ga = _gelu_dx(a, cdf, gh, out=gh)
-        y = _by_rows(_ln_affine, (xhat, gamma.data, beta.data), np.empty_like(xhat), block=_BLOCK)
-        gy, gw1, gb1 = _linear_grads(y.reshape(x.shape), w1.data, ga)
-        del y, ga, gh
-        dx, dgamma, dbeta = _ln_grads(gy, gamma.data, xhat, inv, out=gy)
-        return g, dx, dgamma, dbeta, gw1, gb1, gw2, gb2
+        g = g.reshape(-1, c)
+        dx = np.empty_like(g)
+
+        def kernel(lo, hi, dgamma, dbeta, gw1, gb1, gw2, gb2):
+            g_rows, xhat_rows, a_rows, cdf_rows = g[lo:hi], xhat[lo:hi], a[lo:hi], cdf[lo:hi]
+            # fc2: its input is gelu's output, rebuilt; the input gradient
+            # overwrites it, and gelu's input gradient overwrites that
+            h = np.multiply(a_rows, cdf_rows)
+            np.matmul(h.T, g_rows, out=gw2)
+            np.sum(g_rows, axis=0, out=gb2)
+            gh = np.matmul(g_rows, w2.data.T, out=h)
+            _gelu_grad(a_rows, cdf_rows, gh, gh)
+            # fc1: its input is layer_norm's output, rebuilt likewise
+            y = np.empty_like(xhat_rows)
+            _ln_affine(xhat_rows, gamma.data, beta.data, y)
+            np.matmul(y.T, gh, out=gw1)
+            np.sum(gh, axis=0, out=gb1)
+            gy = np.matmul(gh, w1.data.T, out=y)
+            _ln_dx(gy, gamma.data, xhat_rows, inv[lo:hi], dx[lo:hi])
+            np.sum(gy * xhat_rows, axis=0, out=dgamma)
+            np.sum(gy, axis=0, out=dbeta)
+
+        grads = _chunk_sums(n, kernel, shapes, np.result_type(g, out), parts=g.size * hidden // _GEMM_MIN)
+        return (g.reshape(x.shape), dx.reshape(x.shape), *grads)
 
     return _record("feed_forward", inputs, out.reshape(x.shape), bwd)
 
@@ -835,9 +899,10 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     kernel taps, so the extra memory is O(input) rather than an im2col
     matrix k^3 times the input.  At stride 1, _plane_sum computes the
     forward and the input gradient (the output gradient, padded by k - 1 - p,
-    convolved with the kernel transposed in (Cin, Cout)); neither pads a copy
-    of the volume.  Strided taps and the kernel gradient copy each tap's
-    window of the padded input.
+    convolved with the kernel transposed in (Cin, Cout)), and _plane_dw the
+    kernel and bias gradients as fixed-chunk sums over blocks of output
+    planes; none of them pads a copy of the volume.  Strided taps copy each
+    tap's window of the padded input.
     """
     if x.ndim != 4 or kernel.ndim != 5:
         raise ShapeError(f"conv3d expects x rank 4 and kernel rank 5, got {x.shape} and {kernel.shape}")
@@ -879,32 +944,33 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):
-        xp = _pad(x.data, padding)
-        gm = g.reshape(-1, cout)
-        dw = np.empty(kernel.shape, dtype=np.result_type(xp, gm))
-
-        def dw_taps(index, dw_rows):
-            for i, dw_tap in zip(index.ravel(), dw_rows):
-                np.matmul(xp[windows[i]].reshape(-1, cin).T, gm, out=dw_tap)
-
-        # dw[tap] sums over every voxel, so the op workers take whole taps
-        _by_rows(dw_taps, (np.arange(len(windows)).reshape(-1, 1, 1),), dw.reshape(-1, cin, cout),
-                 k=gm.shape[0])
-        del xp
         if stride == (1, 1, 1):
+            dw, db = _plane_dw(x.data, g, kernel.shape[:3], padding)
             # g is padded by k - 1 - p, or cropped when the padding exceeds k - 1
             back = [k - 1 - p for p, k in zip(padding, kernel.shape)]
             crop = tuple(slice(max(-q, 0), n - max(-q, 0)) for q, n in zip(back, g.shape))
             dx = np.empty(x.shape, dtype=x.data.dtype)
             _plane_sum(g[crop], w.swapaxes(3, 4), None, tuple(max(q, 0) for q in back), dx, mirrored=True)
         else:
+            xp, gm = _pad(x.data, padding), g.reshape(-1, cout)
+            dw = np.empty(kernel.shape, dtype=np.result_type(xp, gm))
+
+            def dw_taps(index, dw_rows):
+                for i, dw_tap in zip(index.ravel(), dw_rows):
+                    np.matmul(xp[windows[i]].reshape(-1, cin).T, gm, out=dw_tap)
+
+            # dw[tap] sums over every voxel, so the op workers take whole taps
+            _by_rows(dw_taps, (np.arange(len(windows)).reshape(-1, 1, 1),), dw.reshape(-1, cin, cout),
+                     k=gm.shape[0])
+            del xp
+            db = gm.sum(axis=0)
             dxp = np.zeros(padded + (cin,), dtype=x.data.dtype)
             for window, wt in zip(windows, w.reshape(-1, cin, cout)):
                 dxp[window] += _gemm(gm, wt.T).reshape(out_sp + (cin,))
             dx = np.ascontiguousarray(dxp[tuple(slice(p, p + n) for p, n in zip(padding, x.shape))])
         if bias is None:
             return dx, dw
-        return dx, dw, gm.sum(axis=0)
+        return dx, dw, db
 
     return _record("conv3d", inputs, out, bwd)
 
@@ -926,8 +992,7 @@ def _plane_sum(x, w, bias, padding, out, mirrored=False):
     (Cin, Cout) that is the input gradient of the convolution by w, each
     voxel summing its taps in the forward's order (padding adds zeros)."""
     kd, kh, kw, cin, cout = w.shape
-    (pd, ph, pw), (d, h, wd) = padding, x.shape[:3]
-    hp, wp = h + 2 * ph, wd + 2 * pw
+    hp, wp = x.shape[1] + 2 * padding[1], x.shape[2] + 2 * padding[2]
     # output voxel (i, j, l) of a block sits at row q = (i*hp + j)*wp + l of
     # a frame with the padded H and W extents, and tap (a, b, c) multiplies
     # scratch row q + (a*hp + b)*wp + c, so each tap's operand is a
@@ -942,14 +1007,7 @@ def _plane_sum(x, w, bias, padding, out, mirrored=False):
 
     def kernel(index, out):
         s, n = int(index.flat[0]), out.shape[0]
-        if any(padding):
-            scratch = np.zeros((n + kd - 1, hp, wp, cin), dtype=x.dtype)
-            lo, hi = max(s - pd, 0), min(s + n + kd - 1 - pd, d)
-            if lo < hi:
-                scratch[lo - s + pd:hi - s + pd, ph:ph + h, pw:pw + wd] = x[lo:hi]
-        else:
-            scratch = x[s:s + n + kd - 1]
-        flat, rows = scratch.reshape(-1, cin), n * hp * wp - tail
+        flat, rows = _padded_planes(x, s, n + kd - 1, padding).reshape(-1, cin), n * hp * wp - tail
         # without H or W padding a 1x1 kernel's frame is the output itself
         frame = out if out.shape[1:3] == (hp, wp) else np.empty((n, hp, wp, cout), dtype=out.dtype)
         tap_sum(*(flat[o:o + rows] for o in offsets), frame.reshape(-1, cout)[:rows])
@@ -966,6 +1024,49 @@ def _plane_sum(x, w, bias, padding, out, mirrored=False):
     planes = max(kd - 1, -(-_GEMM_MIN // (plane * cin * cout)), -(-2 // plane))
     _by_rows(kernel, (np.arange(out.shape[0]).reshape(-1, 1, 1, 1),), out,
              block=planes * plane * cout, k=cin)
+
+
+def _padded_planes(x, s, n, padding):
+    """Depth planes s .. s + n - 1 of the volume `x` zero-padded by
+    `padding`, as scratch of the caller's own; without padding, a view of
+    x."""
+    if not any(padding):
+        return x[s:s + n]
+    (pd, ph, pw), (d, h, w, cin) = padding, x.shape
+    scratch = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
+    lo, hi = max(s - pd, 0), min(s + n - pd, d)
+    if lo < hi:
+        scratch[lo - s + pd:hi - s + pd, ph:ph + h, pw:pw + w] = x[lo:hi]
+    return scratch
+
+
+def _plane_dw(x, g, ksize, padding):
+    """The kernel and bias gradients of a stride-1 conv3d of `x` with zero
+    `padding` and a kernel of spatial extents `ksize`, for output gradient
+    `g`, as fixed-chunk sums over blocks of output depth planes.  A block
+    pads the input planes it reads into scratch, as _plane_sum does, and lays
+    its planes of g into a frame of the padded H and W extents, zero outside
+    the output; dw[tap] is then the scratch rows at the tap's offset,
+    transposed, times the frame, and db is g's rows summed."""
+    kd, kh, kw = ksize
+    cin, (planes, ho, wo, cout) = x.shape[3], g.shape
+    hp, wp = ho + kh - 1, wo + kw - 1
+    offsets = [(a * hp + b) * wp + c for a, b, c in np.ndindex(kd, kh, kw)]
+    tail = (kh - 1) * wp + kw - 1
+
+    def kernel(s, e, dw, db):
+        flat = _padded_planes(x, s, e - s + kd - 1, padding).reshape(-1, cin)
+        frame = np.zeros((e - s, hp, wp, cout), dtype=g.dtype)
+        frame[:, :ho, :wo] = g[s:e]
+        rows = (e - s) * hp * wp - tail
+        frame = frame.reshape(-1, cout)[:rows]
+        for o, dw_tap in zip(offsets, dw.reshape(-1, cin, cout)):
+            np.matmul(flat[o:o + rows].T, frame, out=dw_tap)
+        np.sum(g[s:e].reshape(-1, cout), axis=0, out=db)
+
+    madds = g.size * len(offsets) * cin
+    return _chunk_sums(planes, kernel, (ksize + (cin, cout), (cout,)), np.result_type(x, g), unit=ho * wo,
+                       parts=madds // _GEMM_MIN)
 
 
 def _tap_sum(w):
