@@ -10,13 +10,13 @@ Volumes are laid out channels-last and row-major: a feature map has shape
 (d, w, h, C) and flattens to tokens in C order (h fastest).
 
 `gelu`, `layer_norm` (forward and `dx`), the forward of `add`, `sub` and
-`mul`, the bias adds of `linear` and `conv3d`, the GEMMs of `linear` and
-`conv3d` (forward and backward) and the forwards of `feed_forward` and
-`gated_sum` split large outputs into contiguous ranges of rows, one per op
-worker.  Every element and every per-row reduction is computed by the same
-numpy call as on a single thread, so the results do not depend on the
-split.  The parameter gradients of `linear`, `layer_norm`, `feed_forward`
-and the stride-1 `conv3d` sum over rows by one fixed-chunk rule
+`mul`, the bias adds of `linear`, `patch_linear` and `conv3d`, their GEMMs
+(forward and backward) and the forwards of `feed_forward` and `gated_sum`
+split large outputs into contiguous ranges of rows, one per op worker.
+Every element and every per-row reduction is computed by the same numpy
+call as on a single thread, so the results do not depend on the split.  The
+parameter gradients of `linear`, `patch_linear`, `layer_norm`,
+`feed_forward` and `conv3d` sum over rows by one fixed-chunk rule
 (`_chunk_sums`), so their bits depend on the row count alone.  The op pool
 is the process's one parallel runtime: at import, every OpenBLAS library
 loaded in the process is set to one thread.
@@ -24,9 +24,9 @@ loaded in the process is set to one thread.
 An op that records no tape node keeps no backward state: untaped, `gelu`'s
 cdf, `layer_norm`'s normalized input, `feed_forward`'s hidden layer and
 `gated_sum`'s gated products live only in the scratch of one block of rows.
-No call keeps a padded copy of `conv3d`'s input: at stride 1 the forward
-and the kernel gradient pad one block of output depth planes at a time in
-scratch, and a strided backward pads when it runs.
+No call keeps a padded copy of `conv3d`'s input, which its forward and
+kernel gradient pad one block of output depth planes at a time in scratch,
+nor `patch_linear`'s patch matrix, which its backward cuts again by chunks.
 """
 
 import ctypes
@@ -687,35 +687,57 @@ def matmul(a, b):
 
 
 def linear(x, w, b=None):
-    """Affine map on the last extent, x @ w + b: one (P, C) @ (C, Cout) GEMM
-    over the flattened leading extents, with the bias added in place.  The
-    backward takes the input gradient as one split GEMM over the rows, and
-    the weight and bias gradients as fixed-chunk sums over the rows: per
-    chunk, x[chunk].T @ g[chunk] and g[chunk].sum(axis=0)."""
+    """Affine map on the last extent, x @ w + b, over the flattened leading
+    extents: an `_affine` node."""
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear needs (..., C) @ (C, Cout) with rank >= 2 input, got {x.shape} @ {w.shape}")
     if b is not None and b.shape != w.shape[1:]:
         raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[1]},)")
-    c, cout = w.shape
-    rows = x.data.reshape(-1, c)
-    y = _gemm(rows, w.data)
+    return _affine("linear", (x, w, b), lambda a: a.reshape(-1, w.shape[0]), x.shape[:-1] + w.shape[1:])
+
+
+def _affine(op, inputs, unfold, out_shape):
+    """The `op` node of x's rows times w, plus b, shaped `out_shape`, for
+    inputs (x, w, b) with b None or (Cout,).  unfold(a) views an array of
+    x's shape with units of whole rows on its first axis: flattened, they
+    are the (P, C) matrix that w, read as (C, Cout), multiplies.  One GEMM
+    split by _by_rows's GEMM rule, with the bias added in place.  The
+    backward cuts the rows again per chunk of the weight and bias gradients,
+    fixed-chunk sums of rows[chunk].T @ g[chunk] and g[chunk].sum(axis=0),
+    and makes the input gradient by GEMMs over blocks of whole units, each at
+    least _BLOCK elements and two rows, so it copies no more than a block of
+    the rows at a time."""
+    x, kernel, bias = inputs
+    w, b = kernel.data.reshape(-1, kernel.shape[-1]), None if bias is None else bias.data
+    n, units = math.prod(out_shape[:-1]), unfold(x.data)
+    unit = n // len(units)  # rows per unit
+
+    def rows(lo, hi):
+        s = lo // unit
+        return units[s:-(-hi // unit)].reshape(-1, w.shape[0])[lo - s * unit:hi - s * unit]
+
+    y = _gemm(rows(0, n), w)
     if b is not None:
-        y = _by_rows(np.add, (y, b.data), y if y.dtype == np.result_type(y, b.data) else _empty(y, b.data))
+        y = _by_rows(np.add, (y, b), y if y.dtype == np.result_type(y, b) else _empty(y, b))
 
     def bwd(g):
-        g = g.reshape(-1, cout)
+        g = g.reshape(n, w.shape[1])
 
-        def kernel(lo, hi, gw, gb=None):
-            np.matmul(rows[lo:hi].T, g[lo:hi], out=gw)
+        def chunk(lo, hi, gw, gb=None):
+            np.matmul(rows(lo, hi).T, g[lo:hi], out=gw)
             if gb is not None:
                 np.sum(g[lo:hi], axis=0, out=gb)
 
-        shapes = (w.shape,) if b is None else (w.shape, (cout,))
-        sums = _chunk_sums(len(g), kernel, shapes, np.result_type(rows, g), parts=g.size * c // _GEMM_MIN)
-        return (_gemm(g, w.data.T).reshape(x.shape), *sums)
+        shapes = (w.shape,) if b is None else (w.shape, b.shape)
+        gw, *gb = _chunk_sums(n, chunk, shapes, np.result_type(x.data, g), parts=g.size * w.shape[0] // _GEMM_MIN)
+        dx = np.empty(x.shape, np.result_type(g, w))
+        # a product with one column stays whole, as _gemm keeps it
+        view, k = unfold(dx), max(1, min(len(units), dx.size // _BLOCK, n // 2)) if w.shape[0] > 1 else 1
+        for s, e in ((len(units) * i // k, len(units) * (i + 1) // k) for i in range(k)):
+            view[s:e] = _gemm(g[s * unit:e * unit], w.T).reshape(view[s:e].shape)
+        return (dx, gw.reshape(kernel.shape), *gb)
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record("linear", inputs, y.reshape(x.shape[:-1] + (cout,)), bwd)
+    return _record(op, inputs if b is not None else inputs[:2], y.reshape(out_shape), bwd)
 
 
 def softmax_last(a):
@@ -889,20 +911,19 @@ def _triple(v):
     return tuple(v) if isinstance(v, (tuple, list)) else (v, v, v)
 
 
-def conv3d(x, kernel, bias=None, stride=1, padding=0):
-    """3D convolution over a channels-last volume.
+def conv3d(x, kernel, bias=None, padding=0):
+    """3D convolution over a channels-last volume, one voxel per step.
 
-    x: (D, H, W, Cin); kernel: (kd, kh, kw, Cin, Cout); valid-style output
-    extents floor((in + 2p - k)/stride) + 1 with symmetric zero padding.
-    `stride` (at least 1) and `padding` (at least 0) are ints, or three of
-    them, one per spatial axis.  Computed by shift-and-accumulate over the
-    kernel taps, so the extra memory is O(input) rather than an im2col
-    matrix k^3 times the input.  At stride 1, _plane_sum computes the
-    forward and the input gradient (the output gradient, padded by k - 1 - p,
-    convolved with the kernel transposed in (Cin, Cout)), and _plane_dw the
-    kernel and bias gradients as fixed-chunk sums over blocks of output
-    planes; none of them pads a copy of the volume.  Strided taps copy each
-    tap's window of the padded input.
+    x: (D, H, W, Cin); kernel: (kd, kh, kw, Cin, Cout); output extents
+    in + 2p - k + 1 with symmetric zero padding.  `padding` (at least 0) is
+    an int, or three of them, one per spatial axis.  Computed by
+    shift-and-accumulate over the kernel taps, so the extra memory is
+    O(input) rather than an im2col matrix k^3 times the input: _plane_sum
+    computes the forward and the input gradient (the output gradient,
+    padded by k - 1 - p, convolved with the kernel transposed in (Cin,
+    Cout)), and _plane_dw the kernel and bias gradients as fixed-chunk sums
+    over blocks of output planes; none of them pads a copy of the volume.
+    A convolution whose taps do not overlap is `patch_linear`.
     """
     if x.ndim != 4 or kernel.ndim != 5:
         raise ShapeError(f"conv3d expects x rank 4 and kernel rank 5, got {x.shape} and {kernel.shape}")
@@ -911,83 +932,69 @@ def conv3d(x, kernel, bias=None, stride=1, padding=0):
         raise ShapeError(f"conv3d input channels {x.shape[3]} != kernel Cin {cin}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv3d bias shape {bias.shape} != ({cout},)")
-    stride = _triple(stride)
     padding = _triple(padding)
-    if (len(stride) != 3 or len(padding) != 3
-            or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                       for v in stride + padding)
-            or min(stride) < 1 or min(padding) < 0):
-        raise ShapeError(f"conv3d stride must be ints >= 1 and padding ints >= 0 per axis, "
-                         f"got stride {stride} and padding {padding}")
+    if (len(padding) != 3
+            or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in padding)
+            or min(padding) < 0):
+        raise ShapeError(f"conv3d padding must be ints >= 0 per axis, got {padding}")
+    padding = tuple(int(p) for p in padding)  # numpy ints of any width to Python ints
     padded = tuple(x.shape[i] + 2 * padding[i] for i in range(3))
     if padded[0] < kd or padded[1] < kh or padded[2] < kw:
         raise ShapeError(
             f"conv3d kernel {(kd, kh, kw)} larger than padded input {padded}"
         )
-    out_sp = tuple((padded[i] - k) // stride[i] + 1 for i, k in enumerate((kd, kh, kw)))
-
-    w = kernel.data
-    b = None if bias is None else bias.data
-    out = np.empty(out_sp + (cout,), dtype=np.result_type(x.data, w))
-    windows = _conv_windows((kd, kh, kw), stride, out_sp)
-
+    out = np.empty(tuple(n - k + 1 for n, k in zip(padded, (kd, kh, kw))) + (cout,),
+                   dtype=np.result_type(x.data, kernel.data))
     # one (rows, Cin) @ (Cin, Cout) GEMM per tap, summed in fixed tap order
     # so reruns are bit-identical
-    if stride == (1, 1, 1):
-        _plane_sum(x.data, w, b, padding, out)
-    else:
-        xp = _pad(x.data, padding)
-        _by_rows(_tap_sum(w), [xp[window] for window in windows], out, k=cin)
-        if b is not None:
-            _by_rows(np.add, (out, b), out)
-
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    _plane_sum(x.data, kernel.data, None if bias is None else bias.data, padding, out)
 
     def bwd(g):
-        if stride == (1, 1, 1):
-            dw, db = _plane_dw(x.data, g, kernel.shape[:3], padding)
-            # g is padded by k - 1 - p, or cropped when the padding exceeds k - 1
-            back = [k - 1 - p for p, k in zip(padding, kernel.shape)]
-            crop = tuple(slice(max(-q, 0), n - max(-q, 0)) for q, n in zip(back, g.shape))
-            dx = np.empty(x.shape, dtype=x.data.dtype)
-            _plane_sum(g[crop], w.swapaxes(3, 4), None, tuple(max(q, 0) for q in back), dx, mirrored=True)
-        else:
-            xp, gm = _pad(x.data, padding), g.reshape(-1, cout)
-            dw = np.empty(kernel.shape, dtype=np.result_type(xp, gm))
+        dw, db = _plane_dw(x.data, g, kernel.shape[:3], padding)
+        # g is padded by k - 1 - p, or cropped when the padding exceeds k - 1
+        back = [k - 1 - p for p, k in zip(padding, kernel.shape)]
+        crop = tuple(slice(max(-q, 0), n - max(-q, 0)) for q, n in zip(back, g.shape))
+        dx = np.empty(x.shape, dtype=x.data.dtype)
+        _plane_sum(g[crop], kernel.data.swapaxes(3, 4), None, tuple(max(q, 0) for q in back), dx,
+                   mirrored=True)
+        return (dx, dw) if bias is None else (dx, dw, db)
 
-            def dw_taps(index, dw_rows):
-                for i, dw_tap in zip(index.ravel(), dw_rows):
-                    np.matmul(xp[windows[i]].reshape(-1, cin).T, gm, out=dw_tap)
-
-            # dw[tap] sums over every voxel, so the op workers take whole taps
-            _by_rows(dw_taps, (np.arange(len(windows)).reshape(-1, 1, 1),), dw.reshape(-1, cin, cout),
-                     k=gm.shape[0])
-            del xp
-            db = gm.sum(axis=0)
-            dxp = np.zeros(padded + (cin,), dtype=x.data.dtype)
-            for window, wt in zip(windows, w.reshape(-1, cin, cout)):
-                dxp[window] += _gemm(gm, wt.T).reshape(out_sp + (cin,))
-            dx = np.ascontiguousarray(dxp[tuple(slice(p, p + n) for p, n in zip(padding, x.shape))])
-        if bias is None:
-            return dx, dw
-        return dx, dw, db
-
+    inputs = (x, kernel) if bias is None else (x, kernel, bias)
     return _record("conv3d", inputs, out, bwd)
 
 
-def _pad(x, padding):
-    """x zero-padded by `padding` on both sides of each spatial axis, or x
-    itself when nothing is padded."""
-    if not any(padding):
-        return x
-    return np.pad(x, [(p, p) for p in padding] + [(0, 0)])
+def patch_linear(x, kernel, bias=None):
+    """The convolution of a channels-last volume x (D, H, W, Cin) by a
+    kernel (kd, kh, kw, Cin, Cout) that moves by its own extents, which
+    must tile the volume's, plus `bias`: a linear map of each
+    non-overlapping patch (Dumoulin & Visin, arXiv:1603.07285; Dosovitskiy
+    et al., arXiv:2010.11929), as an `_affine` node whose units are the
+    planes of patches.  The node keeps x, and no patch matrix.  For a 1x1x1
+    kernel the patches are a view of x, and the op is `linear`."""
+    if x.ndim != 4 or kernel.ndim != 5 or x.shape[3] != kernel.shape[3]:
+        raise ShapeError(f"patch_linear needs x (D, H, W, Cin) and a kernel (kd, kh, kw, Cin, Cout), "
+                         f"got {x.shape} and {kernel.shape}")
+    patch, cout = kernel.shape[:3], kernel.shape[4]
+    if min(patch) < 1 or any(n % p for n, p in zip(x.shape, patch)):
+        raise ShapeError(f"patch_linear patches {patch} do not tile the extents {x.shape[:3]}; pad or crop x")
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"patch_linear bias shape {bias.shape} != ({cout},)")
+    grid = tuple(n // p for n, p in zip(x.shape, patch))
+    return _affine("patch_linear", (x, kernel, bias), lambda a: _patch_view(a, patch), grid + (cout,))
+
+
+def _patch_view(a, patch):
+    """The volume a (D, H, W, C) as a view of shape (D/kd, H/kh, W/kw, kd,
+    kh, kw, C): its non-overlapping patches, in the kernel's order."""
+    (kd, kh, kw), (d, h, w, c) = patch, a.shape
+    return a.reshape(d // kd, kd, h // kh, kh, w // kw, kw, c).transpose(0, 2, 4, 1, 3, 5, 6)
 
 
 def _plane_sum(x, w, bias, padding, out, mirrored=False):
-    """Stride-1 conv3d of `x` by `w` with zero `padding`, plus `bias`, into
-    `out`, over blocks of output depth planes split among the op workers.
-    A block pads the input planes it reads into scratch of its own and sums
-    one GEMM per tap over it with _tap_sum, in lexicographic tap order.
+    """conv3d of `x` by `w` with zero `padding`, plus `bias`, into `out`,
+    over blocks of output depth planes split among the op workers.  A block
+    pads the input planes it reads into scratch of its own and adds one
+    (rows, Cin) @ (Cin, Cout) GEMM per tap, in lexicographic tap order.
     `mirrored` makes tap t read at tap T-1-t's offset: with w transposed in
     (Cin, Cout) that is the input gradient of the convolution by w, each
     voxel summing its taps in the forward's order (padding adds zeros)."""
@@ -1003,19 +1010,21 @@ def _plane_sum(x, w, bias, padding, out, mirrored=False):
     if mirrored:
         offsets = [offsets[-1] - o for o in offsets]
     tail = (kh - 1) * wp + kw - 1
-    tap_sum = _tap_sum(w)
+    w_taps = w.reshape(-1, cin, cout)
 
     def kernel(index, out):
         s, n = int(index.flat[0]), out.shape[0]
         flat, rows = _padded_planes(x, s, n + kd - 1, padding).reshape(-1, cin), n * hp * wp - tail
-        # without H or W padding a 1x1 kernel's frame is the output itself
-        frame = out if out.shape[1:3] == (hp, wp) else np.empty((n, hp, wp, cout), dtype=out.dtype)
-        tap_sum(*(flat[o:o + rows] for o in offsets), frame.reshape(-1, cout)[:rows])
+        frame = np.empty((n, hp, wp, cout), dtype=out.dtype)
+        acc, prod = frame.reshape(-1, cout)[:rows], np.empty((rows, cout), dtype=out.dtype)
+        np.matmul(flat[offsets[0]:offsets[0] + rows], w_taps[0], out=acc)
+        for o, w_tap in zip(offsets[1:], w_taps[1:]):
+            acc += np.matmul(flat[o:o + rows], w_tap, out=prod)
         voxels = frame[:, :out.shape[1], :out.shape[2]]
-        if bias is not None:
-            np.add(voxels, bias, out=out)
-        elif frame is not out:
+        if bias is None:
             np.copyto(out, voxels)
+        else:
+            np.add(voxels, bias, out=out)
 
     # a block takes enough planes for each tap GEMM to keep _GEMM_MIN
     # multiply-adds and two rows, and no fewer than its kd - 1 halo planes,
@@ -1041,7 +1050,7 @@ def _padded_planes(x, s, n, padding):
 
 
 def _plane_dw(x, g, ksize, padding):
-    """The kernel and bias gradients of a stride-1 conv3d of `x` with zero
+    """The kernel and bias gradients of a conv3d of `x` with zero
     `padding` and a kernel of spatial extents `ksize`, for output gradient
     `g`, as fixed-chunk sums over blocks of output depth planes.  A block
     pads the input planes it reads into scratch, as _plane_sum does, and lays
@@ -1067,31 +1076,6 @@ def _plane_dw(x, g, ksize, padding):
     madds = g.size * len(offsets) * cin
     return _chunk_sums(planes, kernel, (ksize + (cin, cout), (cout,)), np.result_type(x, g), unit=ho * wo,
                        parts=madds // _GEMM_MIN)
-
-
-def _tap_sum(w):
-    """Kernel that sums one (rows, Cin) @ (Cin, Cout) product per tap, in
-    tap order, into its rows of the output, with a product buffer of its
-    own.  Its operands are the taps' inputs, row for row with the output."""
-    cin, cout = w.shape[3:]
-    w_taps = w.reshape(-1, cin, cout)
-
-    def kernel(*operands):
-        *inputs, out = operands
-        out = out.reshape(-1, cout)
-        prod = np.empty_like(out)
-        for i, (x, wt) in enumerate(zip(inputs, w_taps)):
-            np.matmul(x.reshape(-1, cin), wt, out=prod if i else out)
-            if i:
-                out += prod
-    return kernel
-
-
-def _conv_windows(ksize, stride, out_sp):
-    """For every kernel tap in lexicographic order, the slices of the padded
-    input at the positions that tap multiplies."""
-    return [tuple(slice(o, o + n * s, s) for o, n, s in zip(tap, out_sp, stride))
-            for tap in np.ndindex(*ksize)]
 
 
 def avg_pool3d(x):

@@ -26,7 +26,7 @@ from .autodiff import Tensor, grad_check
 from .data import PhantomSpec, load_dataset, save_dataset
 from .data import split as split_indices
 from .decoder import Decoder, DecoderConfig
-from .encoder import GlobalPoolBlock
+from .encoder import EncoderConfig, EncoderStage, GlobalPoolBlock
 from .errors import ConfigError, FormatError, MMVSegError
 from .fusion import (
     AttentionConfig,
@@ -189,12 +189,15 @@ def _split_indices(data_dir, n_cases, *names):
 def _load_split_datasets(data_dir):
     dataset = load_dataset(data_dir)
     found = _split_indices(data_dir, len(dataset), "train", "val")
-    if found is None:
-        return dataset, None
-    train_idx, val_idx = found
+    train_idx, val_idx = (range(len(dataset)), []) if found is None else found
     if not train_idx:
         raise ConfigError(f"{Path(data_dir) / 'splits.json'} has an empty train split; "
                           "regenerate the dataset with a nonzero train fraction")
+    # float32 training on such a modality overflowed at the default widths
+    for i, m in ((i, m) for i in train_idx for m in range(dataset[i][0].shape[3])):
+        if not dataset[i][0][..., m].any():
+            raise ConfigError(f"training case {i} of {data_dir}: modality {m} normalizes to all zeros "
+                              "(no nonzero voxels, or all of them one value), which cannot be trained on")
     return [dataset[i] for i in train_idx], [dataset[i] for i in val_idx] or None
 
 
@@ -385,6 +388,17 @@ def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
 
     for name, fn in (("soft-dice-loss", soft_dice_loss), ("cross-entropy-loss", cross_entropy_loss)):
         run(name, [loss(fn, (3, 3, 3), 2), loss(fn, (2, 4, 3), 3), loss(fn, (4, 2, 2), 4)])
+
+    def stage_of(stage, shape):
+        # a stage's patch embed and one block on a (D, H, W, Cin) volume;
+        # last, so the rows above draw the same shapes as before it was added
+        def build():
+            st = EncoderStage(stage, shape[-1], 4, EncoderConfig(blocks_per_stage=1, mlp_ratio=2), rng, dtype=f64)
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            return (lambda: ad.tmean(st(x))), st.params() + [x]
+        return build
+
+    run("encoder-stage", [stage_of(1, (2, 2, 2, 2)), stage_of(2, (2, 4, 4, 2)), stage_of(2, (4, 2, 4, 3))])
 
     return rows
 

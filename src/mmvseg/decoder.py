@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, ShapeError
-from .nn import Conv3d, Linear, Module
+from .nn import Conv3d, Linear, Module, PatchLinear
 
 N_LEVELS = 5
 
@@ -55,10 +55,10 @@ class Decoder(Module):
             self.gate_fc.w.data[:] = 0.0
         cins = (bottleneck_channels,) + cfg.level_channels[:-1]
         self.convs = [
-            Conv3d(cin + skip, cout, 3, rng, padding=1, dtype=dtype)
+            Conv3d(cin + skip, cout, rng, dtype)
             for cin, skip, cout in zip(cins, skip_channels, cfg.level_channels)
         ]
-        self.head = Conv3d(cfg.level_channels[-1], n_classes, 1, rng, dtype=dtype)
+        self.head = PatchLinear(cfg.level_channels[-1], n_classes, 1, rng, dtype)
 
     def gated_skips(self, fused, levels):
         """Gated skip volumes for levels 4, 3, ... from the fused (d, w, h, C)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
-from .nn import Conv3d, LayerNorm, Linear, Mlp, Module
+from .nn import Conv3d, LayerNorm, Linear, Mlp, Module, PatchLinear
 
 N_STAGES = 5
 
@@ -75,7 +75,7 @@ class ConvBlock(Module):
 
     def __init__(self, c, mlp_ratio, rng, dtype=np.float32):
         del mlp_ratio
-        self.conv = Conv3d(c, c, 3, rng, padding=1, dtype=dtype)
+        self.conv = Conv3d(c, c, rng, dtype)
 
     def __call__(self, x):
         return ad.gelu(self.conv(x))
@@ -86,23 +86,12 @@ _BLOCKS = {"global_pool": GlobalPoolBlock, "local_pool": LocalPoolBlock, "conv":
 
 class EncoderStage(Module):
     def __init__(self, stage, cin, cout, cfg, rng, dtype):
-        if stage == 1:
-            self.embed = Conv3d(cin, cout, 1, rng, stride=1, dtype=dtype)
-        else:
-            self.embed = Conv3d(cin, cout, 2, rng, stride=2, dtype=dtype)
+        self.embed = PatchLinear(cin, cout, 1 if stage == 1 else 2, rng, dtype)
         block_cls = _BLOCKS[cfg.block_kind]
         self.blocks = [block_cls(cout, cfg.mlp_ratio, rng, dtype) for _ in range(cfg.blocks_per_stage)]
-        self.stage = stage
-
-    def feature_embed(self, x):
-        if self.stage > 1 and any(s % 2 for s in x.shape[:3]):
-            raise ShapeError(
-                f"stage {self.stage} needs even spatial extents, got {x.shape[:3]}; pad the input upstream"
-            )
-        return self.embed(x)
 
     def __call__(self, x):
-        x = self.feature_embed(x)
+        x = self.embed(x)
         for block in self.blocks:
             x = block(x)
         return x

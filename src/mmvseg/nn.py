@@ -95,22 +95,32 @@ class LayerNorm(Module):
         return ad.layer_norm(x, self.gamma, self.beta)
 
 
-class Conv3d(Module):
-    """Channels-last 3D convolution layer with zero-initialized bias."""
+def kernel_and_bias(k, cin, cout, rng, dtype):
+    """A trainable (k, k, k, cin, cout) Xavier-uniform kernel, over its k^3 window's fans, and zero bias."""
+    kernel = xavier_uniform(rng, (k, k, k, cin, cout), k ** 3 * cin, k ** 3 * cout, dtype)
+    return Tensor(kernel, requires_grad=True), Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
 
-    def __init__(self, cin, cout, ksize, rng, stride=1, padding=0, dtype=np.float32):
-        k = ksize if isinstance(ksize, tuple) else (ksize,) * 3
-        kvol = k[0] * k[1] * k[2]
-        self.kernel = Tensor(
-            xavier_uniform(rng, k + (cin, cout), kvol * cin, kvol * cout, dtype),
-            requires_grad=True,
-        )
-        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
-        self.stride = stride
-        self.padding = padding
+
+class Conv3d(Module):
+    """Channels-last 3x3x3 convolution with zero padding 1, which keeps the input's extents."""
+
+    def __init__(self, cin, cout, rng, dtype=np.float32):
+        self.kernel, self.bias = kernel_and_bias(3, cin, cout, rng, dtype)
 
     def __call__(self, x):
-        return ad.conv3d(x, self.kernel, self.bias, stride=self.stride, padding=self.padding)
+        return ad.conv3d(x, self.kernel, self.bias, padding=1)
+
+
+class PatchLinear(Module):
+    """Linear map of each non-overlapping patch x patch x patch block of a
+    channels-last volume to `cout` channels (a patch of 1 maps each voxel),
+    as `patch_linear`."""
+
+    def __init__(self, cin, cout, patch, rng, dtype=np.float32):
+        self.kernel, self.bias = kernel_and_bias(patch, cin, cout, rng, dtype)
+
+    def __call__(self, x):
+        return ad.patch_linear(x, self.kernel, self.bias)
 
 
 class Mlp(Module):

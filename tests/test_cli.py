@@ -27,7 +27,9 @@ SPEC = {
     "n_classes": 3,
     "objects_per_class": 1,
     "radius_range": [2.0, 4.0],
-    "noise_sigma": 0.0,
+    # without noise each modality's nonzero voxels would share one value,
+    # which normalizes to all zeros and which train refuses
+    "noise_sigma": 0.05,
     "seed": 5,
 }
 
@@ -347,6 +349,18 @@ class TestTrain:
                      "--model-config", str(bad), "--steps", "1"]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r" / "checkpoint.ckpt").exists()
+
+    def test_constant_modality_is_a_config_error(self, tmp_path, capsys):
+        # without noise, each modality's nonzero voxels share one value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"shape": [32, 32, 32], "modalities": 2, "noise_sigma": 0}))
+        assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(spec), "--cases", "3",
+                     "--fractions", "1,0,0"]) == 0
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", str(tmp_path / "data"),
+                     "--steps", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "training case 0" in err and "modality 0 normalizes to all zeros" in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("part,field,value", [("encoder", "in_channels", 1),
                                                   ("decoder", "out_classes", 3)])

@@ -48,27 +48,27 @@ class TestFeatureEmbed:
     def test_stage1_preserves_resolution(self):
         rng = np.random.default_rng(0)
         stage = EncoderStage(1, 1, 3, tiny_cfg(), rng, np.float32)
-        out = stage.feature_embed(Tensor(rng.normal(size=(16, 16, 16, 1))))
+        out = stage.embed(Tensor(rng.normal(size=(16, 16, 16, 1))))
         assert out.shape == (16, 16, 16, 3)
 
     def test_stage2_halves_each_extent(self):
         rng = np.random.default_rng(1)
         stage = EncoderStage(2, 2, 3, tiny_cfg(), rng, np.float32)
-        out = stage.feature_embed(Tensor(rng.normal(size=(16, 12, 8, 2))))
+        out = stage.embed(Tensor(rng.normal(size=(16, 12, 8, 2))))
         assert out.shape == (8, 6, 4, 3)
 
     def test_odd_extent_rejected_with_padding_hint(self):
         rng = np.random.default_rng(2)
         stage = EncoderStage(3, 2, 2, tiny_cfg(), rng, np.float32)
         with pytest.raises(ShapeError, match="pad"):
-            stage.feature_embed(Tensor(rng.normal(size=(4, 5, 4, 2))))
+            stage.embed(Tensor(rng.normal(size=(4, 5, 4, 2))))
 
     def test_zero_weights_give_constant_bias_map(self):
         rng = np.random.default_rng(3)
         stage = EncoderStage(2, 2, 3, tiny_cfg(), rng, np.float64)
         stage.embed.kernel.data[:] = 0.0
         stage.embed.bias.data[:] = [0.5, -1.0, 2.0]
-        out = stage.feature_embed(Tensor(rng.normal(size=(6, 4, 2, 2))))
+        out = stage.embed(Tensor(rng.normal(size=(6, 4, 2, 2))))
         assert np.array_equal(out.data, np.broadcast_to([0.5, -1.0, 2.0], (3, 2, 1, 3)))
 
 

@@ -3,12 +3,12 @@
 Each split op must give exactly (np.array_equal, dtypes included) what its
 single-call numpy expression gives, on both sides of the size threshold,
 for row counts the worker count does not divide, and for any worker count.
-The GEMMs of `linear` and `conv3d` split by their own size rule (see
-`_by_rows`), and are checked the same way at the model's layer shapes.
-The parameter gradients of `linear`, `layer_norm`, `feed_forward` and the
-stride-1 `conv3d` are fixed-chunk sums over rows: their exact oracles write
-the chunk rule out (`chunk_sums`), and they must also lie within float
-tolerance of the whole-array sums they replace.
+The GEMMs of `linear`, `patch_linear` and `conv3d` split by their own size
+rule (see `_by_rows`), and are checked the same way at the model's layer
+shapes.  The parameter gradients of `linear`, `patch_linear`, `layer_norm`,
+`feed_forward` and `conv3d` are fixed-chunk sums over rows: their exact
+oracles write the chunk rule out (`chunk_sums`), and they must also lie
+within float tolerance of the whole-array sums they replace.
 """
 
 import multiprocessing
@@ -131,20 +131,39 @@ def batched_linear(x, w, g):
                                                    np.abs(x).max() * size, size)
 
 
-def serial_conv3d(x, k, b, stride, padding, g):
+def serial_patch_linear(x, k, b, g):
+    """patch_linear's output and gradients: serial_linear on the rows of
+    x's patches, each patch's values gathered in (a, b, c, Cin) order by a
+    loop over the offsets in a patch, and the input gradient's rows put
+    back the same way.  Then the whole-array kernel and bias gradients and
+    a bound on their terms, as batched_linear gives them."""
+    patch, (cin, cout) = k.shape[:3], k.shape[3:]
+    grid = tuple(n // p for n, p in zip(x.shape, patch))
+    offsets = [tuple(slice(o, None, p) for o, p in zip(offset, patch)) for offset in np.ndindex(*patch)]
+    rows = np.stack([x[window] for window in offsets], axis=3).reshape(-1, k[..., 0].size)
+    w = k.reshape(-1, cout)
+    y, (gx, gw, gb) = serial_linear(rows, w, b, g)
+    dx = np.empty_like(x)
+    for window, gx_offset in zip(offsets, np.moveaxis(gx.reshape(grid + (len(offsets), cin)), 3, 0)):
+        dx[window] = gx_offset
+    (_, *whole), (_, *size) = batched_linear(rows, w, g.reshape(-1, cout))
+    return y, (dx, gw.reshape(k.shape), gb), ((whole[0].reshape(k.shape), whole[1]), size)
+
+
+def serial_conv3d(x, k, b, padding, g):
     """conv3d's output and gradients by the per-tap slab loop, each GEMM one
-    numpy call, summed in lexicographic tap order; at stride 1 the kernel and
-    bias gradients are chunked_conv_grads's.  Then the slab loop's kernel and
-    bias gradients, whole-volume sums, and a bound on their terms."""
+    numpy call, summed in lexicographic tap order, with the kernel and bias
+    gradients chunked_conv_grads's.  Then the slab loop's kernel and bias
+    gradients, whole-volume sums, and a bound on their terms."""
     xp = np.pad(x, [(p, p) for p in padding] + [(0, 0)])
     ksize, (cin, cout) = k.shape[:3], k.shape[3:]
-    out_sp = tuple((xp.shape[i] - ksize[i]) // stride[i] + 1 for i in range(3))
+    out_sp = tuple(xp.shape[i] - ksize[i] + 1 for i in range(3))
     gm = g.reshape(-1, cout)
     out = np.empty(gm.shape, np.result_type(xp, k))
     dw = np.empty(k.shape, np.result_type(xp, gm))
     dxp = np.zeros_like(xp)
     for i, tap in enumerate(np.ndindex(*ksize)):
-        window = tuple(slice(o, o + n * s, s) for o, n, s in zip(tap, out_sp, stride))
+        window = tuple(slice(o, o + n) for o, n in zip(tap, out_sp))
         slab = xp[window].reshape(-1, cin)
         if i:
             out += np.matmul(slab, k[tap])
@@ -153,14 +172,13 @@ def serial_conv3d(x, k, b, stride, padding, g):
         np.matmul(slab.T, gm, out=dw[tap])
         dxp[window] += np.matmul(gm, k[tap].T).reshape(out_sp + (cin,))
     dx = dxp[tuple(slice(p, p + n) for p, n in zip(padding, x.shape))]
-    whole = (dw, gm.sum(axis=0))
-    grads = chunked_conv_grads(xp, g, ksize) if stride == (1, 1, 1) else whole
     size = np.abs(gm).sum(axis=0)
-    return (out + b).reshape(out_sp + (cout,)), (dx, *grads), (whole, (np.abs(x).max() * size, size))
+    return ((out + b).reshape(out_sp + (cout,)), (dx, *chunked_conv_grads(xp, g, ksize)),
+            ((dw, gm.sum(axis=0)), (np.abs(x).max() * size, size)))
 
 
 def chunked_conv_grads(xp, g, ksize):
-    """A stride-1 conv3d's kernel and bias gradients for padded input `xp`,
+    """A conv3d's kernel and bias gradients for padded input `xp`,
     as fixed-chunk sums over output depth planes: per chunk, g's planes in a
     frame of xp's H and W extents (zeros past the output), and dw[tap] the
     chunk's padded planes, flattened, at the tap's row offset, transposed,
@@ -359,15 +377,16 @@ def test_binary_mixed_dtypes_promote_like_numpy(name):
 LINEAR_LAYERS = [(1, 32), (32, 128), (128, 32), (64, 256), (128, 512), (512, 128),
                  (128, 4), (32, 2)]
 
-# (Cin, Cout, kernel, stride, padding): the stage-1 1x1 embed of one
-# modality, two 2x2x2 stride-2 embeds, two decoder 3x3x3 convs and the head
+# (Cin, Cout, kernel, padding) of the model's convolutions: the stage-1 1x1
+# embed of one modality, two 2x2x2 patch embeds and the head, which are
+# patch_linear (padding None), and two decoder 3x3x3 convs
 CONV_LAYERS = {
-    "embed-1x1": (1, 32, 1, 1, 0),
-    "embed-2x2x2-32": (32, 64, 2, 2, 0),
-    "embed-2x2x2-128": (128, 128, 2, 2, 0),
-    "decoder-3x3x3-96": (96, 32, 3, 1, 1),
-    "decoder-3x3x3-256": (256, 128, 3, 1, 1),
-    "head-1x1": (32, 2, 1, 1, 0),
+    "embed-1x1": (1, 32, 1, None),
+    "embed-2x2x2-32": (32, 64, 2, None),
+    "embed-2x2x2-128": (128, 128, 2, None),
+    "decoder-3x3x3-96": (96, 32, 3, 1),
+    "decoder-3x3x3-256": (256, 128, 3, 1),
+    "head-1x1": (32, 2, 1, None),
 }
 
 # multiply-adds of each GEMM (rows * Cin * Cout) relative to _GEMM_MIN:
@@ -404,23 +423,31 @@ def test_linear_gemms_match_serial_expression(set_workers, dtype, c, cout, layou
         assert_near(got, want, bound)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("size", list(GEMM_SIZES))
 @pytest.mark.parametrize("layer", list(CONV_LAYERS))
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_conv3d_gemms_match_serial_expression(set_workers, dtype, layer, size, workers):
     set_workers(workers)
-    cin, cout, ksize, stride, padding = CONV_LAYERS[layer]
-    # output extents (d, 3, 4): d planes of 12 voxels
-    planes = gemm_rows(size, cin, cout, unit=12)
-    shape = tuple(stride * n + ksize - stride - 2 * padding for n in (planes, 3, 4)) + (cin,)
+    cin, cout, ksize, padding = CONV_LAYERS[layer]
+    # output extents (d, 3, 4): d planes of 12 voxels; a patch embed's GEMM
+    # multiplies a whole patch, a conv's one tap, by the weights
+    if padding is None:
+        planes = gemm_rows(size, ksize ** 3 * cin, cout, unit=12)
+        shape = tuple(ksize * n for n in (planes, 3, 4)) + (cin,)
+    else:
+        planes = gemm_rows(size, cin, cout, unit=12)
+        shape = tuple(n + ksize - 1 - 2 * padding for n in (planes, 3, 4)) + (cin,)
     rng = np.random.default_rng(cin * cout)
     x = draw(rng, shape, dtype)
     k = draw(rng, (ksize,) * 3 + (cin, cout), dtype, scale=0.1)
     b = draw(rng, (cout,), dtype)
-    op = lambda x_, k_, b_: ad.conv3d(x_, k_, b_, stride=stride, padding=padding)
-    y, g, grads = run_op(op, x, k, b)
-    ref_y, ref_grads, (whole, size) = serial_conv3d(x, k, b, (stride,) * 3, (padding,) * 3, g)
+    if padding is None:
+        y, g, grads = run_op(ad.patch_linear, x, k, b)
+        ref_y, ref_grads, (whole, size) = serial_patch_linear(x, k, b, g)
+    else:
+        y, g, grads = run_op(lambda x_, k_, b_: ad.conv3d(x_, k_, b_, padding=padding), x, k, b)
+        ref_y, ref_grads, (whole, size) = serial_conv3d(x, k, b, (padding,) * 3, g)
     assert_exact(y, ref_y)
     for got, want in zip(grads, ref_grads, strict=True):
         assert_exact(got, want)
@@ -455,7 +482,7 @@ def test_conv3d_plane_blocks_match_serial_forward(set_workers, dtype, geometry, 
     k = draw(rng, k_shape, dtype, scale=0.1)
     b = draw(rng, k_shape[4:], dtype)
     y, g, grads = run_op(lambda x_, k_, b_: ad.conv3d(x_, k_, b_, padding=padding), x, k, b)
-    ref_y, ref_grads, (whole, size) = serial_conv3d(x, k, b, (1, 1, 1), padding, g)
+    ref_y, ref_grads, (whole, size) = serial_conv3d(x, k, b, padding, g)
     assert_exact(y, ref_y)
     for got, want, bound in zip(grads[1:], whole, size, strict=True):
         assert_near(got, want, bound)
@@ -738,7 +765,7 @@ def _split_in_child():
     x = draw(rng, (40, 6, 6, 48), np.float32)
     k, b = draw(rng, (3, 3, 3, 48, 32), np.float32, scale=0.1), draw(rng, (32,), np.float32)
     y, g, grads = run_op(lambda *t: ad.conv3d(*t, padding=1), x, k, b)
-    ref_y, ref_grads, _ = serial_conv3d(x, k, b, (1, 1, 1), (1, 1, 1), g)
+    ref_y, ref_grads, _ = serial_conv3d(x, k, b, (1, 1, 1), g)
     ok &= all(np.array_equal(a, e) for a, e in zip((y, *grads), (ref_y, *ref_grads)))
     os._exit(0 if ok else 1)
 

@@ -109,9 +109,9 @@ class TestConv3d:
         v = 2.5
         x = t(np.full((4, 4, 4, 1), v))
         k = t(np.ones((2, 2, 2, 1, 1)))
-        out = ad.conv3d(x, k, stride=2)
-        assert out.shape == (2, 2, 2, 1)
-        np.testing.assert_allclose(out.data, np.full((2, 2, 2, 1), 8 * v), atol=1e-12)
+        out = ad.conv3d(x, k)
+        assert out.shape == (3, 3, 3, 1)
+        np.testing.assert_allclose(out.data, np.full((3, 3, 3, 1), 8 * v), atol=1e-12)
 
     def test_zero_kernel_gives_bias(self):
         x = t(np.random.default_rng(6).normal(size=(3, 3, 3, 2)))
@@ -122,23 +122,14 @@ class TestConv3d:
         with pytest.raises(ShapeError):
             ad.conv3d(t(np.zeros((2, 2, 2, 1))), t(np.zeros((3, 3, 3, 1, 1))))
 
-    def test_stride_output_extents(self):
-        x = t(np.zeros((8, 6, 4, 1)))
-        out = ad.conv3d(x, t(np.zeros((2, 2, 2, 1, 3))), stride=2)
-        assert out.shape == (4, 3, 2, 3)
-
-    @pytest.mark.parametrize("stride,padding", [
-        (1, -1), (1, (1, -1, 1)), (1, 1.0), (1, 0.5), (1, True), (1, (1, 1)),
-        (1, (1, 1, 1, 1)), (2.5, 0), (0, 1), (-1, 0), ((1, 2.0, 1), 0), ((1, 1), 0), ("2", 0),
-        ((2, 2), (0, 0, 0, 0)), ((), 0),
-    ])
-    def test_bad_stride_or_padding_raises_before_allocating(self, stride, padding):
+    @pytest.mark.parametrize("padding", [-1, (1, -1, 1), 1.0, 0.5, True, (1, 1), (1, 1, 1, 1), ()])
+    def test_bad_padding_raises_before_allocating(self, padding):
         x = t(np.zeros((16, 16, 16, 8)))
         k = t(np.zeros((3, 3, 3, 8, 8)))
         tracemalloc.start()
         try:
-            with pytest.raises(ShapeError, match="stride must be ints"):
-                ad.conv3d(x, k, stride=stride, padding=padding)
+            with pytest.raises(ShapeError, match="padding must be ints"):
+                ad.conv3d(x, k, padding=padding)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -156,12 +147,74 @@ class TestConv3d:
             tracemalloc.stop()
         assert peak < x.data.nbytes // 16, peak
 
-    def test_integer_stride_and_padding_of_any_int_type(self):
+    def test_integer_padding_of_any_int_type(self):
         x = t(np.ones((4, 4, 4, 1)))
         k = t(np.ones((3, 3, 3, 1, 1)))
-        want = ad.conv3d(x, k, stride=1, padding=1).data
-        for stride, padding in ((np.int64(1), np.int32(1)), ([1, 1, 1], [1, 1, 1])):
-            np.testing.assert_array_equal(ad.conv3d(x, k, stride=stride, padding=padding).data, want)
+        want = ad.conv3d(x, k, padding=1).data
+        for padding in (np.int32(1), [1, 1, 1], (np.int64(1), 1, np.int8(1))):
+            np.testing.assert_array_equal(ad.conv3d(x, k, padding=padding).data, want)
+
+
+class TestPatchLinear:
+    def test_output_extents(self):
+        x = t(np.zeros((8, 6, 4, 1)))
+        assert ad.patch_linear(x, t(np.zeros((2, 2, 2, 1, 3)))).shape == (4, 3, 2, 3)
+        assert ad.patch_linear(x, t(np.zeros((2, 3, 1, 1, 3)))).shape == (4, 2, 4, 3)
+
+    @pytest.mark.parametrize("k_shape", [(2, 2, 2, 1, 3), (3, 1, 1, 1, 3), (0, 1, 1, 1, 3), (1, 1, 1, 2, 3),
+                                         (2, 2, 3)])
+    def test_patches_that_do_not_tile_raise(self, k_shape):
+        with pytest.raises(ShapeError, match="patch_linear"):
+            ad.patch_linear(t(np.zeros((4, 5, 4, 1))), t(np.zeros(k_shape)))
+
+    def test_pointwise_patches_are_a_view_and_the_op_is_linear(self):
+        rng = np.random.default_rng(17)
+        x = t(rng.normal(size=(3, 4, 5, 6)), requires_grad=True)
+        k = t(rng.normal(size=(1, 1, 1, 6, 2)), requires_grad=True)
+        b = t(rng.normal(size=2), requires_grad=True)
+        assert np.shares_memory(ad._patch_view(x.data, (1, 1, 1)).reshape(-1, 6), x.data)
+        w = t(k.data.reshape(6, 2), requires_grad=True)
+        got, got_grads = value_and_grads(lambda: ad.patch_linear(x, k, b), [x, k, b])
+        want, want_grads = value_and_grads(lambda: ad.linear(x, w, b), [x, w, b])
+        assert np.array_equal(got, want)
+        for a, e in zip(got_grads, want_grads, strict=True):
+            assert np.array_equal(a, e.reshape(a.shape))
+
+    def test_backward_allocates_little_beyond_its_gradients(self, monkeypatch):
+        # two op workers; the chunks of the kernel gradient cut their own
+        # patches, and the input gradient is made a block of planes at a time
+        if ad._POOL is None:
+            monkeypatch.setattr(ad, "_POOL", ThreadPoolExecutor(1))
+        monkeypatch.setattr(ad, "OP_WORKERS", 2)
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.normal(size=(64, 64, 64, 8)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 2, 2, 8, 16)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(16, np.float32), requires_grad=True)
+        with Tape() as tape:
+            out = ad.patch_linear(x, k, b)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            grads = tape.nodes[-1].backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(a.nbytes for a in grads) < x.data.nbytes // 4, peak
+
+    def test_taped_node_holds_no_patch_copy(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(32, 32, 32, 16)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 2, 2, 16, 32)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(32, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ad.patch_linear(x, k, b)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert held - out.data.nbytes < x.data.nbytes // 20, held
 
 
 def _im2col(xp, ksize, stride, out_sp):
@@ -231,12 +284,15 @@ def im2col_conv3d(x, k, b, stride, padding, g):
     return out, dx, (cols.T @ gm).reshape(k.shape), gm.sum(axis=0)
 
 
+# (x shape, kernel shape, stride, padding); a stride of the kernel's own
+# extents without padding is a patch embedding, which patch_linear computes
 CONV_GEOMETRIES = {
     "pointwise": ((5, 6, 7, 3), (1, 1, 1, 3, 4), 1, 0),
-    "patchify": ((8, 6, 4, 3), (2, 2, 2, 3, 5), 2, 0),
+    "patchify": ((8, 6, 4, 3), (2, 2, 2, 3, 5), (2, 2, 2), 0),
+    "patchify-1x1x1": ((5, 6, 7, 3), (1, 1, 1, 3, 4), (1, 1, 1), 0),
+    "patchify-2x1x2": ((4, 3, 6, 2), (2, 1, 2, 2, 3), (2, 1, 2), 0),
     "3x3x3-pad1": ((6, 6, 6, 3), (3, 3, 3, 3, 4), 1, 1),
-    "anisotropic": ((5, 6, 7, 2), (3, 2, 3, 2, 3), (1, 2, 1), (1, 0, 1)),
-    "non-cubic-strided": ((2, 9, 4, 3), (3, 3, 3, 3, 2), 2, 1),
+    "anisotropic": ((5, 6, 7, 2), (3, 2, 3, 2, 3), 1, (1, 0, 1)),
     "kernel-fills-padded-input": ((3, 4, 5, 2), (5, 6, 7, 2, 3), 1, 1),
 }
 
@@ -245,18 +301,25 @@ class TestConv3dAgainstIm2col:
     @pytest.mark.parametrize("geometry", list(CONV_GEOMETRIES))
     def test_forward_and_gradients_match(self, geometry):
         x_shape, k_shape, stride, padding = CONV_GEOMETRIES[geometry]
+        if stride == 1:
+            op = lambda *inputs: ad.conv3d(*inputs, padding=padding)
+        else:
+            assert stride == k_shape[:3] and padding == 0
+            op = ad.patch_linear
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=x_shape), requires_grad=True)
         k = Tensor(rng.normal(size=k_shape), requires_grad=True)
         b = Tensor(rng.normal(size=k_shape[4]), requires_grad=True)
-        with Tape() as tape:
-            out = ad.conv3d(x, k, b, stride=stride, padding=padding)
-        g = rng.normal(size=out.shape)
-        got = (out.data,) + tuple(tape.nodes[-1].backward(g))
-        want = im2col_conv3d(x.data, k.data, b.data, stride, padding, g)
-        for name, a, e in zip(("out", "dx", "dw", "db"), got, want):
-            assert a.shape == e.shape, name
-            np.testing.assert_allclose(a, e, rtol=0, atol=1e-10 * np.abs(e).max(), err_msg=name)
+        for bias in (b, None):
+            with Tape() as tape:
+                out = op(x, k, bias)
+            g = rng.normal(size=out.shape)
+            got = (out.data,) + tuple(tape.nodes[-1].backward(g))
+            want = im2col_conv3d(x.data, k.data, 0.0 if bias is None else b.data, stride, padding, g)
+            assert len(got) == (4 if bias is b else 3)
+            for name, a, e in zip(("out", "dx", "dw", "db"), got, want):
+                assert a.shape == e.shape, name
+                np.testing.assert_allclose(a, e, rtol=0, atol=1e-12 * np.abs(e).max(), err_msg=name)
 
     def test_extra_memory_stays_linear_in_the_input(self):
         # an im2col column matrix alone would be 27x the input
@@ -573,9 +636,14 @@ OP_CASES = [
     ("mean_axis", lambda rng: _unary_case(rng, lambda x: ad.tmean(x, axis=0, keepdims=True))),
     ("concat", lambda rng: _concat_case(rng)),
     ("layer_moveaxis", lambda rng: _unary_case(rng, lambda x: ad.moveaxis(x, 0, -1))),
-    ("conv3d_3x3x3_pad1", lambda rng: _conv_case(rng, ksize=(3, 3, 3), stride=1, pad=1)),
-    ("conv3d_anisotropic", lambda rng: _conv_case(rng, spatial=(4, 5, 3), ksize=(3, 2, 1),
-                                                  stride=(1, 2, 1), pad=(1, 0, 1))),
+    ("conv3d_3x3x3_pad1", lambda rng: _conv_case(rng, ksize=(3, 3, 3), pad=1)),
+    ("conv3d_anisotropic", lambda rng: _conv_case(rng, spatial=(4, 5, 3), ksize=(3, 2, 1), pad=(1, 0, 1))),
+    ("patch_linear", lambda rng: _patch_case(rng, (2, 2, 2))),
+    ("patch_linear_no_bias", lambda rng: _patch_case(rng, (2, 2, 2), bias=False)),
+    ("patch_linear_1x1x1", lambda rng: _patch_case(rng, (1, 1, 1))),
+    ("patch_linear_1x1x1_no_bias", lambda rng: _patch_case(rng, (1, 1, 1), bias=False)),
+    ("patch_linear_2x1x2", lambda rng: _patch_case(rng, (2, 1, 2))),
+    ("patch_linear_2x1x2_no_bias", lambda rng: _patch_case(rng, (2, 1, 2), bias=False)),
     ("take", lambda rng: _take_case(rng)),
     ("neg", lambda rng: _unary_case(rng, ad.neg)),
     ("reshape", lambda rng: _unary_case(rng, lambda x: ad.reshape(x, (1, -1)))),
@@ -667,21 +735,30 @@ def _layer_norm_case(rng):
     return lambda: (ad.layer_norm(x, gamma, beta) * Tensor(r)).sum(), [x, gamma, beta]
 
 
-def _conv_case(rng, spatial=(4, 4, 4), ksize=(2, 2, 2), stride=None, pad=None):
+def _conv_case(rng, spatial=(4, 4, 4), ksize=(2, 2, 2), pad=None):
     cin, cout = int(rng.integers(1, 3)), int(rng.integers(1, 3))
     x = Tensor(rng.normal(size=spatial + (cin,)), requires_grad=True)
     k = Tensor(rng.normal(size=ksize + (cin, cout)), requires_grad=True)
     b = Tensor(rng.normal(size=cout), requires_grad=True)
-    if stride is None:
-        stride = int(rng.integers(1, 3))
     if pad is None:
         pad = int(rng.integers(0, 2))
-    out_shape = ad.conv3d(Tensor(x.data), Tensor(k.data), Tensor(b.data), stride=stride, padding=pad).shape
+    out_shape = ad.conv3d(Tensor(x.data), Tensor(k.data), Tensor(b.data), padding=pad).shape
     r = rng.normal(size=out_shape)
     return (
-        lambda: (ad.conv3d(x, k, b, stride=stride, padding=pad) * Tensor(r)).sum(),
+        lambda: (ad.conv3d(x, k, b, padding=pad) * Tensor(r)).sum(),
         [x, k, b],
     )
+
+
+def _patch_case(rng, patch, bias=True):
+    # one to three patches per axis, so rows come from several patches
+    grid = tuple(int(n) for n in rng.integers(1, 4, size=3))
+    cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    x = Tensor(rng.normal(size=tuple(g * p for g, p in zip(grid, patch)) + (cin,)), requires_grad=True)
+    k = Tensor(rng.normal(size=patch + (cin, cout)), requires_grad=True)
+    params = [x, k] + ([Tensor(rng.normal(size=cout), requires_grad=True)] if bias else [])
+    r = rng.normal(size=grid + (cout,))
+    return lambda: (ad.patch_linear(*params) * Tensor(r)).sum(), params
 
 
 def _concat_case(rng):
@@ -714,9 +791,10 @@ def test_op_gradients(case):
 
 def test_every_taped_primitive_has_an_op_case():
     # a function that records tape nodes needs a float64 gradcheck above
-    taped = [name for name, fn in vars(ad).items()
-             if callable(fn) and "_record" in getattr(getattr(fn, "__code__", None), "co_names", ())]
-    assert "take" in taped and "upsample2x" in taped
+    # (`linear` and `patch_linear` record through `_affine`)
+    taped = [name for name, fn in vars(ad).items() if not name.startswith("_") and callable(fn)
+             and {"_record", "_affine"} & set(getattr(getattr(fn, "__code__", None), "co_names", ()))]
+    assert {"take", "upsample2x", "linear", "patch_linear"} <= set(taped)
     cases = {c[0] for c in OP_CASES}
     missing = [n for n in taped if OP_CASE_NAMES.get(n, n) not in cases]
     assert missing == []
