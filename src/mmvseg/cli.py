@@ -193,11 +193,12 @@ def _load_split_datasets(data_dir):
     if not train_idx:
         raise ConfigError(f"{Path(data_dir) / 'splits.json'} has an empty train split; "
                           "regenerate the dataset with a nonzero train fraction")
-    # float32 training on such a modality overflowed at the default widths
-    for i, m in ((i, m) for i in train_idx for m in range(dataset[i][0].shape[3])):
-        if not dataset[i][0][..., m].any():
-            raise ConfigError(f"training case {i} of {data_dir}: modality {m} normalizes to all zeros "
-                              "(no nonzero voxels, or all of them one value), which cannot be trained on")
+    # float32 training overflowed on a modality that normalizes to all zeros
+    for i in train_idx:
+        for m in range(dataset[i][0].shape[3]):
+            if not dataset[i][0][..., m].any():
+                raise ConfigError(f"training case {i} of {data_dir}: modality {m} normalizes to all zeros "
+                                  "(no nonzero voxels, or all of them one value), which cannot be trained on")
     return [dataset[i] for i in train_idx], [dataset[i] for i in val_idx] or None
 
 

@@ -791,7 +791,7 @@ def test_op_gradients(case):
 
 def test_every_taped_primitive_has_an_op_case():
     # a function that records tape nodes needs a float64 gradcheck above
-    # (`linear` and `patch_linear` record through `_affine`)
+    # (`linear` and `patch_linear` record through the private `_affine`)
     taped = [name for name, fn in vars(ad).items() if not name.startswith("_") and callable(fn)
              and {"_record", "_affine"} & set(getattr(getattr(fn, "__code__", None), "co_names", ()))]
     assert {"take", "upsample2x", "linear", "patch_linear"} <= set(taped)
