@@ -906,24 +906,19 @@ def _ff_kernel(gamma, beta, w1, b1, w2, b2):
 # volumetric primitives
 # ---------------------------------------------------------------------------
 
-def _triple(v):
-    """v per spatial axis: a tuple or list as given, anything else thrice."""
-    return tuple(v) if isinstance(v, (tuple, list)) else (v, v, v)
-
-
-def conv3d(x, kernel, bias=None, padding=0):
-    """3D convolution over a channels-last volume, one voxel per step.
-
-    x: (D, H, W, Cin); kernel: (kd, kh, kw, Cin, Cout); output extents
-    in + 2p - k + 1 with symmetric zero padding.  `padding` (at least 0) is
-    an int, or three of them, one per spatial axis.  Computed by
-    shift-and-accumulate over the kernel taps, so the extra memory is
+def conv3d(x, kernel, bias=None):
+    """The 'same' 3D convolution of a channels-last volume, one voxel per
+    step: x (D, H, W, Cin) by a kernel (kd, kh, kw, Cin, Cout) of odd
+    extents, zero padded by k // 2 per axis (half padding, Dumoulin & Visin,
+    arXiv:1603.07285), so the output keeps the input's extents.  Computed
+    by shift-and-accumulate over the kernel taps, so the extra memory is
     O(input) rather than an im2col matrix k^3 times the input: _plane_sum
-    computes the forward and the input gradient (the output gradient,
-    padded by k - 1 - p, convolved with the kernel transposed in (Cin,
-    Cout)), and _plane_dw the kernel and bias gradients as fixed-chunk sums
-    over blocks of output planes; none of them pads a copy of the volume.
-    A convolution whose taps do not overlap is `patch_linear`.
+    computes the forward and the input gradient (the output gradient
+    convolved with the kernel mirrored and transposed in (Cin, Cout), at the
+    same padding), and _plane_dw the kernel and bias gradients as
+    fixed-chunk sums over blocks of output planes; none of them pads a copy
+    of the volume.  A convolution whose taps do not overlap, 1x1x1 included,
+    is `patch_linear`.
     """
     if x.ndim != 4 or kernel.ndim != 5:
         raise ShapeError(f"conv3d expects x rank 4 and kernel rank 5, got {x.shape} and {kernel.shape}")
@@ -932,31 +927,18 @@ def conv3d(x, kernel, bias=None, padding=0):
         raise ShapeError(f"conv3d input channels {x.shape[3]} != kernel Cin {cin}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv3d bias shape {bias.shape} != ({cout},)")
-    padding = _triple(padding)
-    if (len(padding) != 3
-            or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in padding)
-            or min(padding) < 0):
-        raise ShapeError(f"conv3d padding must be ints >= 0 per axis, got {padding}")
-    padding = tuple(int(p) for p in padding)  # numpy ints of any width to Python ints
-    padded = tuple(x.shape[i] + 2 * padding[i] for i in range(3))
-    if padded[0] < kd or padded[1] < kh or padded[2] < kw:
-        raise ShapeError(
-            f"conv3d kernel {(kd, kh, kw)} larger than padded input {padded}"
-        )
-    out = np.empty(tuple(n - k + 1 for n, k in zip(padded, (kd, kh, kw))) + (cout,),
-                   dtype=np.result_type(x.data, kernel.data))
+    if not all(k % 2 for k in (kd, kh, kw)) or (kd, kh, kw) == (1, 1, 1):
+        raise ShapeError(f"conv3d needs odd kernel extents, not all 1 (a 1x1x1 kernel is patch_linear), "
+                         f"got {(kd, kh, kw)}")
+    out = np.empty(x.shape[:3] + (cout,), dtype=np.result_type(x.data, kernel.data))
     # one (rows, Cin) @ (Cin, Cout) GEMM per tap, summed in fixed tap order
     # so reruns are bit-identical
-    _plane_sum(x.data, kernel.data, None if bias is None else bias.data, padding, out)
+    _plane_sum(x.data, kernel.data, None if bias is None else bias.data, out)
 
     def bwd(g):
-        dw, db = _plane_dw(x.data, g, kernel.shape[:3], padding)
-        # g is padded by k - 1 - p, or cropped when the padding exceeds k - 1
-        back = [k - 1 - p for p, k in zip(padding, kernel.shape)]
-        crop = tuple(slice(max(-q, 0), n - max(-q, 0)) for q, n in zip(back, g.shape))
+        dw, db = _plane_dw(x.data, g, kernel.shape[:3])
         dx = np.empty(x.shape, dtype=x.data.dtype)
-        _plane_sum(g[crop], kernel.data.swapaxes(3, 4), None, tuple(max(q, 0) for q in back), dx,
-                   mirrored=True)
+        _plane_sum(g, kernel.data.swapaxes(3, 4), None, dx, mirrored=True)
         return (dx, dw) if bias is None else (dx, dw, db)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
@@ -990,16 +972,16 @@ def _patch_view(a, patch):
     return a.reshape(d // kd, kd, h // kh, kh, w // kw, kw, c).transpose(0, 2, 4, 1, 3, 5, 6)
 
 
-def _plane_sum(x, w, bias, padding, out, mirrored=False):
-    """conv3d of `x` by `w` with zero `padding`, plus `bias`, into `out`,
-    over blocks of output depth planes split among the op workers.  A block
-    pads the input planes it reads into scratch of its own and adds one
-    (rows, Cin) @ (Cin, Cout) GEMM per tap, in lexicographic tap order.
-    `mirrored` makes tap t read at tap T-1-t's offset: with w transposed in
-    (Cin, Cout) that is the input gradient of the convolution by w, each
-    voxel summing its taps in the forward's order (padding adds zeros)."""
+def _plane_sum(x, w, bias, out, mirrored=False):
+    """The 'same' conv3d of `x` by `w`, plus `bias`, into `out`, over blocks
+    of output depth planes split among the op workers.  A block pads the
+    input planes it reads into scratch of its own and adds one (rows, Cin)
+    @ (Cin, Cout) GEMM per tap, in lexicographic tap order.  `mirrored`
+    makes tap t read at tap T-1-t's offset: with w transposed in (Cin,
+    Cout) that is the input gradient of the convolution by w, each voxel
+    summing its taps in the forward's order (padding adds zeros)."""
     kd, kh, kw, cin, cout = w.shape
-    hp, wp = x.shape[1] + 2 * padding[1], x.shape[2] + 2 * padding[2]
+    hp, wp = x.shape[1] + kh - 1, x.shape[2] + kw - 1
     # output voxel (i, j, l) of a block sits at row q = (i*hp + j)*wp + l of
     # a frame with the padded H and W extents, and tap (a, b, c) multiplies
     # scratch row q + (a*hp + b)*wp + c, so each tap's operand is a
@@ -1014,7 +996,7 @@ def _plane_sum(x, w, bias, padding, out, mirrored=False):
 
     def kernel(index, out):
         s, n = int(index.flat[0]), out.shape[0]
-        flat, rows = _padded_planes(x, s, n + kd - 1, padding).reshape(-1, cin), n * hp * wp - tail
+        flat, rows = _padded_planes(x, s, n, (kd, kh, kw)).reshape(-1, cin), n * hp * wp - tail
         frame = np.empty((n, hp, wp, cout), dtype=out.dtype)
         acc, prod = frame.reshape(-1, cout)[:rows], np.empty((rows, cout), dtype=out.dtype)
         np.matmul(flat[offsets[0]:offsets[0] + rows], w_taps[0], out=acc)
@@ -1035,28 +1017,26 @@ def _plane_sum(x, w, bias, padding, out, mirrored=False):
              block=planes * plane * cout, k=cin)
 
 
-def _padded_planes(x, s, n, padding):
-    """Depth planes s .. s + n - 1 of the volume `x` zero-padded by
-    `padding`, as scratch of the caller's own; without padding, a view of
-    x."""
-    if not any(padding):
-        return x[s:s + n]
-    (pd, ph, pw), (d, h, w, cin) = padding, x.shape
-    scratch = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
-    lo, hi = max(s - pd, 0), min(s + n - pd, d)
-    if lo < hi:
-        scratch[lo - s + pd:hi - s + pd, ph:ph + h, pw:pw + w] = x[lo:hi]
+def _padded_planes(x, s, n, ksize):
+    """The input planes that output depth planes s .. s + n - 1 of a 'same'
+    convolution by a kernel of extents `ksize` read: x zero-padded by
+    k // 2 per axis, as scratch of the caller's own."""
+    (pd, ph, pw), (d, h, w, cin) = (k // 2 for k in ksize), x.shape
+    scratch = np.zeros((n + 2 * pd, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
+    # output plane s reads input plane s, so the copied range is never empty
+    lo, hi = max(s - pd, 0), min(s + n + pd, d)
+    scratch[lo - s + pd:hi - s + pd, ph:ph + h, pw:pw + w] = x[lo:hi]
     return scratch
 
 
-def _plane_dw(x, g, ksize, padding):
-    """The kernel and bias gradients of a conv3d of `x` with zero
-    `padding` and a kernel of spatial extents `ksize`, for output gradient
-    `g`, as fixed-chunk sums over blocks of output depth planes.  A block
-    pads the input planes it reads into scratch, as _plane_sum does, and lays
-    its planes of g into a frame of the padded H and W extents, zero outside
-    the output; dw[tap] is then the scratch rows at the tap's offset,
-    transposed, times the frame, and db is g's rows summed."""
+def _plane_dw(x, g, ksize):
+    """The kernel and bias gradients of a 'same' conv3d of `x` by a kernel
+    of spatial extents `ksize`, for output gradient `g`, as fixed-chunk sums
+    over blocks of output depth planes.  A block pads the input planes it
+    reads into scratch, as _plane_sum does, and lays its planes of g into a
+    frame of the padded H and W extents, zero outside the output; dw[tap] is
+    then the scratch rows at the tap's offset, transposed, times the frame,
+    and db is g's rows summed."""
     kd, kh, kw = ksize
     cin, (planes, ho, wo, cout) = x.shape[3], g.shape
     hp, wp = ho + kh - 1, wo + kw - 1
@@ -1064,7 +1044,7 @@ def _plane_dw(x, g, ksize, padding):
     tail = (kh - 1) * wp + kw - 1
 
     def kernel(s, e, dw, db):
-        flat = _padded_planes(x, s, e - s + kd - 1, padding).reshape(-1, cin)
+        flat = _padded_planes(x, s, e - s, ksize).reshape(-1, cin)
         frame = np.zeros((e - s, hp, wp, cout), dtype=g.dtype)
         frame[:, :ho, :wo] = g[s:e]
         rows = (e - s) * hp * wp - tail
@@ -1154,7 +1134,10 @@ def upsample2x(x):
 # ---------------------------------------------------------------------------
 
 def grad_check(f, params, eps=1e-5, max_entries=None, seed=0):
-    """Max relative error between taped gradients and central differences.
+    """Max relative error between taped gradients and fourth-order central
+    differences, [8(f(+h) - f(-h)) - (f(+2h) - f(-2h))] / 12h with h = `eps`,
+    whose truncation error falls as h^4 where the two-point form's falls as
+    h^2.
 
     `f` is a deterministic closure over `params` returning a scalar Tensor;
     parameters should be float64.  The relative error for one entry is
@@ -1184,14 +1167,15 @@ def grad_check(f, params, eps=1e-5, max_entries=None, seed=0):
             indices = pick.choice(flat.size, size=max_entries, replace=False)
         for i in indices:
             saved = flat[i]
-            flat[i] = saved + eps
-            f_plus = f().data.item()
-            flat[i] = saved - eps
-            f_minus = f().data.item()
+            values = []
+            for step in (eps, -eps, 2.0 * eps, -2.0 * eps):
+                flat[i] = saved + step
+                values.append(f().data.item())
             flat[i] = saved
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            if not np.isfinite(values).all():
                 raise NumericError("grad_check objective is non-finite under perturbation")
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            f_plus, f_minus, f_plus2, f_minus2 = values
+            numeric = (8.0 * (f_plus - f_minus) - (f_plus2 - f_minus2)) / (12.0 * eps)
             err = abs(ana[i] - numeric) / max(1e-8, abs(ana[i]) + abs(numeric))
             worst = max(worst, err)
     return worst

@@ -193,13 +193,18 @@ def _load_split_datasets(data_dir):
     if not train_idx:
         raise ConfigError(f"{Path(data_dir) / 'splits.json'} has an empty train split; "
                           "regenerate the dataset with a nonzero train fraction")
-    # float32 training overflowed on a modality that normalizes to all zeros
+    _check_trainable(dataset, train_idx, data_dir)
+    return [dataset[i] for i in train_idx], [dataset[i] for i in val_idx] or None
+
+
+def _check_trainable(dataset, train_idx, data_dir):
+    """Refuse training cases with a modality that normalizes to all zeros,
+    on which float32 training overflowed."""
     for i in train_idx:
         for m in range(dataset[i][0].shape[3]):
             if not dataset[i][0][..., m].any():
                 raise ConfigError(f"training case {i} of {data_dir}: modality {m} normalizes to all zeros "
                                   "(no nonzero voxels, or all of them one value), which cannot be trained on")
-    return [dataset[i] for i in train_idx], [dataset[i] for i in val_idx] or None
 
 
 def cmd_train(args):
@@ -489,6 +494,7 @@ def cmd_ablate(args):
     if len(dataset) < 2:
         raise ConfigError(f"ablate needs >= 2 cases (one train and one val case), {data_dir} has {len(dataset)}")
     n_val = max(1, len(dataset) // 3)
+    _check_trainable(dataset, range(len(dataset) - n_val), data_dir)
     train_set, val_set = dataset[:-n_val], dataset[-n_val:]
     volume, mask = dataset[0]
 

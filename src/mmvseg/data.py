@@ -251,7 +251,7 @@ def read_mmv(path) -> MultiModalVolume:
         if fh.read(1):
             raise FormatError("trailing data after voxel payload")
     blocks = np.frombuffer(payload, dtype="<f4").reshape(m, d, h, w)
-    return MultiModalVolume(np.moveaxis(blocks, 0, 3), spacing)
+    return MultiModalVolume(np.moveaxis(blocks, 0, 3).copy(), spacing)  # frombuffer's view is read-only
 
 
 def write_mask(path, mask: SegmentationMask):
@@ -290,7 +290,7 @@ def normalize(volume: MultiModalVolume) -> MultiModalVolume:
 
     A modality with no nonzero voxels or zero variance maps to all zeros.
     """
-    out = volume.data.astype(np.float64).copy()
+    out = volume.data.astype(np.float64)
     for m in range(volume.modalities):
         channel = out[..., m]
         sel = channel != 0
@@ -361,5 +361,5 @@ def load_dataset(root, normalized=True):
         mask = replace(mask, spacing=volume.spacing)
         if normalized:
             volume = normalize(volume)
-        dataset.append((volume.data.astype(np.float32), mask))
+        dataset.append((volume.data, mask))
     return dataset

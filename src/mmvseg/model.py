@@ -190,15 +190,6 @@ class Model(Module):
         del pyramids, levels
         return self.decoder(fused, skips)
 
-    def param_breakdown(self):
-        parts = {
-            "encoders": sum(e.param_count() for e in self.encoders),
-            "fusion": self.fusion.param_count(),
-            "decoder": self.decoder.param_count(),
-        }
-        parts["total"] = sum(parts.values())
-        return parts
-
 
 # ---------------------------------------------------------------------------
 # attention cost model

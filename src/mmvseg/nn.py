@@ -102,13 +102,13 @@ def kernel_and_bias(k, cin, cout, rng, dtype):
 
 
 class Conv3d(Module):
-    """Channels-last 3x3x3 convolution with zero padding 1, which keeps the input's extents."""
+    """Channels-last 3x3x3 'same' convolution, which keeps the input's extents."""
 
     def __init__(self, cin, cout, rng, dtype=np.float32):
         self.kernel, self.bias = kernel_and_bias(3, cin, cout, rng, dtype)
 
     def __call__(self, x):
-        return ad.conv3d(x, self.kernel, self.bias, padding=1)
+        return ad.conv3d(x, self.kernel, self.bias)
 
 
 class PatchLinear(Module):

@@ -657,6 +657,18 @@ class TestAblate:
         assert "ablate needs >= 2 cases" in capsys.readouterr().err
         assert not (tmp_path / "a" / "runs").exists()
 
+    def test_constant_modality_rejected_before_any_row_trains(self, tmp_path, capsys):
+        # the noise-free spec that train refuses
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "noise_sigma": 0}))
+        assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(spec), "--cases", "6",
+                     "--fractions", "0.5,0.5,0"]) == 0
+        assert main(["ablate", "--out", str(tmp_path / "a"), "--data", str(tmp_path / "data"),
+                     "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "training case 0" in err and "modality 0 normalizes to all zeros" in err
+        assert not (tmp_path / "a" / "runs").exists()
+
     def test_unknown_row(self, tmp_path, capsys):
         assert main(["ablate", "--out", str(tmp_path / "a"), "--rows", "nope"]) == 1
         assert "unknown ablation rows" in capsys.readouterr().err

@@ -177,6 +177,15 @@ class TestVolumeFormat:
         assert np.array_equal(back.data, v.data)
         assert back.spacing == v.spacing
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_read_volume_is_a_writable_array_of_its_own(self, tmp_path, m):
+        # one modality's payload is already in (D, H, W, 1) order, so a view
+        # of the read-only file bytes would pass as a float32 C array
+        path = tmp_path / "v.mmv"
+        write_mmv(path, self._volume(m=m))
+        data = read_mmv(path).data
+        assert data.flags.writeable and data.flags.owndata
+
     def test_modality_major_layout(self, tmp_path):
         v = self._volume()
         path = tmp_path / "v.mmv"

@@ -270,21 +270,15 @@ class TestParamCount:
         assert lin.param_count() == 4 * 3 + 3
 
     def test_more_blocks_more_encoder_params(self):
-        small = Model(toy_config()).param_breakdown()
+        def encoder_params(model):
+            return sum(e.param_count() for e in model.encoders)
+
         big_cfg = toy_config(encoder=EncoderConfig(stage_channels=(2, 2, 2, 2, 4),
                                                    blocks_per_stage=2, mlp_ratio=1))
-        big = Model(big_cfg).param_breakdown()
-        assert big["encoders"] > small["encoders"]
-
-    def test_breakdown_sums_to_total(self):
-        parts = Model(toy_config()).param_breakdown()
-        assert parts["total"] == parts["encoders"] + parts["fusion"] + parts["decoder"]
-        assert parts["total"] == Model(toy_config()).param_count()
+        assert encoder_params(Model(big_cfg)) > encoder_params(Model(toy_config()))
 
     def test_default_four_modality_config_in_expected_band(self):
-        model = Model(ModelConfig())
-        total = model.param_breakdown()["total"]
-        assert 7_300_000 <= total <= 13_600_000
+        assert 7_300_000 <= Model(ModelConfig()).param_count() <= 13_600_000
 
 
 class TestAttentionCost:

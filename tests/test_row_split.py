@@ -150,11 +150,13 @@ def serial_patch_linear(x, k, b, g):
     return y, (dx, gw.reshape(k.shape), gb), ((whole[0].reshape(k.shape), whole[1]), size)
 
 
-def serial_conv3d(x, k, b, padding, g):
-    """conv3d's output and gradients by the per-tap slab loop, each GEMM one
-    numpy call, summed in lexicographic tap order, with the kernel and bias
-    gradients chunked_conv_grads's.  Then the slab loop's kernel and bias
-    gradients, whole-volume sums, and a bound on their terms."""
+def serial_conv3d(x, k, b, g):
+    """The 'same' conv3d's output and gradients by the per-tap slab loop
+    over the input zero padded by k // 2, each GEMM one numpy call, summed
+    in lexicographic tap order, with the kernel and bias gradients
+    chunked_conv_grads's.  Then the slab loop's kernel and bias gradients,
+    whole-volume sums, and a bound on their terms."""
+    padding = [n // 2 for n in k.shape[:3]]
     xp = np.pad(x, [(p, p) for p in padding] + [(0, 0)])
     ksize, (cin, cout) = k.shape[:3], k.shape[3:]
     out_sp = tuple(xp.shape[i] - ksize[i] + 1 for i in range(3))
@@ -377,16 +379,16 @@ def test_binary_mixed_dtypes_promote_like_numpy(name):
 LINEAR_LAYERS = [(1, 32), (32, 128), (128, 32), (64, 256), (128, 512), (512, 128),
                  (128, 4), (32, 2)]
 
-# (Cin, Cout, kernel, padding) of the model's convolutions: the stage-1 1x1
+# (Cin, Cout, kernel, op) of the model's convolutions: the stage-1 1x1
 # embed of one modality, two 2x2x2 patch embeds and the head, which are
-# patch_linear (padding None), and two decoder 3x3x3 convs
+# patch_linear, and two decoder 3x3x3 convs
 CONV_LAYERS = {
-    "embed-1x1": (1, 32, 1, None),
-    "embed-2x2x2-32": (32, 64, 2, None),
-    "embed-2x2x2-128": (128, 128, 2, None),
-    "decoder-3x3x3-96": (96, 32, 3, 1),
-    "decoder-3x3x3-256": (256, 128, 3, 1),
-    "head-1x1": (32, 2, 1, None),
+    "embed-1x1": (1, 32, 1, ad.patch_linear),
+    "embed-2x2x2-32": (32, 64, 2, ad.patch_linear),
+    "embed-2x2x2-128": (128, 128, 2, ad.patch_linear),
+    "decoder-3x3x3-96": (96, 32, 3, ad.conv3d),
+    "decoder-3x3x3-256": (256, 128, 3, ad.conv3d),
+    "head-1x1": (32, 2, 1, ad.patch_linear),
 }
 
 # multiply-adds of each GEMM (rows * Cin * Cout) relative to _GEMM_MIN:
@@ -429,25 +431,21 @@ def test_linear_gemms_match_serial_expression(set_workers, dtype, c, cout, layou
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_conv3d_gemms_match_serial_expression(set_workers, dtype, layer, size, workers):
     set_workers(workers)
-    cin, cout, ksize, padding = CONV_LAYERS[layer]
+    cin, cout, ksize, op = CONV_LAYERS[layer]
     # output extents (d, 3, 4): d planes of 12 voxels; a patch embed's GEMM
     # multiplies a whole patch, a conv's one tap, by the weights
-    if padding is None:
+    if op is ad.patch_linear:
         planes = gemm_rows(size, ksize ** 3 * cin, cout, unit=12)
         shape = tuple(ksize * n for n in (planes, 3, 4)) + (cin,)
     else:
-        planes = gemm_rows(size, cin, cout, unit=12)
-        shape = tuple(n + ksize - 1 - 2 * padding for n in (planes, 3, 4)) + (cin,)
+        shape = (gemm_rows(size, cin, cout, unit=12), 3, 4, cin)
     rng = np.random.default_rng(cin * cout)
     x = draw(rng, shape, dtype)
     k = draw(rng, (ksize,) * 3 + (cin, cout), dtype, scale=0.1)
     b = draw(rng, (cout,), dtype)
-    if padding is None:
-        y, g, grads = run_op(ad.patch_linear, x, k, b)
-        ref_y, ref_grads, (whole, size) = serial_patch_linear(x, k, b, g)
-    else:
-        y, g, grads = run_op(lambda x_, k_, b_: ad.conv3d(x_, k_, b_, padding=padding), x, k, b)
-        ref_y, ref_grads, (whole, size) = serial_conv3d(x, k, b, (padding,) * 3, g)
+    y, g, grads = run_op(op, x, k, b)
+    serial = serial_patch_linear if op is ad.patch_linear else serial_conv3d
+    ref_y, ref_grads, (whole, size) = serial(x, k, b, g)
     assert_exact(y, ref_y)
     for got, want in zip(grads, ref_grads, strict=True):
         assert_exact(got, want)
@@ -455,13 +453,13 @@ def test_conv3d_gemms_match_serial_expression(set_workers, dtype, layer, size, w
         assert_near(got, want, bound)
 
 
-# (x shape, kernel shape, padding) of stride-1 convolutions: the decoder's
-# 3x3x3 convs at volumes whose worker ranges hold several blocks of output
-# planes (no block size or worker count divides the depth), and the
-# geometries of test_tensor's slab test
+# (x shape, kernel shape) of 'same' convolutions: the decoder's 3x3x3
+# convs at volumes whose worker ranges hold several blocks of output planes
+# (no block size or worker count divides the depth), and the geometries of
+# test_tensor's slab test
 PLANE_GEOMETRIES = {
-    "decoder-3x3x3-96": ((23, 20, 20, 96), (3, 3, 3, 96, 32), 1),
-    "decoder-3x3x3-256": ((13, 12, 12, 256), (3, 3, 3, 256, 128), 1),
+    "decoder-3x3x3-96": ((23, 20, 20, 96), (3, 3, 3, 96, 32)),
+    "decoder-3x3x3-256": ((13, 12, 12, 256), (3, 3, 3, 256, 128)),
     **SLAB_GEOMETRIES,
 }
 
@@ -470,19 +468,18 @@ PLANE_GEOMETRIES = {
 @pytest.mark.parametrize("geometry", list(PLANE_GEOMETRIES))
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_conv3d_plane_blocks_match_serial_forward(set_workers, dtype, geometry, workers):
-    """The stride-1 plane blocks compute the forward, the input gradient
+    """The plane blocks compute the forward, the input gradient
     and, as fixed-chunk sums, the kernel and bias gradients: the first two
     match the serial loop, the others their chunked oracle exactly and the
     serial loop's whole-volume sums within tolerance."""
     set_workers(workers)
-    x_shape, k_shape, padding = PLANE_GEOMETRIES[geometry]
-    padding = ad._triple(padding)
+    x_shape, k_shape = PLANE_GEOMETRIES[geometry]
     rng = np.random.default_rng(sum(k_shape[3:]))
     x = draw(rng, x_shape, dtype)
     k = draw(rng, k_shape, dtype, scale=0.1)
     b = draw(rng, k_shape[4:], dtype)
-    y, g, grads = run_op(lambda x_, k_, b_: ad.conv3d(x_, k_, b_, padding=padding), x, k, b)
-    ref_y, ref_grads, (whole, size) = serial_conv3d(x, k, b, padding, g)
+    y, g, grads = run_op(ad.conv3d, x, k, b)
+    ref_y, ref_grads, (whole, size) = serial_conv3d(x, k, b, g)
     assert_exact(y, ref_y)
     for got, want, bound in zip(grads[1:], whole, size, strict=True):
         assert_near(got, want, bound)
@@ -764,8 +761,8 @@ def _split_in_child():
     ok &= all(np.array_equal(a, e) for a, e in zip((y, *grads), (ref_y, *ref_grads)))
     x = draw(rng, (40, 6, 6, 48), np.float32)
     k, b = draw(rng, (3, 3, 3, 48, 32), np.float32, scale=0.1), draw(rng, (32,), np.float32)
-    y, g, grads = run_op(lambda *t: ad.conv3d(*t, padding=1), x, k, b)
-    ref_y, ref_grads, _ = serial_conv3d(x, k, b, (1, 1, 1), g)
+    y, g, grads = run_op(ad.conv3d, x, k, b)
+    ref_y, ref_grads, _ = serial_conv3d(x, k, b, g)
     ok &= all(np.array_equal(a, e) for a, e in zip((y, *grads), (ref_y, *ref_grads)))
     os._exit(0 if ok else 1)
 
@@ -800,7 +797,7 @@ kernel = ad.Tensor(np.ones((3, 3, 3, 48, 32), np.float32), requires_grad=True)
 with ad.Tape() as tape:
     h = ad.layer_norm(ad.gelu(x), gamma, beta)
     loss = ad.tsum(ad.mul(ad.add(h, x), x)) + ad.tsum(ad.linear(x, w))
-    loss = loss + ad.tsum(ad.conv3d(vol, kernel, padding=1))
+    loss = loss + ad.tsum(ad.conv3d(vol, kernel))
 ad.backward(loss, tape)
 assert vars(ad) == before, sorted(k for k in vars(ad) if vars(ad)[k] is not before.get(k))
 """
