@@ -380,8 +380,11 @@ class TestConv3dAgainstIm2col:
         assert held - out.data.nbytes < x.data.nbytes // 20, held
 
 
-# (x shape, kernel shape) of 'same' convolutions
+# (x shape, kernel shape) of 'same' convolutions; "1x1" names a kernel whose
+# in-plane extents are 1, so only its depth taps read padding
 SLAB_GEOMETRIES = {
+    "1x1": ((5, 6, 7, 3), (3, 1, 1, 3, 4)),
+    "1x1-pad1": ((3, 4, 2, 3), (3, 1, 1, 3, 2)),
     "3x3x3-pad1": ((6, 6, 6, 5), (3, 3, 3, 5, 4)),
     "pad-1-0-1": ((5, 6, 7, 2), (3, 1, 3, 2, 3)),
     "depth-5": ((6, 5, 4, 3), (5, 3, 3, 3, 4)),
@@ -399,6 +402,7 @@ SLAB_GEOMETRIES = {
     "blocks-3x3x3-pad1": ((37, 16, 16, 64), (3, 3, 3, 64, 64)),
     "blocks-pad-1-0-2": ((37, 14, 15, 64), (3, 1, 5, 64, 48)),
     "blocks-depth-1": ((37, 16, 16, 64), (1, 3, 3, 64, 64)),
+    "blocks-1x1": ((37, 16, 16, 64), (3, 1, 1, 64, 64)),
     "blocks-1x1-depth-pad2": ((37, 16, 16, 64), (5, 1, 1, 64, 64)),
 }
 
