@@ -370,10 +370,7 @@ def _gemm_units(madds, rows, cols):
 
 def _gemm(a, b):
     """np.matmul(a, b) for (rows, K) `a` and (K, N) `b`, split over a's rows
-    by _by_rows's GEMM rule.  A product the rule keeps whole is one plain
-    call."""
-    if _gemm_units(a.size * b.shape[-1], a.shape[0], b.shape[-1]) < 2:
-        return np.matmul(a, b)
+    by _by_rows's GEMM rule."""
     out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a, b))
     return _by_rows(lambda a_rows, out_rows: np.matmul(a_rows, b, out=out_rows), (a,), out, k=a.shape[-1])
 
@@ -554,34 +551,25 @@ def sigmoid(a):
 
 
 def tsum(a, axis=None, keepdims=False):
-    axes = _norm_axes(axis, a.ndim)
-
-    def bwd(g):
-        if axes is not None and not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _record("sum", (a,), a.data.sum(axis=axes, keepdims=keepdims), bwd)
+    return _reduce("sum", a, axis, keepdims)
 
 
 def tmean(a, axis=None, keepdims=False):
-    axes = _norm_axes(axis, a.ndim)
-    n = a.size if axes is None else math.prod(a.shape[i] for i in axes)
+    return _reduce("mean", a, axis, keepdims)
+
+
+def _reduce(op, a, axis, keepdims):
+    """The sum of `a` over `axis` (None, an int or a tuple of them, negative
+    ones allowed, as numpy takes it), divided by its term count for "mean"."""
+    y = a.data.sum(axis=axis, keepdims=keepdims)
+    n = a.size // max(y.size, 1) if op == "mean" else 1
 
     def bwd(g):
-        if axes is not None and not keepdims:
-            g = np.expand_dims(g, axes)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / n, a.shape).copy(),)
 
-    return _record("mean", (a,), a.data.mean(axis=axes, keepdims=keepdims), bwd)
-
-
-def _norm_axes(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
+    return _record(op, (a,), y / n if op == "mean" else y, bwd)
 
 
 def reshape(a, shape):

@@ -23,7 +23,7 @@ import scipy
 from . import __version__
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .data import PhantomSpec, load_dataset, save_dataset
+from .data import PhantomSpec, load_dataset, save_dataset, zero_modality_messages
 from .data import split as split_indices
 from .decoder import Decoder, DecoderConfig
 from .encoder import EncoderConfig, EncoderStage, GlobalPoolBlock
@@ -201,10 +201,9 @@ def _check_trainable(dataset, train_idx, data_dir):
     """Refuse training cases with a modality that normalizes to all zeros,
     on which float32 training overflowed."""
     for i in train_idx:
-        for m in range(dataset[i][0].shape[3]):
-            if not dataset[i][0][..., m].any():
-                raise ConfigError(f"training case {i} of {data_dir}: modality {m} normalizes to all zeros "
-                                  "(no nonzero voxels, or all of them one value), which cannot be trained on")
+        problems = zero_modality_messages(dataset[i][0], f"training case {i} of {data_dir}")
+        if problems:
+            raise ConfigError(problems[0])
 
 
 def cmd_train(args):

@@ -14,7 +14,7 @@ import math
 import numbers
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -129,17 +129,8 @@ class PhantomSpec:
             )
 
     def to_dict(self):
-        return {
-            "shape": list(self.shape),
-            "modalities": self.modalities,
-            "n_classes": self.n_classes,
-            "objects_per_class": self.objects_per_class,
-            "radius_range": list(self.radius_range),
-            "noise_sigma": self.noise_sigma,
-            "visibility": self.visibility_matrix().tolist(),
-            "spacing": list(self.spacing),
-            "seed": self.seed,
-        }
+        # the resolved visibility for the field; JSON turns tuples into lists
+        return json.loads(json.dumps({**asdict(self), "visibility": self.visibility_matrix().tolist()}))
 
     @classmethod
     def from_dict(cls, d):
@@ -303,6 +294,13 @@ def normalize(volume: MultiModalVolume) -> MultiModalVolume:
     return MultiModalVolume(out, volume.spacing)
 
 
+def zero_modality_messages(data, case):
+    """Why `case` cannot be trained on: one message per modality of its
+    normalized (D, H, W, M) `data` that is all zeros."""
+    return [f"{case}: modality {m} normalizes to all zeros (no nonzero voxels, or all of them one "
+            "value), which cannot be trained on" for m in range(data.shape[3]) if not data[..., m].any()]
+
+
 def split(n_cases, fractions=(0.8, 0.1, 0.1), seed=0):
     """Seeded disjoint-and-exhaustive (train, val, test) index lists."""
     if n_cases < 1:
@@ -335,6 +333,8 @@ def save_dataset(out_dir, spec: PhantomSpec, n_cases: int):
     def one_case(idx):
         case_spec = replace(spec, seed=spec.seed + idx)
         volume, mask = generate_phantom(case_spec)
+        for message in zero_modality_messages(normalize(volume).data, f"case {idx}"):
+            warnings.warn(message)
         cdir = out / f"case_{idx:04d}"
         cdir.mkdir(exist_ok=True)
         write_mmv(cdir / "volume.mmv", volume)

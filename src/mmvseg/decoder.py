@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_int
 from .nn import Conv3d, Linear, Module, PatchLinear
 
 N_LEVELS = 5
@@ -23,7 +23,7 @@ class DecoderConfig:
     level_channels: tuple = (128, 64, 64, 32)  # levels 4, 3, 2, 1
 
     def __post_init__(self):
-        self.level_channels = tuple(int(c) for c in self.level_channels)
+        self.level_channels = tuple(check_int("level_channels entry", c) for c in self.level_channels)
         if len(self.level_channels) != N_LEVELS - 1:
             raise ConfigError(
                 f"level_channels needs {N_LEVELS - 1} entries, got {len(self.level_channels)}"

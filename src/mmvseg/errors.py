@@ -21,6 +21,13 @@ class ConfigError(MMVSegError, ValueError):
     """A configuration object is internally inconsistent or unsupported."""
 
 
+def check_int(name, value):
+    """`value` if it is an int and not a bool, else a ConfigError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class FormatError(MMVSegError, ValueError):
     """A binary file does not conform to its declared on-disk format."""
 

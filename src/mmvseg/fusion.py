@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_int
 from .nn import LayerNorm, Linear, Mlp, Module
 
 
@@ -47,9 +47,9 @@ class AttentionConfig:
     ffn_ratio: int = 4
 
     def __post_init__(self):
-        self.window = tuple(int(x) for x in self.window)
+        self.window = tuple(check_int("window entry", x) for x in self.window)
         for name in ("heads", "dim", "qkv_dim", "ffn_ratio"):
-            if getattr(self, name) < 1:
+            if check_int(name, getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.dim % self.heads or self.qkv_dim % self.heads:
             raise ConfigError(
@@ -140,6 +140,23 @@ class MultiHeadAttention(Module):
         return self.out(ctx)
 
 
+def _branch(attn, tokens, pos, window, table=None, bias=None):
+    """Self-attention of (N, C) tokens, laid out row-major on `pos.grid`,
+    within each tile of extents `window`.  A (T, C) `table` is added per
+    position in a tile and a (heads, T, T) `bias` to every tile's logits."""
+    if any(g % w for g, w in zip(pos.grid, window)):
+        raise ShapeError(f"window {window} does not tile grid {pos.grid}")
+    (nz, ny, nx), (wz, wy, wx) = (g // w for g, w in zip(pos.grid, window)), window
+    # (tiles, T) token indices, tiles and positions within a tile row-major
+    order = np.arange(tokens.shape[0]).reshape(nz, wz, ny, wy, nx, wx).transpose(0, 2, 4, 1, 3, 5)
+    order = order.reshape(nz * ny * nx, wz * wy * wx)
+    x = ad.take(tokens, order, axis=0)
+    if table is not None:
+        x = ad.add(x, table)
+    out = ad.reshape(attn(x, x, bias=bias), tokens.shape)
+    return ad.take(out, np.argsort(order, axis=None), axis=0)
+
+
 class SpatialMixerLayer(Module):
     """Pre-norm transformer layer whose mixer is the sum of depth-axis,
     in-slice, and windowed self-attention."""
@@ -163,35 +180,13 @@ class SpatialMixerLayer(Module):
         )
 
     def axial_branch(self, tokens, pos):
-        d, w, h = pos.grid
-        c = tokens.shape[-1]
-        x = ad.reshape(tokens, (d, w * h, c))
-        x = ad.add(x, ad.reshape(pos.axial_abs, (d, 1, c)))
-        cols = ad.moveaxis(x, 0, 1)  # (w*h, d, c): one group per column
-        out = self.axial(cols, cols)
-        return ad.reshape(ad.moveaxis(out, 0, 1), (d * w * h, c))
+        return _branch(self.axial, tokens, pos, (pos.grid[0], 1, 1), pos.axial_abs)
 
     def planar_branch(self, tokens, pos):
-        d, w, h = pos.grid
-        c = tokens.shape[-1]
-        x = ad.reshape(tokens, (d, w * h, c))  # one group per depth slice
-        x = ad.add(x, pos.planar_abs)
-        return ad.reshape(self.planar(x, x), (d * w * h, c))
+        return _branch(self.planar, tokens, pos, (1,) + pos.grid[1:], pos.planar_abs)
 
     def window_branch(self, tokens, pos):
-        d, w, h = pos.grid
-        wz, wy, wx = self.cfg.window
-        if d % wz or w % wy or h % wx:
-            raise ShapeError(f"window {self.cfg.window} does not tile grid {pos.grid}")
-        c = tokens.shape[-1]
-        nz, ny, nx = d // wz, w // wy, h // wx
-        x = ad.reshape(tokens, (nz, wz, ny, wy, nx, wx, c))
-        x = ad.moveaxis(x, (1, 3, 5), (3, 4, 5))  # (nz, ny, nx, wz, wy, wx, c)
-        x = ad.reshape(x, (nz * ny * nx, wz * wy * wx, c))
-        out = self.window(x, x, bias=pos.window_bias())
-        out = ad.reshape(out, (nz, ny, nx, wz, wy, wx, c))
-        out = ad.moveaxis(out, (3, 4, 5), (1, 3, 5))
-        return ad.reshape(out, (d * w * h, c))
+        return _branch(self.window, tokens, pos, self.cfg.window, bias=pos.window_bias())
 
     def __call__(self, tokens, pos: PositionEncodings):
         d, w, h = pos.grid

@@ -131,11 +131,6 @@ def hd95(pred: SegmentationMask, gt: SegmentationMask, cls: int, spacing=None) -
     return float(max(np.percentile(d_pg, 95.0), np.percentile(d_gp, 95.0)))
 
 
-def _fmt(value: float):
-    # +inf is the in-memory sentinel; files say "undefined"
-    return "undefined" if math.isinf(value) else value
-
-
 def _mean_defined(values):
     defined = [v for v in values if not math.isinf(v)]
     return sum(defined) / len(defined) if defined else math.inf
@@ -204,11 +199,11 @@ def evaluate(model, dataset, out_dir=None, case_ids=None):
                         row["case"],
                         "mean",
                         sum(row["dice"].values()) / len(keys),
-                        _fmt(_mean_defined(row["hd95"].values())),
+                        _sanitize(_mean_defined(row["hd95"].values())),
                     ]
                 )
             writer.writerow(
-                ["summary", "mean", report["mean_dice"]["mean"], _fmt(report["mean_hd95"]["mean"])]
+                ["summary", "mean", report["mean_dice"]["mean"], _sanitize(report["mean_hd95"]["mean"])]
             )
         with open(out / "metrics.json", "w") as fh:
             json.dump(_sanitize(report), fh, indent=2)

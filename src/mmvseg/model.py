@@ -17,7 +17,7 @@ from .autodiff import Tensor
 from .data import _read_exact, _read_into
 from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig
-from .errors import ConfigError, ContractError, FormatError, ShapeError
+from .errors import ConfigError, ContractError, FormatError, ShapeError, check_int
 from .fusion import (
     AttentionConfig,
     Fusion,
@@ -63,9 +63,7 @@ class ModelConfig:
         self.input_shape = tuple(int(s) for s in self.input_shape)
 
         for name in ("modalities", "n_classes", "summary_tokens", "spatial_layers", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            check_int(name, getattr(self, name))
         for name in ("use_spatial_attention", "use_cross_attention", "use_gated_skips"):
             value = getattr(self, name)
             if not isinstance(value, bool):

@@ -350,12 +350,44 @@ class TestTrain:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r" / "checkpoint.ckpt").exists()
 
+    @pytest.mark.parametrize("part,field,value", [
+        ("encoder", "blocks_per_stage", 1.5), ("encoder", "mlp_ratio", 0),
+        ("attention", "heads", True), ("encoder", "blocks_per_stage", -1),
+        ("encoder", "stage_channels", [4.9, 4, 4, 4, 8]), ("attention", "window", [1.5, 1, 1]),
+    ])
+    def test_malformed_nested_field_fails_before_the_manifest(self, workdir, tmp_path, capsys,
+                                                              part, field, value):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps({**MODEL, part: {**MODEL[part], field: value}}))
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out), "--data", str(workdir / "data"),
+                     "--model-config", str(bad), "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    def test_gen_warns_about_a_modality_that_normalizes_to_zeros(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"shape": [16, 16, 16], "radius_range": [2.0, 4.0], "noise_sigma": 0}))
+        with pytest.warns(UserWarning) as caught:
+            assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(spec), "--cases", "2",
+                         "--fractions", "1,0,0"]) == 0
+        messages = [str(w.message) for w in caught]
+        for case in range(2):
+            assert any(m.startswith(f"case {case}: modality ") and "normalizes to all zeros" in m
+                       for m in messages)
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", str(tmp_path / "data"),
+                     "--steps", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "training case 0" in err and "normalizes to all zeros" in err
+
     def test_constant_modality_is_a_config_error(self, tmp_path, capsys):
         # without noise, each modality's nonzero voxels share one value
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"shape": [32, 32, 32], "modalities": 2, "noise_sigma": 0}))
-        assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(spec), "--cases", "3",
-                     "--fractions", "1,0,0"]) == 0
+        with pytest.warns(UserWarning, match="normalizes to all zeros"):
+            assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(spec), "--cases", "3",
+                         "--fractions", "1,0,0"]) == 0
         assert main(["train", "--out", str(tmp_path / "r"), "--data", str(tmp_path / "data"),
                      "--steps", "2"]) == 1
         err = capsys.readouterr().err
@@ -661,8 +693,9 @@ class TestAblate:
         # the noise-free spec that train refuses
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**SPEC, "noise_sigma": 0}))
-        assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(spec), "--cases", "6",
-                     "--fractions", "0.5,0.5,0"]) == 0
+        with pytest.warns(UserWarning, match="normalizes to all zeros"):
+            assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(spec), "--cases", "6",
+                         "--fractions", "0.5,0.5,0"]) == 0
         assert main(["ablate", "--out", str(tmp_path / "a"), "--data", str(tmp_path / "data"),
                      "--steps", "1"]) == 1
         err = capsys.readouterr().err

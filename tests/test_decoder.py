@@ -17,6 +17,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DecoderConfig(level_channels=(8, 8))
 
+    @pytest.mark.parametrize("levels", [(4.9, 4, 4, 4), (4, 4, False, 4), (4, 4, 4, "4")])
+    def test_rejects_non_integer_widths(self, levels):
+        with pytest.raises(ConfigError, match="level_channels entry must be an integer"):
+            DecoderConfig(level_channels=levels)
+
     def test_rejects_single_class(self):
         with pytest.raises(ConfigError):
             Decoder(4, 2, (3, 3, 2, 2), DecoderConfig(), np.random.default_rng(0), n_classes=1)

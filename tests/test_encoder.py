@@ -43,6 +43,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EncoderConfig(block_kind="mamba")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("stage_channels", (4.9, 4, 4, 4, 8), "stage_channels entry must be an integer"),
+        ("stage_channels", (4, True, 4, 4, 8), "stage_channels entry must be an integer"),
+        ("blocks_per_stage", 1.5, "blocks_per_stage must be an integer"),
+        ("blocks_per_stage", True, "blocks_per_stage must be an integer"),
+        ("blocks_per_stage", -1, "blocks_per_stage must be >= 0"),
+        ("mlp_ratio", 2.0, "mlp_ratio must be an integer"),
+        ("mlp_ratio", 0, "mlp_ratio must be positive"),
+    ])
+    def test_rejects_mistyped_or_out_of_range_counts(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            EncoderConfig(**{field: value})
+
+    def test_zero_blocks_per_stage_is_allowed(self):
+        assert EncoderConfig(blocks_per_stage=0).blocks_per_stage == 0
+
 
 class TestFeatureEmbed:
     def test_stage1_preserves_resolution(self):

@@ -67,6 +67,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be positive"):
             AttentionConfig(**{"heads": 2, "dim": 8, "qkv_dim": 8, field: 0})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("heads", True, "heads must be an integer"),
+        ("dim", 8.0, "dim must be an integer"),
+        ("ffn_ratio", 1.5, "ffn_ratio must be an integer"),
+        ("window", (1.5, 1, 1), "window entry must be an integer"),
+        ("window", (1, 1, True), "window entry must be an integer"),
+    ])
+    def test_rejects_mistyped_fields(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            AttentionConfig(**{"heads": 2, "dim": 8, "qkv_dim": 8, field: value})
+
     def test_rejects_bad_window(self):
         with pytest.raises(ConfigError):
             AttentionConfig(heads=2, dim=8, qkv_dim=8, window=(2, 0, 2))

@@ -586,6 +586,30 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("axis", [None, 1, -1, (0, 2), (-1, 0), ()])
+@pytest.mark.parametrize("op", ["sum", "mean"])
+def test_reduction_matches_numpy_exactly(op, axis, keepdims, dtype):
+    # values bit for bit against numpy's sum/mean; the gradient spreads each
+    # output entry over its terms, divided by their count for the mean
+    x = t(np.random.default_rng(4).normal(size=(3, 5, 7)).astype(dtype), requires_grad=True)
+    with Tape() as tape:
+        y = {"sum": ad.tsum, "mean": ad.tmean}[op](x, axis=axis, keepdims=keepdims)
+    want = getattr(x.data, op)(axis=axis, keepdims=keepdims)
+    assert y.data.dtype == want.dtype and y.shape == np.shape(want)
+    np.testing.assert_array_equal(y.data, want)
+    (node,) = tape.nodes
+    assert node.op == op
+    axes = range(3) if axis is None else [a % 3 for a in (axis if isinstance(axis, tuple) else (axis,))]
+    count = math.prod(x.shape[a] for a in axes) if op == "mean" else 1
+    g = np.random.default_rng(5).normal(size=y.shape).astype(dtype)
+    spread = g.reshape([1 if a in axes else n for a, n in enumerate(x.shape)])
+    dx = node.backward(g)[0]
+    assert dx.dtype == dtype
+    np.testing.assert_array_equal(dx, np.broadcast_to(spread / count, x.shape))
+
+
 class TestGradCheck:
     def test_linear_is_exact(self):
         x = t(np.random.default_rng(11).normal(size=(4,)), requires_grad=True)
