@@ -1129,7 +1129,8 @@ def grad_check(f, params, eps=1e-5, max_entries=None, seed=0):
 
     `f` is a deterministic closure over `params` returning a scalar Tensor;
     parameters should be float64.  The relative error for one entry is
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).  A non-finite
+    objective or taped gradient is a NumericError.
 
     `max_entries` caps how many entries per parameter get perturbed (a seeded
     random sample); every parameter is still touched, which keeps large-model
@@ -1144,6 +1145,8 @@ def grad_check(f, params, eps=1e-5, max_entries=None, seed=0):
         raise NumericError("grad_check objective is non-finite")
     backward(loss, tape, leaves=params)
     analytic = [p.grad.reshape(-1).astype(np.float64).copy() for p in params]
+    if not all(np.isfinite(ana).all() for ana in analytic):
+        raise NumericError("grad_check taped gradient is non-finite")
 
     pick = np.random.default_rng(seed)
     worst = 0.0

@@ -15,6 +15,7 @@ import json
 import platform
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,15 @@ def _environment():
     }
 
 
+def _build(make, fields, what):
+    """`make(fields)` for a dict of config fields; the TypeError of an
+    unknown, missing or malformed field is a ConfigError naming `what`."""
+    try:
+        return make(fields)
+    except TypeError as exc:
+        raise ConfigError(f"bad {what} field: {exc}") from None
+
+
 def _write_manifest(out: Path, command, seed, config, artifacts):
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -139,10 +149,7 @@ def cmd_gen(args):
     spec_dict = _load_json(args.spec, "spec") if args.spec else {}
     if args.seed is not None:
         spec_dict["seed"] = args.seed
-    try:
-        spec = PhantomSpec.from_dict(spec_dict)
-    except TypeError as exc:
-        raise ConfigError(f"bad spec field: {exc}") from None
+    spec = _build(PhantomSpec.from_dict, spec_dict, "spec")
     try:
         fractions = tuple(float(f) for f in args.fractions.split(","))
     except ValueError:
@@ -217,10 +224,7 @@ def cmd_train(args):
     model_dict["input_shape"] = list(volume.shape[:3])
     model_dict["modalities"] = volume.shape[3]
     model_dict["n_classes"] = mask.n_classes
-    try:
-        model_cfg = ModelConfig.from_dict(model_dict)
-    except TypeError as exc:
-        raise ConfigError(f"bad model config field: {exc}") from None
+    model_cfg = _build(ModelConfig.from_dict, model_dict, "model config")
     if args.ablation:
         model_cfg = ablation_model_config(model_cfg, args.ablation)
 
@@ -231,10 +235,7 @@ def cmd_train(args):
             train_dict[key] = value
     if args.wall_time:
         train_dict["log_wall_time"] = True
-    try:
-        train_cfg = TrainConfig(**train_dict)
-    except TypeError as exc:
-        raise ConfigError(f"bad train config field: {exc}") from None
+    train_cfg = _build(lambda fields: TrainConfig(**fields), train_dict, "train config")
 
     out = Path(args.out)
     _write_manifest(
@@ -284,127 +285,90 @@ def cmd_eval(args):
 def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
     """Finite-difference checks for every differentiable block.
 
-    Each block is exercised on three random toy shapes; the row records the
-    max relative error across shapes and parameters.  eps=1e-4 keeps the
+    Each table row names a block, a builder that draws the block and its
+    input leaves from `rng` and returns (objective, parameters), its
+    arguments for three random toy shapes, and a cap on perturbed entries per
+    tensor for blocks whose input leaves are full volumes.  The row records
+    the max relative error across shapes and parameters.  eps=1e-4 keeps the
     noise floor of structurally-zero gradients (softmax shift invariances)
     well under the tolerance.
     """
     rng = np.random.default_rng(seed)
     f64 = np.float64
-    rows = []
 
-    def run(name, builds, entries=None):
-        # `entries` caps perturbed entries per tensor for blocks whose input
-        # leaves are full volumes; grad_check still touches every tensor
-        err = 0.0
-        for build in builds:
-            f, params = build()
-            err = max(err, grad_check(f, params, eps=eps, max_entries=entries))
-        rows.append({"block": name, "max_rel_err": err, "tolerance": tol,
-                     "status": "pass" if err < tol else "FAIL"})
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
 
-    def encoder_block(shape, c):
-        def build():
-            blk = GlobalPoolBlock(c, 2, rng, dtype=f64)
-            x = Tensor(rng.normal(size=shape + (c,)), requires_grad=True)
-            return (lambda: ad.tmean(blk(x))), blk.params() + [x]
-        return build
+    def pool_block(shape, c):
+        blk = GlobalPoolBlock(c, 2, rng, dtype=f64)
+        x = leaf(*shape, c)
+        return (lambda: ad.tmean(blk(x))), blk.params() + [x]
 
-    run("encoder-pool-block",
-        [encoder_block((2, 2, 2), 3), encoder_block((3, 2, 4), 4), encoder_block((1, 3, 2), 5)])
-
-    def branch(kind, grid, window):
-        # kind None checks the whole mixer layer
-        def build():
-            cfg = AttentionConfig(heads=2, dim=8, window=window, qkv_dim=8, ffn_ratio=1)
-            layer = SpatialMixerLayer(cfg, rng, dtype=f64)
-            pos = PositionEncodings(grid, cfg, rng, dtype=f64)
-            n = grid[0] * grid[1] * grid[2]
-            tokens = Tensor(rng.normal(size=(n, 8)), requires_grad=True)
-            if kind is None:
-                fn = lambda: ad.tmean(layer(tokens, pos))
-            else:
-                fn = lambda: ad.tmean(getattr(layer, f"{kind}_branch")(tokens, pos))
-            return fn, layer.params() + pos.params() + [tokens]
-        return build
-
-    grids = [((2, 2, 2), (1, 2, 1)), ((4, 2, 2), (2, 1, 1)), ((2, 3, 2), (2, 3, 1))]
-    for kind in ("axial", "planar", "window", None):
-        run(f"mixer-{kind}-branch" if kind else "mixer-layer",
-            [branch(kind, g, w) for g, w in grids])
+    def mixer(branch, grid, window):
+        # branch None checks the whole mixer layer
+        cfg = AttentionConfig(heads=2, dim=8, window=window, qkv_dim=8, ffn_ratio=1)
+        layer = SpatialMixerLayer(cfg, rng, dtype=f64)
+        pos = PositionEncodings(grid, cfg, rng, dtype=f64)
+        tokens = leaf(grid[0] * grid[1] * grid[2], 8)
+        fn = layer if branch is None else getattr(layer, branch)
+        return (lambda: ad.tmean(fn(tokens, pos))), layer.params() + pos.params() + [tokens]
 
     def summarizer(grid, c, p):
-        def build():
-            summ = TokenSummarizer(c, p, rng, dtype=f64)
-            feat = Tensor(rng.normal(size=grid + (c,)), requires_grad=True)
-            return (lambda: ad.tmean(summ(feat))), summ.params() + [feat]
-        return build
-
-    run("token-summarizer",
-        [summarizer((2, 2, 2), 4, 2), summarizer((3, 2, 2), 6, 3), summarizer((1, 2, 2), 3, 4)])
+        summ = TokenSummarizer(c, p, rng, dtype=f64)
+        feat = leaf(*grid, c)
+        return (lambda: ad.tmean(summ(feat))), summ.params() + [feat]
 
     def cross(n, mp, c):
-        def build():
-            cfg = AttentionConfig(heads=2, dim=c, window=(1, 1, 1), qkv_dim=c, ffn_ratio=1)
-            layer = CrossModalityLayer(cfg, rng, dtype=f64)
-            q = Tensor(rng.normal(size=(n, c)), requires_grad=True)
-            kv = Tensor(rng.normal(size=(mp, c)), requires_grad=True)
-            fn = lambda: ad.tmean(layer(q, kv))
-            return fn, layer.params() + [q, kv]
-        return build
-
-    run("cross-modality-layer", [cross(8, 4, 4), cross(6, 2, 6), cross(4, 8, 8)])
+        cfg = AttentionConfig(heads=2, dim=c, window=(1, 1, 1), qkv_dim=c, ffn_ratio=1)
+        layer = CrossModalityLayer(cfg, rng, dtype=f64)
+        q, kv = leaf(n, c), leaf(mp, c)
+        return (lambda: ad.tmean(layer(q, kv))), layer.params() + [q, kv]
 
     def gate(grid, c, m):
-        def build():
-            dec = Decoder(c, m, (c, c, c, c), DecoderConfig(level_channels=(c, c, c, c)),
-                          rng, dtype=f64)
-            fused = Tensor(rng.normal(size=grid + (c,)), requires_grad=True)
-            shape = tuple(2 * g for g in grid)
-            feats = [Tensor(rng.normal(size=shape + (c,)), requires_grad=True)
-                     for _ in range(m)]
-            fn = lambda: ad.tmean(dec.gated_skips(fused, [feats])[0])
-            return fn, dec.gate_fc.params() + feats + [fused]
-        return build
-
-    run("skip-gate", [gate((1, 1, 1), 2, 2), gate((2, 1, 1), 3, 2), gate((1, 2, 1), 2, 3)],
-        entries=30)
+        dec = Decoder(c, m, (c,) * 4, DecoderConfig(level_channels=(c,) * 4), rng, dtype=f64)
+        fused = leaf(*grid, c)
+        feats = [leaf(*(2 * g for g in grid), c) for _ in range(m)]
+        return (lambda: ad.tmean(dec.skips(fused, [feats])[0])), dec.gate_fc.params() + feats + [fused]
 
     def decoder(grid, c, classes):
-        def build():
-            dec = Decoder(c, 1, (c, c, c, c), DecoderConfig(level_channels=(c, c, c, c)),
-                          rng, dtype=f64, gated=False, n_classes=classes)
-            bottleneck = Tensor(rng.normal(size=grid + (c,)), requires_grad=True)
-            skips = [Tensor(rng.normal(size=tuple(g * 2 ** k for g in grid) + (c,)),
-                            requires_grad=True)
-                     for k in range(1, 5)]
-            return (lambda: ad.tmean(dec(bottleneck, skips))), dec.params() + skips + [bottleneck]
-        return build
-
-    run("decoder", [decoder((1, 1, 1), 2, 2), decoder((1, 2, 1), 2, 3), decoder((2, 1, 1), 3, 2)],
-        entries=15)
+        dec = Decoder(c, 1, (c,) * 4, DecoderConfig(level_channels=(c,) * 4),
+                      rng, dtype=f64, gated=False, n_classes=classes)
+        bottleneck = leaf(*grid, c)
+        skips = [leaf(*(g * 2 ** k for g in grid), c) for k in range(1, 5)]
+        return (lambda: ad.tmean(dec(bottleneck, skips))), dec.params() + skips + [bottleneck]
 
     def loss(fn, shape, classes):
-        def build():
-            logits = Tensor(rng.normal(size=shape + (classes,)), requires_grad=True)
-            labels = rng.integers(0, classes, size=shape).astype(np.int64)
-            return (lambda: fn(logits, labels)), [logits]
-        return build
+        logits = leaf(*shape, classes)
+        labels = rng.integers(0, classes, size=shape).astype(np.int64)
+        return (lambda: fn(logits, labels)), [logits]
 
-    for name, fn in (("soft-dice-loss", soft_dice_loss), ("cross-entropy-loss", cross_entropy_loss)):
-        run(name, [loss(fn, (3, 3, 3), 2), loss(fn, (2, 4, 3), 3), loss(fn, (4, 2, 2), 4)])
+    def stage(index, shape):
+        # a stage's patch embed and one block on a (D, H, W, Cin) volume
+        st = EncoderStage(index, shape[-1], 4, EncoderConfig(blocks_per_stage=1, mlp_ratio=2), rng, dtype=f64)
+        x = leaf(*shape)
+        return (lambda: ad.tmean(st(x))), st.params() + [x]
 
-    def stage_of(stage, shape):
-        # a stage's patch embed and one block on a (D, H, W, Cin) volume;
+    grids = [((2, 2, 2), (1, 2, 1)), ((4, 2, 2), (2, 1, 1)), ((2, 3, 2), (2, 3, 1))]
+    losses = [((3, 3, 3), 2), ((2, 4, 3), 3), ((4, 2, 2), 4)]
+    table = [
+        ("encoder-pool-block", pool_block, [((2, 2, 2), 3), ((3, 2, 4), 4), ((1, 3, 2), 5)], None),
+        *((f"mixer-{kind}-branch", partial(mixer, f"{kind}_branch"), grids, None)
+          for kind in ("axial", "planar", "window")),
+        ("mixer-layer", partial(mixer, None), grids, None),
+        ("token-summarizer", summarizer, [((2, 2, 2), 4, 2), ((3, 2, 2), 6, 3), ((1, 2, 2), 3, 4)], None),
+        ("cross-modality-layer", cross, [(8, 4, 4), (6, 2, 6), (4, 8, 8)], None),
+        ("skip-gate", gate, [((1, 1, 1), 2, 2), ((2, 1, 1), 3, 2), ((1, 2, 1), 2, 3)], 30),
+        ("decoder", decoder, [((1, 1, 1), 2, 2), ((1, 2, 1), 2, 3), ((2, 1, 1), 3, 2)], 15),
+        ("soft-dice-loss", partial(loss, soft_dice_loss), losses, None),
+        ("cross-entropy-loss", partial(loss, cross_entropy_loss), losses, None),
         # last, so the rows above draw the same shapes as before it was added
-        def build():
-            st = EncoderStage(stage, shape[-1], 4, EncoderConfig(blocks_per_stage=1, mlp_ratio=2), rng, dtype=f64)
-            x = Tensor(rng.normal(size=shape), requires_grad=True)
-            return (lambda: ad.tmean(st(x))), st.params() + [x]
-        return build
-
-    run("encoder-stage", [stage_of(1, (2, 2, 2, 2)), stage_of(2, (2, 4, 4, 2)), stage_of(2, (4, 2, 4, 3))])
-
+        ("encoder-stage", stage, [(1, (2, 2, 2, 2)), (2, (2, 4, 4, 2)), (2, (4, 2, 4, 3))], None),
+    ]
+    rows = []
+    for name, build, cases, entries in table:
+        err = max(grad_check(*build(*args), eps=eps, max_entries=entries) for args in cases)
+        rows.append({"block": name, "max_rel_err": err, "tolerance": tol,
+                     "status": "pass" if err < tol else "FAIL"})
     return rows
 
 

@@ -4,15 +4,17 @@ At every level above the bottleneck the per-modality encoder skips are gated
 by a learned importance map (one sigmoid scalar per voxel per modality) before
 the usual upsample / concat / conv walk up to full resolution.  The fused
 volume is projected to per-modality gate logits once, and the logits are
-upsampled one level at a time as the gates climb the decoder.
+upsampled one level at a time as the gates climb the decoder.  A decoder
+built without gates sums each level's per-modality skips instead.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, ShapeError, check_int
+from .errors import ConfigError, ShapeError, check_int
 from .nn import Conv3d, Linear, Module, PatchLinear
 
 N_LEVELS = 5
@@ -60,13 +62,14 @@ class Decoder(Module):
         ]
         self.head = PatchLinear(cfg.level_channels[-1], n_classes, 1, rng, dtype)
 
-    def gated_skips(self, fused, levels):
-        """Gated skip volumes for levels 4, 3, ... from the fused (d, w, h, C)
+    def skips(self, fused, levels):
+        """Skip volumes for levels 4, 3, ... from the fused (d, w, h, C)
         volume; `levels` holds each level's M per-modality feature volumes,
-        starting at level 4.  The fused volume is projected to M gate logits
-        once, and the logits are upsampled 2x per level climbed."""
+        starting at level 4.  A gated decoder projects the fused volume to M
+        gate logits once and upsamples them 2x per level climbed; an ungated
+        one sums each level's features."""
         if self.gate_fc is None:
-            raise ContractError("this decoder was built without skip gates")
+            return [reduce(ad.add, feats) for feats in levels]
         logits = self.gate_fc(fused)
         skips = []
         for feats in levels:

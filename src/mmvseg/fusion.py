@@ -7,10 +7,11 @@ cross-attention layer whose queries are the mixed spatial tokens and whose
 keys/values are a short learned token summary of every modality.
 
 All attention kernels report how many query-key pairs they scored through
-`pair_counter`, so closed-form cost claims can be checked against the code
-that actually ran.
+`pair_counter`, a per-thread count, so closed-form cost claims can be
+checked against the code that actually ran.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,9 @@ from .errors import ConfigError, ShapeError, check_int
 from .nn import LayerNorm, Linear, Mlp, Module
 
 
-class PairCounter:
-    """Counts query-key pairs scored by attention kernels (heads not included,
-    so the tally is comparable across head counts)."""
+class PairCounter(threading.local):
+    """Counts query-key pairs scored by attention kernels, per thread (heads
+    not included, so the tally is comparable across head counts)."""
 
     def __init__(self):
         self.count = 0

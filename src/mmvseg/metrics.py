@@ -136,11 +136,24 @@ def _mean_defined(values):
     return sum(defined) / len(defined) if defined else math.inf
 
 
+def predict(model, volume, mask):
+    """(prediction, truth) for one case, as masks of one class count and
+    spacing: the argmax of `model`'s class logits for `volume`, and `mask`
+    (a bare label array takes the logits' class count)."""
+    logits = model(volume)
+    logits = np.asarray(getattr(logits, "data", logits))
+    if not isinstance(mask, SegmentationMask):
+        mask = SegmentationMask(np.asarray(mask), n_classes=logits.shape[-1])
+    pred = SegmentationMask(np.argmax(logits, axis=-1).astype(mask.labels.dtype),
+                            n_classes=mask.n_classes, spacing=mask.spacing)
+    return pred, mask
+
+
 def evaluate(model, dataset, out_dir=None, case_ids=None):
     """Run `model` over (volume, mask) pairs and aggregate Dice / HD95.
 
-    `model` maps a D*H*W*M float volume to per-voxel class logits; argmax
-    defines the prediction; each case is scored on its foreground labels
+    `model` maps a D*H*W*M float volume to per-voxel class logits, and
+    `predict` takes their argmax; each case is scored on its foreground labels
     1..n_classes-1, and all cases must share one class count.
     `case_ids` names the cases in the report (default: 0, 1, ...).
     When `out_dir` is given, writes metrics.csv (one row per case plus one
@@ -150,20 +163,10 @@ def evaluate(model, dataset, out_dir=None, case_ids=None):
 
     def one_case(item):
         idx, (volume, mask) = item
-        logits = model(volume)
-        logits = np.asarray(getattr(logits, "data", logits))
-        if not isinstance(mask, SegmentationMask):
-            mask = SegmentationMask(np.asarray(mask), n_classes=logits.shape[-1])
-        if logits.shape[:3] != mask.shape:
-            raise ShapeError(
-                f"case {idx}: logits cover {logits.shape[:3]}, mask {mask.shape}"
-            )
+        pred, mask = predict(model, volume, mask)
+        if pred.shape != mask.shape:
+            raise ShapeError(f"case {idx}: logits cover {pred.shape}, mask {mask.shape}")
         case_classes = range(1, mask.n_classes)
-        pred = SegmentationMask(
-            np.argmax(logits, axis=-1).astype(mask.labels.dtype),
-            n_classes=mask.n_classes,
-            spacing=mask.spacing,
-        )
         return {
             "case": idx,
             "dice": {str(c): dice_score(pred, mask, c) for c in case_classes},

@@ -8,11 +8,9 @@ import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .data import _read_exact, _read_into
 from .decoder import Decoder, DecoderConfig
@@ -60,7 +58,7 @@ class ModelConfig:
             self.attention = AttentionConfig(**self.attention)
         if isinstance(self.decoder, dict):
             self.decoder = DecoderConfig(**self.decoder)
-        self.input_shape = tuple(int(s) for s in self.input_shape)
+        self.input_shape = tuple(check_int("input_shape entry", s) for s in self.input_shape)
 
         for name in ("modalities", "n_classes", "summary_tokens", "spatial_layers", "seed"):
             check_int(name, getattr(self, name))
@@ -72,9 +70,9 @@ class ModelConfig:
             raise ConfigError(f"need at least one modality, got {self.modalities}")
         if self.n_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
-        if len(self.input_shape) != 3 or any(s % DOWNSAMPLE for s in self.input_shape):
+        if len(self.input_shape) != 3 or any(s < 1 or s % DOWNSAMPLE for s in self.input_shape):
             raise ConfigError(
-                f"input extents must be divisible by {DOWNSAMPLE}, got {self.input_shape}"
+                f"input extents must be positive and divisible by {DOWNSAMPLE}, got {self.input_shape}"
             )
         if any(g % w for g, w in zip(self.bottleneck_grid, self.attention.window)):
             raise ConfigError(
@@ -179,10 +177,7 @@ class Model(Module):
         ]
         fused = self.fusion([p[-1] for p in pyramids])
         levels = [[p[level - 1] for p in pyramids] for level in (4, 3, 2, 1)]
-        if self.cfg.use_gated_skips:
-            skips = self.decoder.gated_skips(fused, levels)
-        else:
-            skips = [reduce(ad.add, feats) for feats in levels]
+        skips = self.decoder.skips(fused, levels)
         # without a tape, nothing else holds the encoder features or the gate
         # logits, so they are freed before the decoder runs
         del pyramids, levels
@@ -233,21 +228,20 @@ def benchmark_attention(grid, window, channels=128, heads=8, repeats=3, seed=0):
     tokens = Tensor(rng.normal(size=(n, channels)).astype(np.float32))
 
     def timed(fn):
-        fn()  # warm up
+        # the warm-up call's scored pairs, by difference: the caller's
+        # running count is never zeroed
+        before = pair_counter.count
+        fn()
+        counted = pair_counter.count - before
         best = np.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
             fn()
             best = min(best, time.perf_counter() - t0)
-        return best * 1e3
+        return counted, best * 1e3
 
-    pair_counter.reset()
-    full(tokens, tokens)
-    counted_full = pair_counter.count
-    pair_counter.reset()
-    mixer.mix(tokens, pos)
-    counted_mixer = pair_counter.count
-
+    counted_full, ms_full = timed(lambda: full(tokens, tokens))
+    counted_mixer, ms_mixer = timed(lambda: mixer.mix(tokens, pos))
     return {
         "grid": tuple(grid),
         "window": tuple(window),
@@ -256,8 +250,8 @@ def benchmark_attention(grid, window, channels=128, heads=8, repeats=3, seed=0):
         "pairs_mixer": attention_cost(grid, window, mode="mixer"),
         "counted_full": counted_full,
         "counted_mixer": counted_mixer,
-        "ms_full": timed(lambda: full(tokens, tokens)),
-        "ms_mixer": timed(lambda: mixer.mix(tokens, pos)),
+        "ms_full": ms_full,
+        "ms_mixer": ms_mixer,
     }
 
 

@@ -65,8 +65,6 @@ class Module:
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
                         yield from item.named_params(f"{name}.{i}")
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{name}.{i}", item
 
     def params(self):
         return [p for _, p in self.named_params()]

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .metrics import SegmentationMask, dice_score
+from .metrics import SegmentationMask, dice_score, predict
 from .model import Model, save_checkpoint
 from .nn import FlatParams, flat_views
 
@@ -162,13 +162,8 @@ def adamw_step(params: FlatParams, grads, state: OptimState, cfg: TrainConfig):
 def _mean_foreground_dice(model: Model, dataset) -> float:
     scores = []
     for volume, target in dataset:
-        logits = model(volume).data
-        labels = target.labels if isinstance(target, SegmentationMask) else np.asarray(target)
-        n_classes = logits.shape[-1]
-        pred = SegmentationMask(np.argmax(logits, axis=-1).astype(labels.dtype), n_classes)
-        gt = SegmentationMask(labels, n_classes)
-        for cls in range(1, n_classes):
-            scores.append(dice_score(pred, gt, cls))
+        pred, truth = predict(model, volume, target)
+        scores.extend(dice_score(pred, truth, cls) for cls in range(1, truth.n_classes))
     return sum(scores) / len(scores)
 
 
@@ -256,9 +251,6 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
         summary = {
             "steps_run": train_cfg.steps,
             "final_loss": record["loss"],
-            "checkpoint": str(ckpt_path),
-            "train_log": str(train_log),
-            "val_log": str(val_log) if val_log else None,
         }
         if val_dataset is not None:
             final_dice = _mean_foreground_dice(model, val_dataset)

@@ -8,7 +8,7 @@ import pytest
 from mmvseg import Tensor, grad_check
 from mmvseg import autodiff as ad
 from mmvseg.decoder import Decoder, DecoderConfig
-from mmvseg.errors import ConfigError, ContractError, ShapeError
+from mmvseg.errors import ConfigError, ShapeError
 from test_tensor import assert_same_numbers, value_and_grads
 
 
@@ -47,13 +47,13 @@ class TestImportance:
 
     @staticmethod
     def _gates(dec, fused, n_levels, m=2):
-        """The gates of the first `n_levels` levels, read off `gated_skips` by
+        """The gates of the first `n_levels` levels, read off `skips` by
         feeding modality i a one-hot channel i: level k's skip is its (D, H,
         W, M) gate volume."""
         extents = [tuple(2 ** k * g for g in fused.shape[:3]) for k in range(1, n_levels + 1)]
         levels = [[Tensor(np.broadcast_to(np.eye(m)[i], e + (m,)).copy()) for i in range(m)]
                   for e in extents]
-        return [skip.data for skip in dec.gated_skips(fused, levels)]
+        return [skip.data for skip in dec.skips(fused, levels)]
 
     def test_level4_doubles_once(self):
         dec, _ = make_decoder()
@@ -64,11 +64,16 @@ class TestImportance:
         shapes = [g.shape for g in self._gates(dec, self._fused(), 4)]
         assert shapes == [(4, 4, 4, 2), (8, 8, 8, 2), (16, 16, 16, 2), (32, 32, 32, 2)]
 
-    def test_ungated_decoder_has_no_gates(self):
-        dec = Decoder(4, 2, (3, 3, 2, 2), DecoderConfig(level_channels=(4, 3, 3, 2)),
+    def test_ungated_skips_are_the_feature_sums(self):
+        dec = Decoder(4, 3, (3, 3, 2, 2), DecoderConfig(level_channels=(4, 3, 3, 2)),
                       np.random.default_rng(1), dtype=np.float64, gated=False)
-        with pytest.raises(ContractError):
-            self._gates(dec, self._fused(), 1)
+        rng = np.random.default_rng(3)
+        levels = [[Tensor(rng.normal(size=(2 ** k,) * 3 + (3,))) for _ in range(3)]
+                  for k in range(2, 5)]
+        skips = dec.skips(self._fused(), levels)
+        assert dec.gate_fc is None and len(skips) == 3
+        for skip, (a, b, c) in zip(skips, levels, strict=True):
+            assert np.array_equal(skip.data, a.data + b.data + c.data)
 
     def test_zero_fc_gives_half_everywhere(self):
         dec, _ = make_decoder()
@@ -107,7 +112,7 @@ class TestImportance:
         fused = Tensor(rng.normal(size=(2, 2, 2, 4)).astype(dtype))
         levels = [[Tensor(rng.normal(size=(2 ** k,) * 3 + (3,)).astype(dtype)) for _ in range(2)]
                   for k in range(2, 6)]
-        skips = dec.gated_skips(fused, levels)
+        skips = dec.skips(fused, levels)
         assert len(skips) == 4
         for level, skip, feats in zip((4, 3, 2, 1), skips, levels):
             want = old_gated_skip(dec, fused, level, feats).data
@@ -120,7 +125,7 @@ class TestImportance:
         levels = [[Tensor(rng.normal(size=(2 ** k,) * 3 + (3,))) for _ in range(2)]
                   for k in range(1, 5)]
         with ad.Tape() as tape:
-            dec.gated_skips(fused, levels)
+            dec.skips(fused, levels)
         ops = [node.op for node in tape.nodes]
         assert ops.count("linear") == 1 and ops.count("upsample2x") == 4
         assert ops.count("sigmoid") == 4
@@ -129,7 +134,7 @@ class TestImportance:
         dec, _ = make_decoder()
         fused = self._fused(seed=7)
         feats = [Tensor(np.random.default_rng(8 + i).normal(size=(4, 4, 4, 5))) for i in range(2)]
-        f = lambda: ad.tmean(dec.gated_skips(fused, [feats])[0])
+        f = lambda: ad.tmean(dec.skips(fused, [feats])[0])
         assert grad_check(f, dec.gate_fc.params()) < 1e-4
 
     @pytest.mark.parametrize("n_levels", [2, 3])
@@ -146,7 +151,7 @@ class TestImportance:
                    for k in range(1, n_levels + 1)]
 
         def f():
-            skips = dec.gated_skips(fused, levels)
+            skips = dec.skips(fused, levels)
             return reduce(ad.add, [ad.tmean(ad.mul(s, w)) for s, w in zip(skips, weights)])
 
         assert grad_check(f, dec.gate_fc.params() + [fused]) < 1e-4

@@ -1,8 +1,11 @@
 import json
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -71,6 +74,16 @@ class TestConfig:
     def test_rejects_non_int_count(self, field, value):
         with pytest.raises(ConfigError, match=field):
             toy_config(**{field: value})
+
+    @pytest.mark.parametrize("shape", [(32.9, 32, 32), ("32", 32, 32), (32, True, 32)])
+    def test_rejects_non_int_input_extents(self, shape):
+        with pytest.raises(ConfigError, match="input_shape entry must be an integer"):
+            ModelConfig(input_shape=shape, modalities=2)
+
+    @pytest.mark.parametrize("shape", [(0, 16, 16), (16, -16, 16)])
+    def test_rejects_non_positive_input_extents(self, shape):
+        with pytest.raises(ConfigError, match="input extents must be positive"):
+            toy_config(input_shape=shape)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
@@ -331,6 +344,42 @@ class TestAttentionCost:
         pair_counter.reset()
         layer.mix(tokens, pos)
         assert pair_counter.count == attention_cost(grid, window, "mixer") == 1792
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_pair_counts_are_per_thread(self, threads):
+        # concurrent forwards each count only their own pairs; a short switch
+        # interval interleaves the threads' additions
+        grid, window = (4, 4, 4), (2, 2, 2)
+        cfg = AttentionConfig(heads=2, dim=4, window=window, qkv_dim=4, ffn_ratio=1)
+        rng = np.random.default_rng(8)
+        layer = SpatialMixerLayer(cfg, rng)
+        pos = PositionEncodings(grid, cfg, rng)
+        tokens = Tensor(rng.normal(size=(64, 4)).astype(np.float32))
+        start = threading.Barrier(threads)
+
+        def run():
+            start.wait(timeout=60)
+            before = pair_counter.count
+            for _ in range(200):
+                layer.mix(tokens, pos)
+            return pair_counter.count - before
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                counts = [f.result(timeout=120) for f in [pool.submit(run) for _ in range(threads)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [200 * attention_cost(grid, window, "mixer")] * threads == [358_400] * threads
+
+    def test_benchmark_adds_to_the_running_count(self):
+        # each layer runs once to warm up and `repeats` times timed, and the
+        # caller's count is not zeroed
+        pair_counter.add(5)
+        before = pair_counter.count
+        report = benchmark_attention((4, 4, 4), (2, 2, 2), channels=8, heads=2, repeats=2)
+        assert pair_counter.count - before == 3 * (report["counted_full"] + report["counted_mixer"])
 
     def test_benchmark_reports_consistent_counts(self):
         report = benchmark_attention((4, 4, 4), (2, 2, 2), channels=8, heads=2, repeats=1)

@@ -641,6 +641,13 @@ class TestGradCheck:
         assert grad_check(sine(1.0), [x], eps=1e-4) < 1e-8
         assert grad_check(sine(1.01), [x], eps=1e-4) == pytest.approx(0.01 / 2.01, rel=1e-4)
 
+    def test_non_finite_taped_gradient_raises(self):
+        # max(0.0, nan) is 0.0, so a NaN gradient must not reach the error max
+        x = t(np.random.default_rng(15).normal(size=(6,)), requires_grad=True)
+        f = lambda: ad._record("sine", (x,), np.sin(x.data), lambda g: (np.full(x.shape, np.nan),)).sum()
+        with pytest.raises(NumericError, match="taped gradient is non-finite"):
+            grad_check(f, [x], eps=1e-4)
+
 
 OP_CASES = [
     ("add", lambda rng: _binary_case(rng, ad.add)),

@@ -11,7 +11,7 @@ from mmvseg.decoder import DecoderConfig
 from mmvseg.encoder import EncoderConfig
 from mmvseg.errors import ConfigError, ContractError, NumericError, ShapeError
 from mmvseg.fusion import AttentionConfig
-from mmvseg.metrics import SegmentationMask
+from mmvseg.metrics import SegmentationMask, evaluate
 from mmvseg.model import ABLATIONS, Model, ModelConfig, ablation_model_config, load_checkpoint
 from mmvseg.nn import FlatParams, flat_views
 from mmvseg.training import (
@@ -549,6 +549,20 @@ class TestTrainLoop:
         assert len(lines) == 3  # two periodic + final
         assert json.loads(lines[-1])["final"] is True
         assert 0.0 <= summary["final_val_dice"] <= 1.0
+
+    def test_val_dice_is_evaluates_mean_foreground_dice(self, tmp_path):
+        # validation and `evaluate` score a case through the one `predict`
+        def three_class_case(seed):
+            volume, labels = sphere_case(radius=3.5 + seed, seed=seed)
+            labels[:4] = 2
+            return volume, SegmentationMask(labels, 3)
+
+        data = [three_class_case(s) for s in range(4)]
+        model, summary = train(toy_model_cfg(n_classes=3), TrainConfig(steps=20, lr=3e-3),
+                               data[:1], tmp_path, val_dataset=data[1:])
+        per_case = [sum(row["dice"].values()) / 2 for row in evaluate(model, data[1:])["per_case"]]
+        assert summary["final_val_dice"] > 0
+        assert abs(summary["final_val_dice"] - sum(per_case) / len(per_case)) < 1e-12
 
     def test_batched_steps_run(self, tmp_path):
         data = [sphere_case(seed=s) for s in range(2)]
