@@ -3,8 +3,9 @@
 Every differentiable operation in the package is built from the primitives
 in this module.  Ops compute eagerly with numpy; when a `Tape` is active and
 an input requires gradients, a node holding the backward closure is recorded.
-`backward` then replays the tape in reverse and accumulates gradients into
-the participating leaf tensors.
+`backward` then consumes the tape in reverse, freeing each node once its
+backward has run, and accumulates gradients into the participating leaf
+tensors.
 
 Volumes are laid out channels-last and row-major: a feature map has shape
 (d, w, h, C) and flattens to tokens in C order (h fastest).
@@ -22,9 +23,12 @@ is the process's one parallel runtime: at import, every OpenBLAS library
 loaded in the process is set to one thread.
 
 An op that records no tape node keeps no backward state: untaped, `gelu`'s
-cdf, `layer_norm`'s normalized input, `feed_forward`'s hidden layer and
-`gated_sum`'s gated products live only in the scratch of one block of rows.
-No call keeps a padded copy of `conv3d`'s input, which its forward and
+cdf, `feed_forward`'s hidden layer and `gated_sum`'s gated products live
+only in the scratch of one block of rows.  A recorded node keeps only what
+its backward cannot rebuild cheaply: `layer_norm` each row's mean and
+inverse deviation, `feed_forward` those and gelu's cdf; their backwards
+rebuild the normalized input and fc1's output per chunk of rows, bit for
+bit.  No call keeps a padded copy of `conv3d`'s input, which its forward and
 kernel gradient pad one block of output depth planes at a time in scratch,
 nor `patch_linear`'s patch matrix, which its backward cuts again by chunks.
 """
@@ -228,6 +232,7 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
+        self.consumed = False  # by a backward, which pops every node
         self._prev = None
 
     def __enter__(self):
@@ -268,13 +273,21 @@ def backward(loss, tape, leaves=None):
     `loss` must be a scalar produced under `tape`.  Gradients add into any
     existing `.grad`, and multiple uses of a tensor within the graph sum.
     When `leaves` is given, every listed tensor is guaranteed a gradient
-    buffer afterwards (zeros if the loss does not depend on it).
+    buffer afterwards (zeros if the loss does not depend on it).  It
+    consumes the tape, popping each node before running its backward, so a
+    node's saved arrays are freed once its input gradients exist; a second
+    backward on the emptied tape is a ContractError.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
-        g = grads.pop(id(node.output), None)
+    if tape.consumed:
+        raise ContractError("backward already consumed this tape; record the forward again")
+    tape.consumed = True
+    # a waiting gradient holds its tensor, so no id is reused while it waits
+    grads = {id(loss): (loss, np.ones_like(loss.data))}
+    while tape.nodes:
+        node = tape.nodes.pop()
+        _, g = grads.pop(id(node.output), (None, None))
         if g is None:
             continue
         gins = node.backward(g)
@@ -286,11 +299,8 @@ def backward(loss, tape, leaves=None):
                     t.grad = np.zeros_like(t.data)
                 t.grad += gi.astype(t.data.dtype, copy=False).reshape(t.shape)
             else:
-                key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + gi
-                else:
-                    grads[key] = gi
+                held = grads.get(id(t))
+                grads[id(t)] = (t, gi if held is None else held[1] + gi)
     if leaves is not None:
         for p in leaves:
             if p.requires_grad and p.grad is None:
@@ -746,50 +756,54 @@ def softmax_last(a):
 
 def layer_norm(x, gamma, beta):
     """Zero-mean unit-variance normalization over the channel (last) extent
-    (variance offset 1e-5), followed by the gamma/beta affine map."""
+    (variance offset 1e-5), followed by the gamma/beta affine map.  A
+    recorded node keeps each row's mean and inv, from which _ln_xhat
+    rebuilds the normalized input per chunk of its backward."""
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"layer_norm channel extent {c} does not match gamma {gamma.shape} / beta {beta.shape}"
         )
     rows = x.data.reshape(-1, c)
-    # the backward needs xhat and inv; without a node to record, they are
-    # scratch of each block
-    state = ()
-    if _records((x, gamma, beta)):
-        state = (np.empty_like(rows), np.empty((rows.shape[0], 1), dtype=x.dtype))
+    stats = np.empty((2, len(rows), 1), x.dtype) if _records((x, gamma, beta)) else ()
     y = _by_rows(_ln_forward, (rows, gamma.data, beta.data), _empty(rows, gamma.data, beta.data),
-                 *state, block=_BLOCK)
+                 *stats, block=_BLOCK)
     return _record("layer_norm", (x, gamma, beta), y.reshape(x.shape),
-                   lambda g: _ln_grads(g, gamma.data, *state))
+                   lambda g: _ln_grads(g, gamma.data, rows, *stats))
 
 
-def _ln_grads(g, gamma, xhat, inv):
+def _ln_grads(g, gamma, x, mean, inv):
     """layer_norm's input, gamma and beta gradients for upstream `g` of any
-    shape (..., C) and the forward's (rows, C) `xhat` and (rows, 1) `inv`,
-    in one pass over fixed chunks of rows: each chunk writes its rows of
-    the input gradient and its partials (g * xhat)[chunk].sum(axis=0) and
-    g[chunk].sum(axis=0)."""
+    shape (..., C), the forward's (rows, C) input `x` and its (rows, 1) row
+    `mean` and `inv`, in one pass over fixed chunks of rows: each chunk
+    rebuilds its xhat, writes its rows of the input gradient and its
+    partials (g * xhat)[chunk].sum(axis=0) and g[chunk].sum(axis=0)."""
     rows = g.reshape(-1, gamma.shape[0])
-    dx = _empty(rows, gamma, xhat)
+    dx = _empty(rows, gamma, x)
 
     def kernel(lo, hi, dgamma, dbeta):
-        g_rows, xhat_rows = rows[lo:hi], xhat[lo:hi]
-        _ln_dx(g_rows, gamma, xhat_rows, inv[lo:hi], dx[lo:hi])
-        np.sum(g_rows * xhat_rows, axis=0, out=dgamma)
+        g_rows, xhat = rows[lo:hi], _ln_xhat(x[lo:hi], mean[lo:hi], inv[lo:hi])
+        _ln_dx(g_rows, gamma, xhat, inv[lo:hi], dx[lo:hi])
+        np.sum(g_rows * xhat, axis=0, out=dgamma)
         np.sum(g_rows, axis=0, out=dbeta)
 
     parts = None if rows.size >= _SPLIT_MIN else 1
-    dgamma, dbeta = _chunk_sums(len(rows), kernel, (gamma.shape, gamma.shape), np.result_type(rows, xhat),
+    dgamma, dbeta = _chunk_sums(len(rows), kernel, (gamma.shape, gamma.shape), np.result_type(rows, x),
                                 parts=parts)
     return dx.reshape(g.shape), dgamma, dbeta
 
 
-def _ln_forward(x, gamma, beta, y, xhat=None, inv=None):
-    xc = x - x.mean(axis=-1, keepdims=True)
+def _ln_forward(x, gamma, beta, y, mean=None, inv=None):
+    """layer_norm on a block of rows, into the row `mean` and `inv` if given."""
+    xc = np.subtract(x, np.mean(x, axis=-1, keepdims=True, out=mean))
     inv = np.divide(1.0, np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5), out=inv)
-    xhat = np.multiply(xc, inv, out=xc if xhat is None else xhat)
-    _ln_affine(xhat, gamma, beta, y)
+    _ln_affine(np.multiply(xc, inv, out=xc), gamma, beta, y)
+
+
+def _ln_xhat(x, mean, inv):
+    """_ln_forward's xhat of rows `x`: its own two ufunc calls on the same operands."""
+    xc = np.subtract(x, mean)
+    return np.multiply(xc, inv, out=xc)
 
 
 def _ln_affine(xhat, gamma, beta, y):
@@ -810,10 +824,11 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2):
     GEMM rule; each block keeps at least _GEMM_MIN multiply-adds per GEMM and
     two rows, so every block GEMM computes the dot products of the unsplit
     call.  Without a node to record, the hidden layer lives only in block
-    scratch.  A recorded node keeps layer_norm's xhat and inv, the first
-    linear's output and gelu's cdf.  Its backward is one pass over
-    _chunk_sums's fixed chunks of rows: each chunk rebuilds gelu's and
-    layer_norm's outputs and runs the chain's backward expressions on its
+    scratch.  A recorded node keeps each row's layer_norm mean and inv and
+    gelu's cdf.  Its backward is one pass over _chunk_sums's fixed chunks of
+    rows, at least _CHUNK_ROWS each or all of them, so by the same rule a
+    chunk's GEMM rebuilds the forward's rows of the first linear.  Each chunk
+    rebuilds the chain's outputs and runs its backward expressions on its
     rows in scratch of its own, writing its rows of the input gradient and
     its partials of the six parameter gradients, the same partials as the
     chain's `linear` and `layer_norm`.  So output and gradients are
@@ -834,37 +849,37 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2):
     rows = x.data.reshape(-1, c)
     n = rows.shape[0]
     out = np.empty(rows.shape, np.result_type(rows, *params))
-    state = ()
-    if _records(inputs):
-        state = (np.empty_like(out), np.empty((n, 1), out.dtype), np.empty((n, hidden), out.dtype),
-                 np.empty((n, hidden), out.dtype))
+    state = (*np.empty((2, n, 1), rows.dtype), np.empty((n, hidden), out.dtype)) if _records(inputs) else ()
     # a block's hidden layer is at least 2 * _BLOCK elements, which stays in
     # L2 and keeps numpy's per-call cost small against the work
     block_rows = max(2, -(-_GEMM_MIN // (c * hidden)), 2 * _BLOCK // hidden)
     _by_rows(_ff_kernel(*params), (rows,), out, *state, block=block_rows * c, k=hidden)
 
     def bwd(g):
-        xhat, inv, a, cdf = state
+        mean, inv, cdf = state
         g = g.reshape(-1, c)
         dx = np.empty_like(g)
 
         def kernel(lo, hi, dgamma, dbeta, gw1, gb1, gw2, gb2):
-            g_rows, xhat_rows, a_rows, cdf_rows = g[lo:hi], xhat[lo:hi], a[lo:hi], cdf[lo:hi]
+            g_rows, cdf_rows = g[lo:hi], cdf[lo:hi]
+            # layer_norm's and fc1's outputs, rebuilt as the forward computed them
+            xhat = _ln_xhat(rows[lo:hi], mean[lo:hi], inv[lo:hi])
+            y = np.empty(xhat.shape, out.dtype)
+            _ln_affine(xhat, gamma.data, beta.data, y)
+            a = np.matmul(y, w1.data)
+            np.add(a, b1.data, out=a)
             # fc2: its input is gelu's output, rebuilt; the input gradient
             # overwrites it, and gelu's input gradient overwrites that
-            h = np.multiply(a_rows, cdf_rows)
+            h = np.multiply(a, cdf_rows)
             np.matmul(h.T, g_rows, out=gw2)
             np.sum(g_rows, axis=0, out=gb2)
             gh = np.matmul(g_rows, w2.data.T, out=h)
-            _gelu_grad(a_rows, cdf_rows, gh, gh)
-            # fc1: its input is layer_norm's output, rebuilt likewise
-            y = np.empty_like(xhat_rows)
-            _ln_affine(xhat_rows, gamma.data, beta.data, y)
+            _gelu_grad(a, cdf_rows, gh, gh)
             np.matmul(y.T, gh, out=gw1)
             np.sum(gh, axis=0, out=gb1)
             gy = np.matmul(gh, w1.data.T, out=y)
-            _ln_dx(gy, gamma.data, xhat_rows, inv[lo:hi], dx[lo:hi])
-            np.sum(gy * xhat_rows, axis=0, out=dgamma)
+            _ln_dx(gy, gamma.data, xhat, inv[lo:hi], dx[lo:hi])
+            np.sum(gy * xhat, axis=0, out=dgamma)
             np.sum(gy, axis=0, out=dbeta)
 
         grads = _chunk_sums(n, kernel, shapes, np.result_type(g, out), parts=g.size * hidden // _GEMM_MIN)
@@ -875,11 +890,11 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2):
 
 def _ff_kernel(gamma, beta, w1, b1, w2, b2):
     """feed_forward's forward on a block of rows: x (rows, C) into y, and
-    into the recorded node's xhat, inv, fc1 output `a` and cdf when given."""
-    def kernel(x, y, xhat=None, inv=None, a=None, cdf=None):
+    into the recorded node's row mean, inv and gelu cdf when given."""
+    def kernel(x, y, mean=None, inv=None, cdf=None):
         ln = np.empty_like(y)
-        _ln_forward(x, gamma, beta, ln, xhat, inv)
-        a = np.matmul(ln, w1, out=a)
+        _ln_forward(x, gamma, beta, ln, mean, inv)
+        a = np.matmul(ln, w1)
         del ln
         np.add(a, b1, out=a)
         h = np.empty_like(a)

@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -584,6 +585,25 @@ class TestBackward:
                 loss = x.sum()
             backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_backward_consumes_the_tape(self):
+        # each node is freed once its backward has run, so the hidden layer
+        # dies with the backward although the caller still holds the tape
+        rng = np.random.default_rng(11)
+        x, w = t(rng.normal(size=(64, 32)), requires_grad=True), t(rng.normal(size=(32, 256)), requires_grad=True)
+        with Tape() as tape:
+            hidden = ad.linear(x, w)
+            loss = ad.gelu(hidden).sum()
+        held = weakref.ref(hidden.data)
+        del hidden
+        assert held() is not None and len(tape) == 3
+        backward(loss, tape)
+        assert len(tape) == 0 and held() is None
+        grad = x.grad.copy()
+        # a second backward would add every gradient again
+        with pytest.raises(ContractError, match="consumed"):
+            backward(loss, tape)
+        assert np.array_equal(x.grad, grad)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
