@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -19,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError, GenerationError
+from .errors import (ConfigError, ContractError, FormatError, GenerationError, check_fields,
+                     is_number)
 from .metrics import SegmentationMask, check_spacing
 
 _MMV_MAGIC = b"MMV1"
@@ -66,32 +66,22 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.shape) != 3 or any(s < 16 or s % 16 for s in self.shape):
-            raise ConfigError(
-                f"phantom extents must be positive multiples of 16, got {self.shape}"
-            )
-        for name, least in (("modalities", 1), ("n_classes", 2), ("objects_per_class", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_fields(self, (("shape", 3, None), ("modalities", int, 1), ("n_classes", int, 2),
+                            ("objects_per_class", int, 1), ("noise_sigma", float, 0), ("seed", int, 0)))
+        if any(s < 16 or s % 16 for s in self.shape):
+            raise ConfigError(f"phantom extents must be positive multiples of 16, got {self.shape}")
         if (not isinstance(self.radius_range, (list, tuple)) or len(self.radius_range) != 2
-                or any(isinstance(r, bool) or not isinstance(r, numbers.Real)
-                       for r in self.radius_range)):
+                or not all(map(is_number, self.radius_range))):
             raise ConfigError(f"radius range must be two numbers, got {self.radius_range!r}")
         lo, hi = self.radius_range
-        if not all(map(math.isfinite, (lo, hi, self.noise_sigma))):
-            raise ConfigError(f"radius range {self.radius_range} and noise sigma "
-                              f"{self.noise_sigma} must be finite")
-        if not 0 < lo <= hi:
-            raise ConfigError(f"bad radius range {self.radius_range}")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise sigma must be >= 0")
-        self.shape = tuple(int(s) for s in self.shape)
+        if not 0 < lo <= hi < math.inf:
+            raise ConfigError(f"radius range {self.radius_range} must be finite, with 0 < lo <= hi")
         self.radius_range = (float(lo), float(hi))
         try:
             check_spacing(self.spacing)
         except ContractError as exc:
             raise ConfigError(str(exc)) from None
+        self.spacing = tuple(self.spacing)
         self._check_visibility(self.visibility_matrix())
 
     def visibility_matrix(self) -> np.ndarray:
@@ -134,10 +124,6 @@ class PhantomSpec:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        for key in ("shape", "radius_range", "spacing"):
-            if key in d:
-                d[key] = tuple(d[key])
         return cls(**d)
 
 

@@ -14,7 +14,7 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ShapeError, check_int
+from .errors import ConfigError, ShapeError, check_fields
 from .nn import Conv3d, Linear, Module, PatchLinear
 
 N_LEVELS = 5
@@ -25,13 +25,7 @@ class DecoderConfig:
     level_channels: tuple = (128, 64, 64, 32)  # levels 4, 3, 2, 1
 
     def __post_init__(self):
-        self.level_channels = tuple(check_int("level_channels entry", c) for c in self.level_channels)
-        if len(self.level_channels) != N_LEVELS - 1:
-            raise ConfigError(
-                f"level_channels needs {N_LEVELS - 1} entries, got {len(self.level_channels)}"
-            )
-        if any(c < 1 for c in self.level_channels):
-            raise ConfigError(f"level_channels must be positive, got {self.level_channels}")
+        check_fields(self, (("level_channels", N_LEVELS - 1, 1),))
 
 
 class Decoder(Module):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ShapeError, check_int
+from .errors import ConfigError, ShapeError, check_fields
 from .nn import Conv3d, LayerNorm, Linear, Mlp, Module, PatchLinear
 
 N_STAGES = 5
@@ -25,16 +25,9 @@ class EncoderConfig:
     block_kind: str = "global_pool"  # global_pool | local_pool | conv
 
     def __post_init__(self):
-        self.stage_channels = tuple(check_int("stage_channels entry", c) for c in self.stage_channels)
-        if len(self.stage_channels) != N_STAGES:
-            raise ConfigError(f"stage_channels needs {N_STAGES} entries, got {len(self.stage_channels)}")
-        if any(c < 1 for c in self.stage_channels):
-            raise ConfigError(f"stage_channels must be positive, got {self.stage_channels}")
-        if check_int("blocks_per_stage", self.blocks_per_stage) < 0:
-            raise ConfigError(f"blocks_per_stage must be >= 0, got {self.blocks_per_stage}")
-        if check_int("mlp_ratio", self.mlp_ratio) < 1:
-            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
-        if self.block_kind not in _BLOCKS:
+        check_fields(self, (("stage_channels", N_STAGES, 1), ("blocks_per_stage", int, 0),
+                            ("mlp_ratio", int, 1)))
+        if not isinstance(self.block_kind, str) or self.block_kind not in _BLOCKS:
             raise ConfigError(f"unknown encoder block kind {self.block_kind!r}")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError, check_int
+from .errors import ConfigError, ShapeError, check_fields
 from .nn import LayerNorm, Linear, Mlp, Module
 
 
@@ -48,16 +48,12 @@ class AttentionConfig:
     ffn_ratio: int = 4
 
     def __post_init__(self):
-        self.window = tuple(check_int("window entry", x) for x in self.window)
-        for name in ("heads", "dim", "qkv_dim", "ffn_ratio"):
-            if check_int(name, getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        check_fields(self, (("heads", int, 1), ("dim", int, 1), ("window", 3, 1), ("qkv_dim", int, 1),
+                            ("ffn_ratio", int, 1)))
         if self.dim % self.heads or self.qkv_dim % self.heads:
             raise ConfigError(
                 f"dim {self.dim} and qkv_dim {self.qkv_dim} must be divisible by heads {self.heads}"
             )
-        if len(self.window) != 3 or any(x < 1 for x in self.window):
-            raise ConfigError(f"window must be three positive extents, got {self.window}")
 
 
 def _relative_offset_index(window):

@@ -15,7 +15,7 @@ from .autodiff import Tensor
 from .data import _read_exact, _read_into
 from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig
-from .errors import ConfigError, ContractError, FormatError, ShapeError, check_int
+from .errors import ConfigError, ContractError, FormatError, ShapeError, check_fields
 from .fusion import (
     AttentionConfig,
     Fusion,
@@ -52,25 +52,18 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if isinstance(self.encoder, dict):
-            self.encoder = EncoderConfig(**self.encoder)
-        if isinstance(self.attention, dict):
-            self.attention = AttentionConfig(**self.attention)
-        if isinstance(self.decoder, dict):
-            self.decoder = DecoderConfig(**self.decoder)
-        self.input_shape = tuple(check_int("input_shape entry", s) for s in self.input_shape)
-
-        for name in ("modalities", "n_classes", "summary_tokens", "spatial_layers", "seed"):
-            check_int(name, getattr(self, name))
-        for name in ("use_spatial_attention", "use_cross_attention", "use_gated_skips"):
+        for name, kind in (("encoder", EncoderConfig), ("attention", AttentionConfig),
+                           ("decoder", DecoderConfig)):
             value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
-        if self.modalities < 1:
-            raise ConfigError(f"need at least one modality, got {self.modalities}")
-        if self.n_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
-        if len(self.input_shape) != 3 or any(s < 1 or s % DOWNSAMPLE for s in self.input_shape):
+            if isinstance(value, dict):
+                setattr(self, name, kind(**value))
+            elif not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a dict of {kind.__name__} fields, got {value!r}")
+        check_fields(self, (("modalities", int, 1), ("n_classes", int, 2), ("input_shape", 3, None),
+                            ("summary_tokens", int, 1), ("spatial_layers", int, 0), ("seed", int, 0),
+                            ("use_spatial_attention", bool, None), ("use_cross_attention", bool, None),
+                            ("use_gated_skips", bool, None)))
+        if any(s < 1 or s % DOWNSAMPLE for s in self.input_shape):
             raise ConfigError(
                 f"input extents must be positive and divisible by {DOWNSAMPLE}, got {self.input_shape}"
             )
@@ -83,10 +76,7 @@ class ModelConfig:
                 f"attention dim {self.attention.dim} must equal the top encoder width "
                 f"{self.encoder.stage_channels[-1]}"
             )
-        for name in ("spatial_layers", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.dtype not in _DTYPES:
+        if not isinstance(self.dtype, str) or self.dtype not in _DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
 
     @property

@@ -8,7 +8,6 @@ and reruns with the same seed produce byte-identical logs.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, ShapeError, check_fields, is_number
 from .metrics import SegmentationMask, dice_score, predict
 from .model import Model, save_checkpoint
 from .nn import FlatParams, flat_views
@@ -41,32 +40,19 @@ class TrainConfig:
     log_wall_time: bool = False
 
     def __post_init__(self):
-        for name in ("lr", "weight_decay", "eps", "smooth", "dice_weight", "ce_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError("weight decay must be nonnegative")
-        if self.dice_weight < 0 or self.ce_weight < 0:
-            raise ConfigError("loss weights must be nonnegative")
+        check_fields(self, (("lr", float, None), ("weight_decay", float, 0), ("eps", float, None),
+                            ("dice_weight", float, 0), ("ce_weight", float, 0), ("smooth", float, 0),
+                            ("steps", int, 1), ("batch_size", int, 1), ("seed", int, 0),
+                            ("checkpoint_every", int, 0), ("val_every", int, 0),
+                            ("log_wall_time", bool, None)))
+        if self.lr <= 0 or self.eps <= 0:
+            raise ConfigError(f"lr and eps must be > 0, got {self.lr} and {self.eps}")
         if self.dice_weight == 0 and self.ce_weight == 0:
             raise ConfigError("at least one loss weight must be positive")
-        for name in ("steps", "batch_size", "checkpoint_every", "val_every", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if (not isinstance(self.betas, (list, tuple)) or len(self.betas) != 2
-                or not all(0 <= b < 1 for b in self.betas)):
+                or not all(is_number(b) and 0 <= b < 1 for b in self.betas)):
             raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         self.betas = (float(self.betas[0]), float(self.betas[1]))
-        for name in ("checkpoint_every", "val_every", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def _target_labels(logits, target, what):

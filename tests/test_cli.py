@@ -17,6 +17,7 @@ from mmvseg import autodiff as ad
 from mmvseg import cli
 from mmvseg.cli import main
 from mmvseg.data import load_dataset
+from mmvseg.errors import FormatError
 from mmvseg.metrics import SegmentationMask, hd95
 from mmvseg.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from test_model import rewrite_config
@@ -159,7 +160,9 @@ class TestGen:
     @pytest.mark.parametrize("spec,message", [
         ({"objects_per_class": 1.5}, "objects_per_class must be an integer"),
         ({"radius_range": [2, 4, 5]}, "radius range must be two numbers"),
-    ], ids=["fractional-objects-per-class", "three-radii"])
+        ({"noise_sigma": True}, "noise_sigma must be a number"),
+        ({"shape": [32.5, 32, 32]}, "shape entry must be an integer"),
+    ], ids=["fractional-objects-per-class", "three-radii", "bool-noise-sigma", "fractional-shape"])
     def test_mistyped_spec_field_fails_before_the_manifest(self, tmp_path, capsys, spec, message):
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         out = tmp_path / "out"
@@ -312,6 +315,21 @@ class TestTrain:
         assert f"{field} must be finite" in err and "Error" not in err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("change,message", [
+        ({"log_wall_time": "no"}, "log_wall_time must be true or false"),
+        ({"lr": True}, "lr must be a number"),
+    ], ids=["string-wall-time", "bool-lr"])
+    def test_switch_and_number_fields_are_kept_apart(self, workdir, tmp_path, capsys, change, message):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(change))
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out), "--data", str(workdir / "data"),
+                     "--model-config", str(workdir / "model.json"),
+                     "--train-config", str(cfg), "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Error" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_nan_lr_flag_fails_before_the_manifest(self, workdir, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(["train", "--out", str(out), "--data", str(workdir / "data"),
@@ -365,6 +383,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("part,value", [("attention", 3), ("encoder", None)])
+    def test_nested_config_that_is_not_a_dict_is_a_config_error(self, workdir, tmp_path, capsys,
+                                                                part, value):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps({**MODEL, part: value}))
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out), "--data", str(workdir / "data"),
+                     "--model-config", str(bad), "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{part} must be a dict" in err
+        assert not (out / "checkpoint.ckpt").exists()
+
+    def test_stored_nested_config_that_is_not_a_dict_is_a_format_error(self, workdir, tmp_path,
+                                                                       capsys):
+        path = tmp_path / "checkpoint.ckpt"
+        shutil.copy(workdir / "run" / "checkpoint.ckpt", path)
+        rewrite_config(path, {"attention": 3})
+        with pytest.raises(FormatError, match="checkpoint config does not build a model"):
+            load_checkpoint(path)
+        assert main(["eval", "--out", str(tmp_path / "e"), "--checkpoint", str(path),
+                     "--data", str(workdir / "data")]) == 2
+        assert "failure: checkpoint config does not build a model" in capsys.readouterr().err
 
     def test_gen_warns_about_a_modality_that_normalizes_to_zeros(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -668,7 +709,7 @@ class TestAblate:
         assert not (out / "data").exists()
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--steps", "0", "steps must be >= 1"), ("--lr", "nan", "lr must be finite"),
+        ("--steps", "0", "steps must be positive"), ("--lr", "nan", "lr must be finite"),
     ], ids=["zero-steps", "nan-lr"])
     def test_bad_train_numbers_fail_before_the_manifest(self, tmp_path, capsys, flag, value,
                                                          message):

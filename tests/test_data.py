@@ -49,8 +49,9 @@ class TestSpec:
             tiny_spec(objects_per_class=0)
         with pytest.raises(ConfigError):
             tiny_spec(noise_sigma=-0.1)
-        for seed in (-1, 1.5, True):
-            with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        for seed, message in ((-1, "seed must be >= 0"), (1.5, "seed must be an integer"),
+                              (True, "seed must be an integer")):
+            with pytest.raises(ConfigError, match=message):
                 tiny_spec(seed=seed)
 
     @pytest.mark.parametrize("field,value", [
