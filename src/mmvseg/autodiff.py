@@ -131,9 +131,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_leaf")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         # note: ascontiguousarray would promote 0-d scalars to shape (1,)
-        arr = np.asarray(data, dtype=dtype, order="C")
+        arr = np.asarray(data, order="C")
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -1136,7 +1136,7 @@ def upsample2x(x):
 # finite-difference gradient checking
 # ---------------------------------------------------------------------------
 
-def grad_check(f, params, eps=1e-5, max_entries=None, seed=0):
+def grad_check(f, params, eps=1e-5, max_entries=None):
     """Max relative error between taped gradients and fourth-order central
     differences, [8(f(+h) - f(-h)) - (f(+2h) - f(-2h))] / 12h with h = `eps`,
     whose truncation error falls as h^4 where the two-point form's falls as
@@ -1163,7 +1163,7 @@ def grad_check(f, params, eps=1e-5, max_entries=None, seed=0):
     if not all(np.isfinite(ana).all() for ana in analytic):
         raise NumericError("grad_check taped gradient is non-finite")
 
-    pick = np.random.default_rng(seed)
+    pick = np.random.default_rng(0)
     worst = 0.0
     for p, ana in zip(params, analytic):
         flat = p.data.reshape(-1)

@@ -10,7 +10,6 @@ failure (including a failing check suite).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import platform
 import sys
@@ -36,7 +35,7 @@ from .fusion import (
     SpatialMixerLayer,
     TokenSummarizer,
 )
-from .metrics import evaluate
+from .metrics import evaluate, write_csv
 from .model import (
     ABLATIONS,
     ModelConfig,
@@ -135,13 +134,6 @@ def _write_manifest(out: Path, command, seed, config, artifacts):
     return manifest
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -214,8 +206,6 @@ def _check_trainable(dataset, train_idx, data_dir):
 
 
 def cmd_train(args):
-    if not Path(args.data).is_dir():
-        raise FileNotFoundError(f"dataset directory not found: {args.data}")
     train_set, val_set = _load_split_datasets(args.data)
     volume, mask = train_set[0]
 
@@ -257,8 +247,6 @@ def cmd_eval(args):
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    if not Path(args.data).is_dir():
-        raise FileNotFoundError(f"dataset directory not found: {args.data}")
     dataset = load_dataset(args.data)
     cases = list(range(len(dataset)))
     if args.split != "all":
@@ -282,16 +270,16 @@ def cmd_eval(args):
 # ------------------------------------------------------- gradcheck suite
 
 
-def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
+def gradcheck_suite(seed=0, tol=1e-4):
     """Finite-difference checks for every differentiable block.
 
     Each table row names a block, a builder that draws the block and its
     input leaves from `rng` and returns (objective, parameters), its
     arguments for three random toy shapes, and a cap on perturbed entries per
     tensor for blocks whose input leaves are full volumes.  The row records
-    the max relative error across shapes and parameters.  eps=1e-4 keeps the
-    noise floor of structurally-zero gradients (softmax shift invariances)
-    well under the tolerance.
+    the max relative error across shapes and parameters.  A step of 1e-4
+    keeps the noise floor of structurally-zero gradients (softmax shift
+    invariances) well under the tolerance.
     """
     rng = np.random.default_rng(seed)
     f64 = np.float64
@@ -366,7 +354,7 @@ def gradcheck_suite(seed=0, tol=1e-4, eps=1e-4):
     ]
     rows = []
     for name, build, cases, entries in table:
-        err = max(grad_check(*build(*args), eps=eps, max_entries=entries) for args in cases)
+        err = max(grad_check(*build(*args), eps=1e-4, max_entries=entries) for args in cases)
         rows.append({"block": name, "max_rel_err": err, "tolerance": tol,
                      "status": "pass" if err < tol else "FAIL"})
     return rows
@@ -380,10 +368,10 @@ def cmd_gradcheck(args):
                     {"tolerance": 1e-4},
                     {"table": out / "gradcheck.csv"})
     rows = gradcheck_suite(seed=args.seed)
-    _write_csv(out / "gradcheck.csv",
-               ["block", "max_rel_err", "tolerance", "status"],
-               [[r["block"], f"{r['max_rel_err']:.3e}", r["tolerance"], r["status"]]
-                for r in rows])
+    write_csv(out / "gradcheck.csv",
+              ["block", "max_rel_err", "tolerance", "status"],
+              [[r["block"], f"{r['max_rel_err']:.3e}", r["tolerance"], r["status"]]
+               for r in rows])
     width = max(len(r["block"]) for r in rows)
     for r in rows:
         print(f"{r['block']:<{width}}  {r['max_rel_err']:.3e}  {r['status']}")
@@ -423,7 +411,7 @@ def cmd_bench_attn(args):
         print(f"grid {lines[-1][0]}: full {r['pairs_full']} vs mixer "
               f"{r['pairs_mixer']} score pairs ({ratio:.1f}x), "
               f"{r['ms_full']:.2f} vs {r['ms_mixer']:.2f} ms")
-    _write_csv(out / "bench_attn.csv", header, lines)
+    write_csv(out / "bench_attn.csv", header, lines)
     return 0
 
 
@@ -443,12 +431,8 @@ def cmd_ablate(args):
                      "seeds": args.seeds, "lr": args.lr, "data": args.data},
                     {"csv": out / "ablate.csv"})
 
-    if args.data:
-        if not Path(args.data).is_dir():
-            raise FileNotFoundError(f"dataset directory not found: {args.data}")
-        data_dir = Path(args.data)
-    else:
-        data_dir = out / "data"
+    data_dir = args.data or out / "data"
+    if not args.data:
         spec = PhantomSpec(shape=(16, 16, 16), modalities=2, n_classes=3,
                            objects_per_class=1, radius_range=(2.0, 4.0),
                            noise_sigma=0.05, seed=args.seed)
@@ -481,9 +465,9 @@ def cmd_ablate(args):
         results.append((row, sum(dices) / len(dices)))
 
     results.sort(key=lambda rv: -rv[1])
-    _write_csv(out / "ablate.csv", ["rank", "row", "mean_val_dice", "seeds"],
-               [[i + 1, row, f"{dice:.4f}", args.seeds]
-                for i, (row, dice) in enumerate(results)])
+    write_csv(out / "ablate.csv", ["rank", "row", "mean_val_dice", "seeds"],
+              [[i + 1, row, f"{dice:.4f}", args.seeds]
+               for i, (row, dice) in enumerate(results)])
     for i, (row, dice) in enumerate(results):
         print(f"{i + 1}. {row}: {dice:.4f}")
     return 0
@@ -502,23 +486,23 @@ def cmd_report(args):
     if train_log.exists():
         records = _read_json(train_log, lines=True)
         header = list(records[0])
-        _write_csv(out / "loss_curve.csv", header,
-                   [[rec.get(k) for k in header] for rec in records])
+        write_csv(out / "loss_curve.csv", header,
+                  [[rec.get(k) for k in header] for rec in records])
         produced.append("loss_curve.csv")
 
     val_log = run_dir / "val_log.jsonl"
     if val_log.exists():
         records = _read_json(val_log, lines=True)
-        _write_csv(out / "val_curve.csv", ["step", "dice"],
-                   [[rec["step"], rec["dice"]] for rec in records])
+        write_csv(out / "val_curve.csv", ["step", "dice"],
+                  [[rec["step"], rec["dice"]] for rec in records])
         produced.append("val_curve.csv")
 
     metrics = run_dir / "metrics.json"
     if metrics.exists():
         report = _read_json(metrics)
-        _write_csv(out / "metrics_by_class.csv", ["class", "mean_dice", "mean_hd95"],
-                   [[cls, report["mean_dice"][str(cls)], report["mean_hd95"][str(cls)]]
-                    for cls in report["classes"]])
+        write_csv(out / "metrics_by_class.csv", ["class", "mean_dice", "mean_hd95"],
+                  [[cls, report["mean_dice"][str(cls)], report["mean_hd95"][str(cls)]]
+                   for cls in report["classes"]])
         produced.append("metrics_by_class.csv")
 
     if not produced:
@@ -613,7 +597,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, FileNotFoundError, ConfigError) as exc:
+    except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MMVSegError as exc:

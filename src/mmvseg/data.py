@@ -26,6 +26,13 @@ _MMV_MAGIC = b"MMV1"
 _MSK_MAGIC = b"MSK1"
 
 
+def _float32_spacing(spacing):
+    """`spacing` as MMV1's float32 fields keep it: a float entry becomes its float32
+    value (inf beyond float32's range); every other entry, an int among them, is kept."""
+    with np.errstate(over="ignore"):
+        return tuple(float(np.float32(s)) if isinstance(s, float) else s for s in spacing)
+
+
 @dataclass
 class MultiModalVolume:
     """Co-registered float intensities, layout (D, H, W, M)."""
@@ -42,7 +49,7 @@ class MultiModalVolume:
         if not np.isfinite(arr).all():
             raise ContractError("volume intensities must be finite")
         self.data = arr
-        self.spacing = check_spacing(self.spacing)
+        self.spacing = check_spacing(_float32_spacing(self.spacing))
 
     @property
     def shape(self):
@@ -68,6 +75,8 @@ class PhantomSpec:
     def __post_init__(self):
         check_fields(self, (("shape", 3, None), ("modalities", int, 1), ("n_classes", int, 2),
                             ("objects_per_class", int, 1), ("noise_sigma", float, 0), ("seed", int, 0)))
+        if self.n_classes > 256:
+            raise ConfigError(f"n_classes must be <= 256, as MSK1 stores byte labels, got {self.n_classes}")
         if any(s < 16 or s % 16 for s in self.shape):
             raise ConfigError(f"phantom extents must be positive multiples of 16, got {self.shape}")
         if (not isinstance(self.radius_range, (list, tuple)) or len(self.radius_range) != 2
@@ -77,12 +86,28 @@ class PhantomSpec:
         if not 0 < lo <= hi < math.inf:
             raise ConfigError(f"radius range {self.radius_range} must be finite, with 0 < lo <= hi")
         self.radius_range = (float(lo), float(hi))
+        self.spacing = _float32_spacing(self.spacing)
         try:
             check_spacing(self.spacing)
         except ContractError as exc:
             raise ConfigError(str(exc)) from None
-        self.spacing = tuple(self.spacing)
-        self._check_visibility(self.visibility_matrix())
+        vis = self.visibility
+        if vis is not None and not (isinstance(vis, (list, tuple)) and len(vis) == self.modalities and all(
+                isinstance(row, (list, tuple)) and len(row) == self.n_classes and all(map(is_number, row))
+                for row in vis)):
+            raise ConfigError(f"visibility must be {self.modalities} (modalities) lists of {self.n_classes} "
+                              f"(n_classes) numbers, got {vis!r}")
+        vis = self.visibility_matrix()
+        if not np.isfinite(vis).all():
+            raise ConfigError("visibility contrasts must be finite")
+        if np.any(vis[:, 0] != 0):
+            raise ConfigError("background (class 0) must have zero contrast everywhere")
+        fg = vis[:, 1:]
+        if np.any(~fg.any(axis=0)):
+            raise ConfigError("every foreground class must be visible in some modality")
+        if not np.any(fg == 0):
+            raise ConfigError("at least one class must be invisible in at least one modality "
+                              "(otherwise one modality suffices and fusion is untested)")
 
     def visibility_matrix(self) -> np.ndarray:
         """Contrast of each class in each modality, background column zero.
@@ -98,25 +123,6 @@ class PhantomSpec:
             m = (cls - 1) % self.modalities
             vis[m, cls] = 1.0 + 0.5 * ((cls - 1) // self.modalities)
         return vis
-
-    def _check_visibility(self, vis):
-        if vis.shape != (self.modalities, self.n_classes):
-            raise ConfigError(
-                f"visibility must be (modalities, n_classes) = "
-                f"({self.modalities}, {self.n_classes}), got {vis.shape}"
-            )
-        if not np.isfinite(vis).all():
-            raise ConfigError("visibility contrasts must be finite")
-        if np.any(vis[:, 0] != 0):
-            raise ConfigError("background (class 0) must have zero contrast everywhere")
-        fg = vis[:, 1:]
-        if np.any(~fg.any(axis=0)):
-            raise ConfigError("every foreground class must be visible in some modality")
-        if not np.any(fg == 0):
-            raise ConfigError(
-                "at least one class must be invisible in at least one modality "
-                "(otherwise one modality suffices and fusion is untested)"
-            )
 
     def to_dict(self):
         # the resolved visibility for the field; JSON turns tuples into lists
@@ -332,8 +338,11 @@ def save_dataset(out_dir, spec: PhantomSpec, n_cases: int):
     return [one_case(idx) for idx in range(n_cases)]
 
 
-def load_dataset(root, normalized=True):
-    """Read every case_* directory back as (volume array, mask) pairs."""
+def load_dataset(root):
+    """Read every case_* directory back as (normalized volume array, mask)
+    pairs."""
+    if not Path(root).is_dir():
+        raise FileNotFoundError(f"dataset directory not found: {root}")
     case_dirs = sorted(Path(root).glob("case_*"))
     if not case_dirs:
         raise FormatError(f"no case_* directories under {root}")
@@ -345,7 +354,5 @@ def load_dataset(root, normalized=True):
             raise FormatError(f"{cdir.name}: volume {volume.shape} vs mask {mask.labels.shape}")
         # MSK1 stores no spacing; the mask lies on its volume's voxel grid
         mask = replace(mask, spacing=volume.spacing)
-        if normalized:
-            volume = normalize(volume)
-        dataset.append((volume.data, mask))
+        dataset.append((normalize(volume).data, mask))
     return dataset

@@ -45,8 +45,6 @@ class GlobalPoolBlock(Module):
         self.c = c
 
     def __call__(self, x):
-        if x.shape[-1] != self.c:
-            raise ShapeError(f"block expects {self.c} channels, got {x.shape}")
         pooled = ad.global_pool(self.norm1(x))                  # (C,)
         summary = self.pool_proj(ad.reshape(pooled, (1, self.c)))
         y = ad.add(x, ad.reshape(summary, (1, 1, 1, self.c)))   # broadcast over positions

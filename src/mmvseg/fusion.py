@@ -11,6 +11,7 @@ All attention kernels report how many query-key pairs they scored through
 checked against the code that actually ran.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -122,7 +123,7 @@ class MultiHeadAttention(Module):
                 f"query lead {q_in.shape[:-2]} does not match key/value lead {kv_in.shape[:-2]}"
             )
         t, s = q_in.shape[-2], kv_in.shape[-2]
-        groups = int(np.prod(q_in.shape[:-2], dtype=np.int64)) if q_in.ndim > 2 else 1
+        groups = math.prod(q_in.shape[:-2])
 
         q = self._split_heads(self.q(q_in))
         k = self._split_heads(self.k(kv_in))
@@ -224,8 +225,6 @@ class CrossModalityLayer(Module):
         self.ffn = Mlp(c, cfg.ffn_ratio * c, rng, dtype)
 
     def __call__(self, tokens, summary):
-        if tokens.shape[-1] != summary.shape[-1]:
-            raise ShapeError(f"channel mismatch: {tokens.shape} vs {summary.shape}")
         z = ad.add(tokens, self.attn(self.norm_q(tokens), self.norm_kv(summary)))
         return self.ffn.residual(z, self.norm2)
 

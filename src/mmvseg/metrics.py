@@ -49,6 +49,14 @@ class SegmentationMask:
         return self.labels.shape
 
 
+def as_mask(target, n_classes):
+    """`target` as a SegmentationMask: a mask unchanged, a bare label array
+    as a mask of `n_classes` classes on unit spacing."""
+    if isinstance(target, SegmentationMask):
+        return target
+    return SegmentationMask(np.asarray(target), n_classes)
+
+
 def check_spacing(spacing):
     """`spacing` as 3 floats; a ContractError unless each is positive and
     finite (NaN would pass a `<= 0` test and turn HD95 into NaN)."""
@@ -102,22 +110,18 @@ def boundary_voxels(binary: np.ndarray) -> np.ndarray:
     return fg & ~surrounded
 
 
-def hd95(pred: SegmentationMask, gt: SegmentationMask, cls: int, spacing=None) -> float:
-    """Max of the two directed 95th-percentile boundary distances, in mm.
+def hd95(pred: SegmentationMask, gt: SegmentationMask, cls: int) -> float:
+    """Max of the two directed 95th-percentile boundary distances, in mm on
+    the masks' common spacing.
 
     Returns 0.0 when both masks are empty and +inf when exactly one is
     (reports render the infinity as "undefined").  Percentiles interpolate
     linearly between order statistics.
     """
     _check_extents(pred, gt)
-    if spacing is None:
-        if pred.spacing != gt.spacing:
-            raise ContractError(
-                f"masks disagree on spacing ({pred.spacing} vs {gt.spacing}); "
-                "pass spacing explicitly"
-            )
-        spacing = gt.spacing
-    scale = np.asarray(spacing, dtype=np.float64)
+    if pred.spacing != gt.spacing:
+        raise ContractError(f"masks disagree on spacing ({pred.spacing} vs {gt.spacing})")
+    scale = np.asarray(gt.spacing, dtype=np.float64)
 
     p = np.argwhere(boundary_voxels(_class_mask(pred, cls))) * scale
     g = np.argwhere(boundary_voxels(_class_mask(gt, cls))) * scale
@@ -142,8 +146,7 @@ def predict(model, volume, mask):
     (a bare label array takes the logits' class count)."""
     logits = model(volume)
     logits = np.asarray(getattr(logits, "data", logits))
-    if not isinstance(mask, SegmentationMask):
-        mask = SegmentationMask(np.asarray(mask), n_classes=logits.shape[-1])
+    mask = as_mask(mask, logits.shape[-1])
     pred = SegmentationMask(np.argmax(logits, axis=-1).astype(mask.labels.dtype),
                             n_classes=mask.n_classes, spacing=mask.spacing)
     return pred, mask
@@ -193,25 +196,22 @@ def evaluate(model, dataset, out_dir=None, case_ids=None):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "metrics.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["case", "class", "dice", "hd95"])
-            for row in per_case:
-                writer.writerow(
-                    [
-                        row["case"],
-                        "mean",
-                        sum(row["dice"].values()) / len(keys),
-                        _sanitize(_mean_defined(row["hd95"].values())),
-                    ]
-                )
-            writer.writerow(
-                ["summary", "mean", report["mean_dice"]["mean"], _sanitize(report["mean_hd95"]["mean"])]
-            )
+        rows = [[row["case"], "mean", sum(row["dice"].values()) / len(keys),
+                 _sanitize(_mean_defined(row["hd95"].values()))] for row in per_case]
+        rows.append(["summary", "mean", report["mean_dice"]["mean"], _sanitize(report["mean_hd95"]["mean"])])
+        write_csv(out / "metrics.csv", ["case", "class", "dice", "hd95"], rows)
         with open(out / "metrics.json", "w") as fh:
             json.dump(_sanitize(report), fh, indent=2)
 
     return report
+
+
+def write_csv(path, header, rows):
+    """Write `header` and then `rows` to `path` as CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _sanitize(obj):

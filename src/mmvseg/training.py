@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .errors import ConfigError, ContractError, NumericError, ShapeError, check_fields, is_number
-from .metrics import SegmentationMask, dice_score, predict
+from .metrics import as_mask, dice_score, predict
 from .model import Model, save_checkpoint
 from .nn import FlatParams, flat_views
 
@@ -56,25 +56,16 @@ class TrainConfig:
 
 
 def _target_labels(logits, target, what):
-    """Validate a label volume against logits and return its integer labels."""
+    """Check a label volume or mask against logits and return its labels."""
     n_classes = logits.shape[-1]
-    labels = target.labels if isinstance(target, SegmentationMask) else np.asarray(target)
-    if isinstance(target, SegmentationMask) and target.n_classes != n_classes:
+    mask = as_mask(target, n_classes)
+    if mask.n_classes != n_classes:
+        raise ShapeError(f"{what}: target carries {mask.n_classes} classes, logits {n_classes}")
+    if mask.shape != logits.shape[:-1]:
         raise ShapeError(
-            f"{what}: target carries {target.n_classes} classes, logits {n_classes}"
+            f"{what}: target extents {mask.shape} do not match logits {logits.shape[:-1]}"
         )
-    if labels.shape != logits.shape[:-1]:
-        raise ShapeError(
-            f"{what}: target extents {labels.shape} do not match logits {logits.shape[:-1]}"
-        )
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ContractError(f"{what}: target labels must be integers, got {labels.dtype}")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ContractError(
-            f"{what}: labels must lie in [0, {n_classes}), found "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels
+    return mask.labels
 
 
 def soft_dice_loss(logits: Tensor, target, smooth: float = 1e-5) -> Tensor:
@@ -227,10 +218,10 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
                 record["wall_ms"] = (perf_counter() - t0) * 1e3
             log_fh.write(json.dumps(record) + "\n")
 
+            val_dice = None  # this step's validation score, reused as the final one
             if val_fh and train_cfg.val_every and step % train_cfg.val_every == 0:
-                val_fh.write(json.dumps(
-                    {"step": step, "dice": _mean_foreground_dice(model, val_dataset)}
-                ) + "\n")
+                val_dice = _mean_foreground_dice(model, val_dataset)
+                val_fh.write(json.dumps({"step": step, "dice": val_dice}) + "\n")
             if train_cfg.checkpoint_every and step % train_cfg.checkpoint_every == 0:
                 save(step)
 
@@ -239,7 +230,7 @@ def train(model_cfg, train_cfg: TrainConfig, dataset, out_dir, val_dataset=None)
             "final_loss": record["loss"],
         }
         if val_dataset is not None:
-            final_dice = _mean_foreground_dice(model, val_dataset)
+            final_dice = _mean_foreground_dice(model, val_dataset) if val_dice is None else val_dice
             val_fh.write(json.dumps(
                 {"step": train_cfg.steps, "dice": final_dice, "final": True}
             ) + "\n")

@@ -171,6 +171,22 @@ class TestGen:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"visibility": "x"}, "visibility must be 2 (modalities) lists of 3 (n_classes) numbers"),
+        ({"visibility": [[0, 1, 0], [0, 0]]}, "visibility must be"),
+        ({"visibility": [[0, True, 0], [0, 0, 1]]}, "visibility must be"),
+        ({"n_classes": 300, "shape": [64, 64, 64], "objects_per_class": 1, "radius_range": [1.0, 1.0]},
+         "MSK1 stores byte labels"),
+    ], ids=["string-visibility", "ragged-visibility", "bool-visibility", "300-classes"])
+    def test_spec_that_cannot_be_written_fails_before_the_manifest(self, tmp_path, capsys, spec,
+                                                                   message):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["gen", "--out", str(out), "--spec", str(tmp_path / "spec.json"),
+                     "--cases", "2"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cases", ["0", "-1"])
     def test_nonpositive_case_count_fails_before_the_manifest(self, tmp_path, capsys, cases):
         out = tmp_path / "out"
@@ -588,6 +604,13 @@ class TestEval:
                      "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--data", str(workdir / "data")]) == 1
 
+    def test_missing_data_dir(self, workdir, tmp_path, capsys):
+        assert main(["eval", "--out", str(tmp_path / "e"),
+                     "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+                     "--data", str(tmp_path / "nope")]) == 1
+        assert f"dataset directory not found: {tmp_path / 'nope'}" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     def test_split_scores_only_that_split(self, tmp_path):
         """eval --split val scores the held-out case alone and names it by
         its dataset index; the default still scores every case."""
@@ -741,6 +764,12 @@ class TestAblate:
                      "--steps", "1"]) == 1
         err = capsys.readouterr().err
         assert "training case 0" in err and "modality 0 normalizes to all zeros" in err
+        assert not (tmp_path / "a" / "runs").exists()
+
+    def test_missing_data_dir(self, tmp_path, capsys):
+        assert main(["ablate", "--out", str(tmp_path / "a"), "--data", str(tmp_path / "nope"),
+                     "--rows", "full", "--steps", "1"]) == 1
+        assert f"dataset directory not found: {tmp_path / 'nope'}" in capsys.readouterr().err
         assert not (tmp_path / "a" / "runs").exists()
 
     def test_unknown_row(self, tmp_path, capsys):

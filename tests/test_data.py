@@ -88,6 +88,25 @@ class TestSpec:
         with pytest.raises(ConfigError, match="fusion"):
             tiny_spec(visibility=[[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
 
+    def test_spacing_float32_holds_keeps_its_json(self):
+        assert json.dumps(tiny_spec(spacing=(1, 2, 0.5)).to_dict()["spacing"]) == "[1, 2, 0.5]"
+
+    def test_spacing_beyond_float32_is_infinite(self):
+        with pytest.raises(ConfigError, match="finite"):
+            tiny_spec(spacing=(1.0, 1e39, 1.0))
+
+    @pytest.mark.parametrize("visibility", [
+        "x", [[0, 1, 0], [0, 0]], [[0, True, 0], [0, 0, 1]], [[0, 1, 0]], [[0, "1", 0], [0, 0, 1]],
+    ], ids=["string", "ragged", "bool", "one-row", "string-entry"])
+    def test_visibility_that_is_not_a_number_matrix_rejected(self, visibility):
+        with pytest.raises(ConfigError, match="visibility must be"):
+            tiny_spec(visibility=visibility)
+
+    def test_more_classes_than_byte_labels_rejected(self):
+        with pytest.raises(ConfigError, match="MSK1"):
+            tiny_spec(n_classes=257)
+        assert tiny_spec(n_classes=256, modalities=2).n_classes == 256
+
     def test_dict_round_trip(self):
         spec = tiny_spec(noise_sigma=0.2, seed=5)
         again = PhantomSpec.from_dict(spec.to_dict())
@@ -177,6 +196,17 @@ class TestVolumeFormat:
         back = read_mmv(path)
         assert np.array_equal(back.data, v.data)
         assert back.spacing == v.spacing
+
+    def test_spacing_float32_cannot_hold_round_trips(self, tmp_path):
+        v = self._volume(spacing=(0.9, 1.1, 3.0))
+        assert v.spacing == (float(np.float32(0.9)), float(np.float32(1.1)), 3.0)
+        write_mmv(tmp_path / "v.mmv", v)
+        back = read_mmv(tmp_path / "v.mmv")
+        assert back.spacing == v.spacing and np.array_equal(back.data, v.data)
+
+    def test_spacing_beyond_float32_is_infinite(self):
+        with pytest.raises(ContractError, match="finite"):
+            self._volume(spacing=(1.0, 1.0, 1e39))
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_read_volume_is_a_writable_array_of_its_own(self, tmp_path, m):
@@ -363,13 +393,13 @@ class TestDatasetDirectory:
             meta = json.loads((d / "meta.json").read_text())
             assert meta["seed"] == spec.seed + meta["index"]
 
-        raw = load_dataset(tmp_path / "ds", normalized=False)
-        assert len(raw) == 3
-        for idx, (volume, mask) in enumerate(raw):
+        loaded = load_dataset(tmp_path / "ds")
+        assert len(loaded) == 3
+        for idx, (volume, mask) in enumerate(loaded):
             from dataclasses import replace
 
             want_v, want_m = generate_phantom(replace(spec, seed=spec.seed + idx))
-            assert np.array_equal(volume, want_v.data)
+            assert np.array_equal(volume, normalize(want_v).data)
             assert np.array_equal(mask.labels, want_m.labels)
 
     def test_load_applies_normalization_by_default(self, tmp_path):
@@ -377,6 +407,20 @@ class TestDatasetDirectory:
         (volume, _), = load_dataset(tmp_path / "ds")
         sel = volume[..., 0] != 0
         assert volume[..., 0][sel].std() == pytest.approx(1.0, abs=1e-4)
+
+    def test_spacing_is_one_value_in_meta_volume_and_mask(self, tmp_path):
+        spec = tiny_spec(spacing=[0.9, 1.1, 3.0], noise_sigma=0.1)
+        want = (float(np.float32(0.9)), float(np.float32(1.1)), 3.0)
+        assert spec.spacing == want
+        cdir, = save_dataset(tmp_path / "ds", spec, 1)
+        assert tuple(json.loads((cdir / "meta.json").read_text())["spec"]["spacing"]) == want
+        assert read_mmv(cdir / "volume.mmv").spacing == want
+        (_, mask), = load_dataset(tmp_path / "ds")
+        assert mask.spacing == want
+
+    def test_missing_directory_rejected(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="dataset directory not found"):
+            load_dataset(tmp_path / "nope")
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="no case"):

@@ -208,7 +208,6 @@ class TestHD95:
         b = mask_of(np.zeros((4, 4, 4)), spacing=(2, 1, 1))
         with pytest.raises(ContractError, match="spacing"):
             hd95(a, b, 1)
-        assert hd95(a, b, 1, spacing=(1, 1, 1)) == 0.0  # explicit spacing overrides
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_all_pairs_oracle(self, seed):

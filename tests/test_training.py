@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from mmvseg import autodiff as ad
+from mmvseg import training
 from mmvseg.autodiff import Tape, Tensor, backward, grad_check
 from mmvseg.decoder import DecoderConfig
 from mmvseg.encoder import EncoderConfig
 from mmvseg.errors import ConfigError, ContractError, NumericError, ShapeError
 from mmvseg.fusion import AttentionConfig
-from mmvseg.metrics import SegmentationMask, evaluate
+from mmvseg.metrics import SegmentationMask, evaluate, predict
 from mmvseg.model import ABLATIONS, Model, ModelConfig, ablation_model_config, load_checkpoint
 from mmvseg.nn import FlatParams, flat_views
 from mmvseg.training import (
@@ -231,6 +232,24 @@ class TestSoftDice:
         labels = np.zeros((2, 2, 2), dtype=np.int64)
         logits = Tensor(50.0 * np.eye(3)[labels] - 25.0)
         assert float(soft_dice_loss(logits, labels).data) < 1e-3
+
+
+class TestBareLabels:
+    """A bare label array is read as the mask `metrics.as_mask` makes of it."""
+
+    @pytest.mark.parametrize("loss", [soft_dice_loss, cross_entropy_loss])
+    def test_loss_equals_the_masks(self, loss):
+        rng = np.random.default_rng(0)
+        logits, labels = rand_logits(rng), rand_labels(rng)
+        assert loss(logits, labels).data == loss(logits, SegmentationMask(labels, 3)).data
+
+    def test_predict_truth_equals_the_masks(self):
+        rng = np.random.default_rng(1)
+        logits, labels = rand_logits(rng).data, rand_labels(rng)
+        (pred_a, truth_a), (pred_b, truth_b) = (
+            predict(lambda volume: logits, None, target) for target in (labels, SegmentationMask(labels, 3)))
+        assert np.array_equal(pred_a.labels, pred_b.labels) and pred_a.n_classes == pred_b.n_classes == 3
+        assert np.array_equal(truth_a.labels, truth_b.labels) and truth_a.spacing == truth_b.spacing
 
 
 def weighted_loss(logits, labels, dice_weight=1.0, ce_weight=1.0):
@@ -549,6 +568,20 @@ class TestTrainLoop:
         assert len(lines) == 3  # two periodic + final
         assert json.loads(lines[-1])["final"] is True
         assert 0.0 <= summary["final_val_dice"] <= 1.0
+
+    @pytest.mark.parametrize("steps,val_every,scorings", [(2, 1, 2), (3, 2, 2), (2, 0, 1)])
+    def test_final_validation_reuses_a_last_step_score(self, tmp_path, monkeypatch, steps,
+                                                        val_every, scorings):
+        calls = []
+        monkeypatch.setattr(training, "predict", lambda *args: calls.append(1) or predict(*args))
+        val = [sphere_case(seed=s) for s in range(2)]
+        train(toy_model_cfg(), TrainConfig(steps=steps, val_every=val_every), [sphere_case()],
+              tmp_path, val_dataset=val)
+        assert len(calls) == scorings * len(val)
+        records = [json.loads(line) for line in (tmp_path / "val_log.jsonl").read_text().splitlines()]
+        assert records[-1] == {"step": steps, "dice": records[-1]["dice"], "final": True}
+        if val_every and steps % val_every == 0:
+            assert records[-2] == {"step": steps, "dice": records[-1]["dice"]}
 
     def test_val_dice_is_evaluates_mean_foreground_dice(self, tmp_path):
         # validation and `evaluate` score a case through the one `predict`
