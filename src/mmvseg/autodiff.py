@@ -31,6 +31,9 @@ rebuild the normalized input and fc1's output per chunk of rows, bit for
 bit.  No call keeps a padded copy of `conv3d`'s input, which its forward and
 kernel gradient pad one block of output depth planes at a time in scratch,
 nor `patch_linear`'s patch matrix, which its backward cuts again by chunks.
+`global_pool`, `feed_forward` with a `shift` and `conv3d` with a `skip`
+match the chains layer_norm-tmean, add-feed_forward and concat-conv3d bit
+for bit, and make each chain's middle array only as scratch.
 """
 
 import ctypes
@@ -759,17 +762,22 @@ def layer_norm(x, gamma, beta):
     (variance offset 1e-5), followed by the gamma/beta affine map.  A
     recorded node keeps each row's mean and inv, from which _ln_xhat
     rebuilds the normalized input per chunk of its backward."""
+    rows, y, stats = _ln_rows("layer_norm", x, gamma, beta)
+    return _record("layer_norm", (x, gamma, beta), y.reshape(x.shape),
+                   lambda g: _ln_grads(g, gamma.data, rows, *stats))
+
+
+def _ln_rows(op, x, gamma, beta):
+    """layer_norm's forward for `op`: x's (rows, C) view, the (rows, C)
+    output and, when a node will record, each row's mean and inv."""
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"layer_norm channel extent {c} does not match gamma {gamma.shape} / beta {beta.shape}"
-        )
+        raise ShapeError(f"{op} channel extent {c} does not match gamma {gamma.shape} / beta {beta.shape}")
     rows = x.data.reshape(-1, c)
     stats = np.empty((2, len(rows), 1), x.dtype) if _records((x, gamma, beta)) else ()
     y = _by_rows(_ln_forward, (rows, gamma.data, beta.data), _empty(rows, gamma.data, beta.data),
                  *stats, block=_BLOCK)
-    return _record("layer_norm", (x, gamma, beta), y.reshape(x.shape),
-                   lambda g: _ln_grads(g, gamma.data, rows, *stats))
+    return rows, y, stats
 
 
 def _ln_grads(g, gamma, x, mean, inv):
@@ -816,9 +824,9 @@ def _ln_dx(g, gamma, xhat, inv, dx):
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True), out=dx)
 
 
-def feed_forward(x, gamma, beta, w1, b1, w2, b2):
-    """The pre-norm feed-forward x + gelu(layer_norm(x) @ w1 + b1) @ w2 + b2,
-    as one tape node.
+def feed_forward(x, gamma, beta, w1, b1, w2, b2, shift=None):
+    """The pre-norm feed-forward y + gelu(layer_norm(y) @ w1 + b1) @ w2 + b2
+    of y = x, or of y = x + shift for a (C,) `shift`, as one tape node.
 
     The forward runs the whole chain on blocks of rows, through _by_rows's
     GEMM rule; each block keeps at least _GEMM_MIN multiply-adds per GEMM and
@@ -835,25 +843,30 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2):
     bit-identical to the five-node chain layer_norm, linear, gelu, linear,
     add, and no (rows, H) array is allocated.  `x` is listed twice among the
     node's inputs, for the residual gradient and then layer_norm's, so
-    `backward` sums them in the chain's order."""
+    `backward` sums them in the chain's order.  A `shift` is added to x's
+    rows per forward block and backward chunk, so y is never kept; y's
+    gradient g + dx is then x's, and summed over rows the shift's, as the
+    add node computed them."""
     c = x.shape[-1] if x.ndim >= 2 else None
     hidden = w1.shape[-1] if w1.ndim == 2 else None
     shapes = (gamma.shape, beta.shape, w1.shape, b1.shape, w2.shape, b2.shape)
-    if c is None or hidden is None or shapes != ((c,), (c,), (c, hidden), (hidden,), (hidden, c), (c,)):
+    if (c is None or hidden is None or shapes != ((c,), (c,), (c, hidden), (hidden,), (hidden, c), (c,))
+            or shift is not None and shift.shape != (c,)):
         raise ShapeError(
-            f"feed_forward needs x (..., C) of rank >= 2, gamma, beta and b2 (C,), w1 (C, H), b1 (H,) "
-            f"and w2 (H, C), got x {x.shape}, gamma {gamma.shape}, beta {beta.shape}, w1 {w1.shape}, "
-            f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
-    inputs = (x, x, gamma, beta, w1, b1, w2, b2)
-    params = tuple(t.data for t in inputs[2:])
-    rows = x.data.reshape(-1, c)
-    n = rows.shape[0]
-    out = np.empty(rows.shape, np.result_type(rows, *params))
-    state = (*np.empty((2, n, 1), rows.dtype), np.empty((n, hidden), out.dtype)) if _records(inputs) else ()
+            f"feed_forward needs x (..., C) of rank >= 2, gamma, beta, b2 and any shift (C,), w1 (C, H), "
+            f"b1 (H,) and w2 (H, C), got x {x.shape}, gamma {gamma.shape}, beta {beta.shape}, "
+            f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}, "
+            f"shift {None if shift is None else shift.shape}")
+    inputs = (x, x, gamma, beta, w1, b1, w2, b2) + (() if shift is None else (shift,))
+    params = tuple(t.data for t in inputs[2:8])
+    rows, s = x.data.reshape(-1, c), () if shift is None else (shift.data,)
+    n, y_dtype = rows.shape[0], np.result_type(rows, *s)
+    out = np.empty(rows.shape, np.result_type(y_dtype, *params))
+    state = (*np.empty((2, n, 1), y_dtype), np.empty((n, hidden), out.dtype)) if _records(inputs) else ()
     # a block's hidden layer is at least 2 * _BLOCK elements, which stays in
     # L2 and keeps numpy's per-call cost small against the work
     block_rows = max(2, -(-_GEMM_MIN // (c * hidden)), 2 * _BLOCK // hidden)
-    _by_rows(_ff_kernel(*params), (rows,), out, *state, block=block_rows * c, k=hidden)
+    _by_rows(_ff_kernel(*params, *s), (rows,), out, *state, block=block_rows * c, k=hidden)
 
     def bwd(g):
         mean, inv, cdf = state
@@ -863,7 +876,8 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2):
         def kernel(lo, hi, dgamma, dbeta, gw1, gb1, gw2, gb2):
             g_rows, cdf_rows = g[lo:hi], cdf[lo:hi]
             # layer_norm's and fc1's outputs, rebuilt as the forward computed them
-            xhat = _ln_xhat(rows[lo:hi], mean[lo:hi], inv[lo:hi])
+            y_rows = rows[lo:hi] if shift is None else np.add(rows[lo:hi], shift.data)
+            xhat = _ln_xhat(y_rows, mean[lo:hi], inv[lo:hi])
             y = np.empty(xhat.shape, out.dtype)
             _ln_affine(xhat, gamma.data, beta.data, y)
             a = np.matmul(y, w1.data)
@@ -883,15 +897,20 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2):
             np.sum(gy, axis=0, out=dbeta)
 
         grads = _chunk_sums(n, kernel, shapes, np.result_type(g, out), parts=g.size * hidden // _GEMM_MIN)
-        return (g.reshape(x.shape), dx.reshape(x.shape), *grads)
+        if shift is None:
+            return (g.reshape(x.shape), dx.reshape(x.shape), *grads)
+        gy = np.add(g, dx, out=dx).reshape(x.shape)
+        return (gy, None, *grads, gy.sum(axis=tuple(range(x.ndim - 1))))
 
     return _record("feed_forward", inputs, out.reshape(x.shape), bwd)
 
 
-def _ff_kernel(gamma, beta, w1, b1, w2, b2):
-    """feed_forward's forward on a block of rows: x (rows, C) into y, and
-    into the recorded node's row mean, inv and gelu cdf when given."""
+def _ff_kernel(gamma, beta, w1, b1, w2, b2, shift=None):
+    """feed_forward's forward on a block of rows: x (rows, C), plus any
+    shift, into y, and the recorded node's row mean, inv and gelu cdf."""
     def kernel(x, y, mean=None, inv=None, cdf=None):
+        if shift is not None:
+            x = np.add(x, shift)
         ln = np.empty_like(y)
         _ln_forward(x, gamma, beta, ln, mean, inv)
         a = np.matmul(ln, w1)
@@ -909,7 +928,7 @@ def _ff_kernel(gamma, beta, w1, b1, w2, b2):
 # volumetric primitives
 # ---------------------------------------------------------------------------
 
-def conv3d(x, kernel, bias=None):
+def conv3d(x, kernel, bias=None, skip=None):
     """The 'same' 3D convolution of a channels-last volume, one voxel per
     step: x (D, H, W, Cin) by a kernel (kd, kh, kw, Cin, Cout) of odd
     extents, zero padded by k // 2 per axis (half padding, Dumoulin & Visin,
@@ -921,30 +940,36 @@ def conv3d(x, kernel, bias=None):
     same padding), and _plane_dw the kernel and bias gradients as
     fixed-chunk sums over blocks of output planes; none of them pads a copy
     of the volume.  A convolution whose taps do not overlap, 1x1x1 included,
-    is `patch_linear`.
+    is `patch_linear`.  With a `skip` of x's extents the input is [x, skip]
+    on channels, filled into each block's scratch from both and never
+    formed; the node's inputs are x, kernel, then bias and skip if given.
     """
-    if x.ndim != 4 or kernel.ndim != 5:
-        raise ShapeError(f"conv3d expects x rank 4 and kernel rank 5, got {x.shape} and {kernel.shape}")
+    parts = (x,) if skip is None else (x, skip)
+    if any(p.ndim != 4 or p.shape[:3] != x.shape[:3] for p in parts) or kernel.ndim != 5:
+        raise ShapeError(f"conv3d expects x and any skip (D, H, W, C) of one extent and kernel rank 5, "
+                         f"got {[p.shape for p in parts]} and {kernel.shape}")
     kd, kh, kw, cin, cout = kernel.shape
-    if x.shape[3] != cin:
-        raise ShapeError(f"conv3d input channels {x.shape[3]} != kernel Cin {cin}")
+    if sum(p.shape[3] for p in parts) != cin:
+        raise ShapeError(f"conv3d input channels {[p.shape[3] for p in parts]} != kernel Cin {cin}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv3d bias shape {bias.shape} != ({cout},)")
     if not all(k % 2 for k in (kd, kh, kw)) or (kd, kh, kw) == (1, 1, 1):
         raise ShapeError(f"conv3d needs odd kernel extents, not all 1 (a 1x1x1 kernel is patch_linear), "
                          f"got {(kd, kh, kw)}")
-    out = np.empty(x.shape[:3] + (cout,), dtype=np.result_type(x.data, kernel.data))
+    vols = tuple(p.data for p in parts)
+    out = np.empty(x.shape[:3] + (cout,), dtype=np.result_type(*vols, kernel.data))
     # one (rows, Cin) @ (Cin, Cout) GEMM per tap, summed in fixed tap order
     # so reruns are bit-identical
-    _plane_sum(x.data, kernel.data, None if bias is None else bias.data, out)
+    _plane_sum(vols, kernel.data, None if bias is None else bias.data, out)
 
     def bwd(g):
-        dw, db = _plane_dw(x.data, g, kernel.shape[:3])
-        dx = np.empty(x.shape, dtype=x.data.dtype)
-        _plane_sum(g, kernel.data.swapaxes(3, 4), None, dx, mirrored=True)
-        return (dx, dw) if bias is None else (dx, dw, db)
+        dw, db = _plane_dw(vols, g, kernel.shape[:3])
+        dx = np.empty(x.shape[:3] + (cin,), dtype=np.result_type(*vols))
+        _plane_sum((g,), kernel.data.swapaxes(3, 4), None, dx, mirrored=True)
+        dxs = [dx] if skip is None else [np.ascontiguousarray(d) for d in np.split(dx, [x.shape[3]], axis=3)]
+        return (dxs[0], dw) + (() if bias is None else (db,)) + tuple(dxs[1:])
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    inputs = (x, kernel) + (() if bias is None else (bias,)) + (() if skip is None else (skip,))
     return _record("conv3d", inputs, out, bwd)
 
 
@@ -975,16 +1000,17 @@ def _patch_view(a, patch):
     return a.reshape(d // kd, kd, h // kh, kh, w // kw, kw, c).transpose(0, 2, 4, 1, 3, 5, 6)
 
 
-def _plane_sum(x, w, bias, out, mirrored=False):
-    """The 'same' conv3d of `x` by `w`, plus `bias`, into `out`, over blocks
-    of output depth planes split among the op workers.  A block pads the
-    input planes it reads into scratch of its own and adds one (rows, Cin)
+def _plane_sum(vols, w, bias, out, mirrored=False):
+    """The 'same' conv3d of the channel concatenation of `vols` by `w`, plus
+    `bias`, into `out`, over blocks of output depth planes split among the op
+    workers.  A block pads the input planes it reads into scratch of its own
+    and adds one (rows, Cin)
     @ (Cin, Cout) GEMM per tap, in lexicographic tap order.  `mirrored`
     makes tap t read at tap T-1-t's offset: with w transposed in (Cin,
     Cout) that is the input gradient of the convolution by w, each voxel
     summing its taps in the forward's order (padding adds zeros)."""
     kd, kh, kw, cin, cout = w.shape
-    hp, wp = x.shape[1] + kh - 1, x.shape[2] + kw - 1
+    hp, wp = out.shape[1] + kh - 1, out.shape[2] + kw - 1
     # output voxel (i, j, l) of a block sits at row q = (i*hp + j)*wp + l of
     # a frame with the padded H and W extents, and tap (a, b, c) multiplies
     # scratch row q + (a*hp + b)*wp + c, so each tap's operand is a
@@ -999,7 +1025,7 @@ def _plane_sum(x, w, bias, out, mirrored=False):
 
     def kernel(index, out):
         s, n = int(index.flat[0]), out.shape[0]
-        flat, rows = _padded_planes(x, s, n, (kd, kh, kw)).reshape(-1, cin), n * hp * wp - tail
+        flat, rows = _padded_planes(vols, s, n, (kd, kh, kw)).reshape(-1, cin), n * hp * wp - tail
         frame = np.empty((n, hp, wp, cout), dtype=out.dtype)
         acc, prod = frame.reshape(-1, cout)[:rows], np.empty((rows, cout), dtype=out.dtype)
         np.matmul(flat[offsets[0]:offsets[0] + rows], w_taps[0], out=acc)
@@ -1020,20 +1046,24 @@ def _plane_sum(x, w, bias, out, mirrored=False):
              block=planes * plane * cout, k=cin)
 
 
-def _padded_planes(x, s, n, ksize):
+def _padded_planes(vols, s, n, ksize):
     """The input planes that output depth planes s .. s + n - 1 of a 'same'
-    convolution by a kernel of extents `ksize` read: x zero-padded by
-    k // 2 per axis, as scratch of the caller's own."""
-    (pd, ph, pw), (d, h, w, cin) = (k // 2 for k in ksize), x.shape
-    scratch = np.zeros((n + 2 * pd, h + 2 * ph, w + 2 * pw, cin), dtype=x.dtype)
+    convolution by a kernel of extents `ksize` read: the channel
+    concatenation of `vols` zero-padded by k // 2 per axis, as scratch of
+    the caller's own."""
+    (pd, ph, pw), (d, h, w) = (k // 2 for k in ksize), vols[0].shape[:3]
+    ends = np.cumsum([0] + [v.shape[3] for v in vols])
+    scratch = np.zeros((n + 2 * pd, h + 2 * ph, w + 2 * pw, ends[-1]), dtype=np.result_type(*vols))
     # output plane s reads input plane s, so the copied range is never empty
     lo, hi = max(s - pd, 0), min(s + n + pd, d)
-    scratch[lo - s + pd:hi - s + pd, ph:ph + h, pw:pw + w] = x[lo:hi]
+    for v, c0, c1 in zip(vols, ends, ends[1:]):
+        scratch[lo - s + pd:hi - s + pd, ph:ph + h, pw:pw + w, c0:c1] = v[lo:hi]
     return scratch
 
 
-def _plane_dw(x, g, ksize):
-    """The kernel and bias gradients of a 'same' conv3d of `x` by a kernel
+def _plane_dw(vols, g, ksize):
+    """The kernel and bias gradients of a 'same' conv3d of the channel
+    concatenation of `vols` by a kernel
     of spatial extents `ksize`, for output gradient `g`, as fixed-chunk sums
     over blocks of output depth planes.  A block pads the input planes it
     reads into scratch, as _plane_sum does, and lays its planes of g into a
@@ -1041,13 +1071,13 @@ def _plane_dw(x, g, ksize):
     then the scratch rows at the tap's offset, transposed, times the frame,
     and db is g's rows summed."""
     kd, kh, kw = ksize
-    cin, (planes, ho, wo, cout) = x.shape[3], g.shape
+    cin, (planes, ho, wo, cout) = sum(v.shape[3] for v in vols), g.shape
     hp, wp = ho + kh - 1, wo + kw - 1
     offsets = [(a * hp + b) * wp + c for a, b, c in np.ndindex(kd, kh, kw)]
     tail = (kh - 1) * wp + kw - 1
 
     def kernel(s, e, dw, db):
-        flat = _padded_planes(x, s, e - s, ksize).reshape(-1, cin)
+        flat = _padded_planes(vols, s, e - s, ksize).reshape(-1, cin)
         frame = np.zeros((e - s, hp, wp, cout), dtype=g.dtype)
         frame[:, :ho, :wo] = g[s:e]
         rows = (e - s) * hp * wp - tail
@@ -1057,7 +1087,7 @@ def _plane_dw(x, g, ksize):
         np.sum(g[s:e].reshape(-1, cout), axis=0, out=db)
 
     madds = g.size * len(offsets) * cin
-    return _chunk_sums(planes, kernel, (ksize + (cin, cout), (cout,)), np.result_type(x, g), unit=ho * wo,
+    return _chunk_sums(planes, kernel, (ksize + (cin, cout), (cout,)), np.result_type(*vols, g), unit=ho * wo,
                        parts=madds // _GEMM_MIN)
 
 
@@ -1081,11 +1111,21 @@ def _box_mean(arr):
     return out / 27.0
 
 
-def global_pool(x):
-    """Per-channel mean over all spatial positions: (d, w, h, C) -> (C,)."""
+def global_pool(x, gamma, beta):
+    """Per-channel mean over all spatial positions of layer_norm(x, gamma,
+    beta): (d, w, h, C) -> (C,), as one node.  The normalized volume is
+    scratch, summed as `tmean` sums; the node keeps x's row mean and inv, and
+    its backward gives layer_norm's a broadcast view of the mean's gradient."""
     if x.ndim != 4:
         raise ShapeError(f"global_pool expects rank 4, got {x.shape}")
-    return tmean(x, axis=(0, 1, 2))
+    rows, y, stats = _ln_rows("global_pool", x, gamma, beta)
+    n = len(rows)
+
+    def bwd(g):
+        dx, dgamma, dbeta = _ln_grads(np.broadcast_to(g / n, rows.shape), gamma.data, rows, *stats)
+        return dx.reshape(x.shape), dgamma, dbeta
+
+    return _record("global_pool", (x, gamma, beta), y.reshape(x.shape).sum(axis=(0, 1, 2)) / n, bwd)
 
 
 def _upsample_once(arr):

@@ -426,22 +426,22 @@ def cmd_ablate(args):
         raise ConfigError(f"--cases must be >= 2 (one train and one val case), got {args.cases}")
     train_cfg = TrainConfig(steps=args.steps, lr=args.lr, seed=args.seed)
     out = Path(args.out)
-    _write_manifest(out, "ablate", args.seed,
-                    {"rows": rows, "cases": args.cases, "steps": args.steps,
-                     "seeds": args.seeds, "lr": args.lr, "data": args.data},
-                    {"csv": out / "ablate.csv"})
-
     data_dir = args.data or out / "data"
     if not args.data:
         spec = PhantomSpec(shape=(16, 16, 16), modalities=2, n_classes=3,
                            objects_per_class=1, radius_range=(2.0, 4.0),
                            noise_sigma=0.05, seed=args.seed)
         save_dataset(data_dir, spec, args.cases)
+    # a given dataset is loaded and checked before --out is made
     dataset = load_dataset(data_dir)
     if len(dataset) < 2:
         raise ConfigError(f"ablate needs >= 2 cases (one train and one val case), {data_dir} has {len(dataset)}")
     n_val = max(1, len(dataset) // 3)
     _check_trainable(dataset, range(len(dataset) - n_val), data_dir)
+    _write_manifest(out, "ablate", args.seed,
+                    {"rows": rows, "cases": args.cases, "steps": args.steps,
+                     "seeds": args.seeds, "lr": args.lr, "data": args.data},
+                    {"csv": out / "ablate.csv"})
     train_set, val_set = dataset[:-n_val], dataset[-n_val:]
     volume, mask = dataset[0]
 

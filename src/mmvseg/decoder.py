@@ -2,10 +2,11 @@
 
 At every level above the bottleneck the per-modality encoder skips are gated
 by a learned importance map (one sigmoid scalar per voxel per modality) before
-the usual upsample / concat / conv walk up to full resolution.  The fused
-volume is projected to per-modality gate logits once, and the logits are
-upsampled one level at a time as the gates climb the decoder.  A decoder
-built without gates sums each level's per-modality skips instead.
+the usual upsample / concat / conv walk up to full resolution (the conv
+reads the concatenation from both volumes).  The fused volume is projected
+to per-modality gate logits once, and the logits are upsampled one level at
+a time as the gates climb the decoder.  A decoder built without gates sums
+each level's per-modality skips instead.
 """
 
 from dataclasses import dataclass
@@ -81,10 +82,5 @@ class Decoder(Module):
             raise ShapeError(f"expected {N_LEVELS - 1} skip volumes, got {len(skips)}")
         x = bottleneck
         for conv, skip in zip(self.convs, skips):
-            x = ad.upsample2x(x)
-            if skip.shape[:3] != x.shape[:3]:
-                raise ShapeError(
-                    f"skip extents {skip.shape[:3]} do not match upsampled {x.shape[:3]}"
-                )
-            x = ad.gelu(conv(ad.concat([x, skip], axis=3)))
+            x = ad.gelu(conv(ad.upsample2x(x), skip))
         return self.head(x)

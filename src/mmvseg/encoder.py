@@ -35,6 +35,8 @@ class GlobalPoolBlock(Module):
     """Residual token mixer built on a global channel summary.
 
     y = x + broadcast(project(global_mean(norm(x))));  z = y + mlp(norm(y)).
+    The pooled norm is one `global_pool` node and y is the `shift` of one
+    `feed_forward` node, so neither norm(x) nor y is kept for the backward.
     """
 
     def __init__(self, c, mlp_ratio, rng, dtype=np.float32):
@@ -45,10 +47,9 @@ class GlobalPoolBlock(Module):
         self.c = c
 
     def __call__(self, x):
-        pooled = ad.global_pool(self.norm1(x))                  # (C,)
+        pooled = ad.global_pool(x, self.norm1.gamma, self.norm1.beta)  # (C,)
         summary = self.pool_proj(ad.reshape(pooled, (1, self.c)))
-        y = ad.add(x, ad.reshape(summary, (1, 1, 1, self.c)))   # broadcast over positions
-        return self.mlp.residual(y, self.norm2)
+        return self.mlp.residual(x, self.norm2, shift=ad.reshape(summary, (self.c,)))
 
 
 class LocalPoolBlock(Module):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, is_number
 
 
 @dataclass
@@ -58,9 +58,10 @@ def as_mask(target, n_classes):
 
 
 def check_spacing(spacing):
-    """`spacing` as 3 floats; a ContractError unless each is positive and
-    finite (NaN would pass a `<= 0` test and turn HD95 into NaN)."""
-    if len(spacing) != 3 or not all(np.isfinite(s) and s > 0 for s in spacing):
+    """`spacing` as 3 floats; a ContractError unless each is a positive,
+    finite, non-bool number (NaN would pass a `<= 0` test and turn HD95 into
+    NaN, and True would be stored as 1.0)."""
+    if len(spacing) != 3 or not all(is_number(s) and np.isfinite(s) and s > 0 for s in spacing):
         raise ContractError(f"spacing must be 3 positive finite floats, got {spacing}")
     return tuple(float(s) for s in spacing)
 

@@ -100,13 +100,14 @@ def kernel_and_bias(k, cin, cout, rng, dtype):
 
 
 class Conv3d(Module):
-    """Channels-last 3x3x3 'same' convolution, which keeps the input's extents."""
+    """Channels-last 3x3x3 'same' convolution, which keeps the input's
+    extents, of x or of the channel concatenation [x, skip]."""
 
     def __init__(self, cin, cout, rng, dtype=np.float32):
         self.kernel, self.bias = kernel_and_bias(3, cin, cout, rng, dtype)
 
-    def __call__(self, x):
-        return ad.conv3d(x, self.kernel, self.bias)
+    def __call__(self, x, skip=None):
+        return ad.conv3d(x, self.kernel, self.bias, skip)
 
 
 class PatchLinear(Module):
@@ -134,6 +135,7 @@ class Mlp(Module):
     def __call__(self, x):
         return self.fc2(ad.gelu(self.fc1(x)))
 
-    def residual(self, x, norm):
-        """x + self(norm(x)) for a LayerNorm `norm`, as one `feed_forward` node."""
-        return ad.feed_forward(x, norm.gamma, norm.beta, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
+    def residual(self, x, norm, shift=None):
+        """y + self(norm(y)) for a LayerNorm `norm`, where y is x or x plus a
+        (C,) `shift`, as one `feed_forward` node."""
+        return ad.feed_forward(x, norm.gamma, norm.beta, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b, shift)

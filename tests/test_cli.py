@@ -162,7 +162,9 @@ class TestGen:
         ({"radius_range": [2, 4, 5]}, "radius range must be two numbers"),
         ({"noise_sigma": True}, "noise_sigma must be a number"),
         ({"shape": [32.5, 32, 32]}, "shape entry must be an integer"),
-    ], ids=["fractional-objects-per-class", "three-radii", "bool-noise-sigma", "fractional-shape"])
+        ({"spacing": [True, 1, 1]}, "spacing must be 3 positive finite floats"),
+    ], ids=["fractional-objects-per-class", "three-radii", "bool-noise-sigma", "fractional-shape",
+            "bool-spacing"])
     def test_mistyped_spec_field_fails_before_the_manifest(self, tmp_path, capsys, spec, message):
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         out = tmp_path / "out"
@@ -771,6 +773,19 @@ class TestAblate:
                      "--rows", "full", "--steps", "1"]) == 1
         assert f"dataset directory not found: {tmp_path / 'nope'}" in capsys.readouterr().err
         assert not (tmp_path / "a" / "runs").exists()
+
+    @pytest.mark.parametrize("cases,message", [(None, "dataset directory not found"),
+                                               (1, "ablate needs >= 2 cases")], ids=["missing", "one-case"])
+    def test_bad_data_fails_before_the_manifest(self, tmp_path, capsys, cases, message):
+        data = tmp_path / "data"
+        if cases is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+            assert main(["gen", "--out", str(data), "--spec", str(tmp_path / "spec.json"),
+                         "--cases", str(cases), "--fractions", "1,0,0"]) == 0
+        out = tmp_path / "a"
+        assert main(["ablate", "--out", str(out), "--data", str(data), "--rows", "full", "--steps", "1"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_row(self, tmp_path, capsys):
         assert main(["ablate", "--out", str(tmp_path / "a"), "--rows", "nope"]) == 1

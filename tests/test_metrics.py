@@ -9,6 +9,7 @@ from mmvseg.errors import ContractError, ShapeError
 from mmvseg.metrics import (
     SegmentationMask,
     boundary_voxels,
+    check_spacing,
     dice_score,
     evaluate,
     hd95,
@@ -88,6 +89,14 @@ class TestMask:
     def test_rejects_non_finite_spacing(self, bad):
         with pytest.raises(ContractError, match="finite"):
             mask_of(np.zeros((2, 2, 2)), spacing=(1.0, bad, 1.0))
+
+    @pytest.mark.parametrize("bad", [True, np.True_, "1"])
+    def test_rejects_spacing_entries_that_are_not_numbers(self, bad):
+        # True would otherwise be stored, and written to meta.json, as 1
+        with pytest.raises(ContractError, match="spacing"):
+            check_spacing((bad, 1, 1))
+        with pytest.raises(ContractError, match="spacing"):
+            mask_of(np.zeros((2, 2, 2)), spacing=(1.0, 1.0, bad))
 
     def test_spacing_normalized_to_float_tuple(self):
         m = mask_of(np.zeros((2, 2, 2)), spacing=(1, 2, 3))

@@ -222,9 +222,15 @@ class TestForward:
 
     def test_default_width_forward_and_loss_tape_size(self):
         # default widths, 2 modalities, 32^3: the forward plus the two loss
-        # terms record 385 nodes.  Each level's gated skip sum is one
-        # gated_sum node, where the take/mul/add chain for M = 2 recorded
-        # 3M - 1 = 5, so 4 levels record 16 fewer than that chain's 401.
+        # terms record 341 nodes.  Each of the 20 GlobalPoolBlocks (5 stages,
+        # 2 blocks, 2 modalities) records global_pool, reshape, linear,
+        # reshape and feed_forward, where layer_norm, mean, reshape, linear,
+        # reshape, add and feed_forward recorded 7, and each of the 4 decoder
+        # levels feeds its conv3d the skip directly, with no concat node:
+        # 44 fewer than the 385 of those chains.  Each level's gated skip
+        # sum is one gated_sum node, where the take/mul/add chain for M = 2
+        # recorded 3M - 1 = 5, so 4 levels record 16 fewer than that
+        # chain's 401.
         # Around its attention, each mixer branch records a take that
         # gathers the tiles, an add of its position table (axial and planar
         # only), and a reshape and a take that scatter back: axial 4 nodes,
@@ -240,7 +246,7 @@ class TestForward:
             logits = model(x)
             ad.add(soft_dice_loss(logits, y), cross_entropy_loss(logits, y))
         ops = [node.op for node in tape.nodes]
-        assert len(ops) == 385
+        assert len(ops) == 341
         assert ops.count("upsample2x") == 8
 
     def test_ablated_model_still_runs(self):

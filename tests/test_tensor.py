@@ -429,18 +429,25 @@ class TestConv3dStride1AgainstSlabs:
 
 
 class TestGlobalPool:
+    """global_pool(x, gamma, beta) is the spatial mean of layer_norm(x, gamma, beta)."""
+
     def test_constant_volume(self):
-        out = ad.global_pool(t(np.full((2, 3, 4, 5), 1.25)))
-        np.testing.assert_allclose(out.data, np.full(5, 1.25))
+        # constant rows normalize to exactly zero, so every row is beta
+        beta = t([0.5, -1.0, 2.0, 0.25, 3.0])
+        out = ad.global_pool(t(np.full((2, 3, 4, 5), 1.25)), t(np.full(5, 7.0)), beta)
+        np.testing.assert_allclose(out.data, beta.data)
 
     def test_single_voxel_identity(self):
-        x = t(np.array([0.5, -1.0, 2.0]).reshape(1, 1, 1, 3))
-        np.testing.assert_array_equal(ad.global_pool(x).data, [0.5, -1.0, 2.0])
+        x, gamma, beta = t(np.array([0.5, -1.0, 2.0]).reshape(1, 1, 1, 3)), t([1.0, 2.0, -1.0]), t([0.0, 1.0, 2.0])
+        want = ad.layer_norm(x, gamma, beta).data.reshape(-1)
+        np.testing.assert_array_equal(ad.global_pool(x, gamma, beta).data, want)
 
     def test_two_voxel_mean(self):
-        x = np.zeros((2, 1, 1, 1))
-        x[1, 0, 0, 0] = 4.0
-        np.testing.assert_allclose(ad.global_pool(t(x)).data, [2.0])
+        # rows (0, 4) and (4, 0) normalize to opposite signs, so their mean is beta
+        x = np.zeros((2, 1, 1, 2))
+        x[0, 0, 0, 1] = x[1, 0, 0, 0] = 4.0
+        out = ad.global_pool(t(x), t([1.0, 1.0]), t([0.5, -0.5]))
+        np.testing.assert_allclose(out.data, [0.5, -0.5], atol=1e-15)
 
 
 def upsample_axis_plan(n):
@@ -683,7 +690,7 @@ OP_CASES = [
     ("layer_norm", lambda rng: _layer_norm_case(rng)),
     ("conv3d", lambda rng: _conv_case(rng, spatial=(2, 1, 3))),
     ("avg_pool3d", lambda rng: _unary_vol_case(rng, ad.avg_pool3d)),
-    ("global_pool", lambda rng: _unary_vol_case(rng, ad.global_pool)),
+    ("global_pool", lambda rng: _global_pool_case(rng)),
     ("upsample2x", lambda rng: _unary_vol_case(rng, ad.upsample2x)),
     ("sum_axis", lambda rng: _unary_case(rng, lambda x: ad.tsum(x, axis=-1))),
     ("mean_axis", lambda rng: _unary_case(rng, lambda x: ad.tmean(x, axis=0, keepdims=True))),
@@ -703,6 +710,8 @@ OP_CASES = [
     ("linear", lambda rng: _linear_case(rng)),
     ("feed_forward", lambda rng: _feed_forward_case(rng)),
     ("gated_sum", lambda rng: _gated_sum_case(rng)),
+    ("conv3d_skip", lambda rng: _conv_case(rng, spatial=(3, 2, 4), skip=True)),
+    ("feed_forward_shift", lambda rng: _feed_forward_case(rng, shift=True)),
 ]
 
 # OP_CASES names of the taped primitives whose function name differs
@@ -759,12 +768,13 @@ def _linear_case(rng):
     return lambda: (ad.linear(x, w, b) * Tensor(r)).sum(), [x, w, b]
 
 
-def _feed_forward_case(rng):
+def _feed_forward_case(rng, shift=False):
     # a rank-3 input, so the linear weight gradients sum over a batch
     shape = (int(rng.integers(1, 3)), int(rng.integers(2, 4)), int(rng.integers(2, 5)))
     c, hidden = shape[-1], int(rng.integers(1, 6))
     draw = lambda s: Tensor(rng.normal(size=s), requires_grad=True)
     params = [draw(shape), draw(c), draw(c), draw((c, hidden)), draw(hidden), draw((hidden, c)), draw(c)]
+    params += [draw(c)] if shift else []
     r = rng.normal(size=shape)
     return lambda: (ad.feed_forward(*params) * Tensor(r)).sum(), params
 
@@ -788,13 +798,21 @@ def _layer_norm_case(rng):
     return lambda: (ad.layer_norm(x, gamma, beta) * Tensor(r)).sum(), [x, gamma, beta]
 
 
-def _conv_case(rng, spatial=(4, 4, 4), ksize=(3, 3, 3)):
+def _global_pool_case(rng):
+    shape = tuple(rng.integers(1, 4, size=3)) + (int(rng.integers(1, 4)),)
+    x, gamma, beta = (Tensor(rng.normal(size=s), requires_grad=True) for s in (shape, shape[-1:], shape[-1:]))
+    r = rng.normal(size=shape[-1:])
+    return lambda: (ad.global_pool(x, gamma, beta) * Tensor(r)).sum(), [x, gamma, beta]
+
+
+def _conv_case(rng, spatial=(4, 4, 4), ksize=(3, 3, 3), skip=False):
     cin, cout = int(rng.integers(1, 3)), int(rng.integers(1, 3))
     x = Tensor(rng.normal(size=spatial + (cin,)), requires_grad=True)
-    k = Tensor(rng.normal(size=ksize + (cin, cout)), requires_grad=True)
+    s = [Tensor(rng.normal(size=spatial + (int(rng.integers(1, 3)),)), requires_grad=True)] if skip else []
+    k = Tensor(rng.normal(size=ksize + (cin + sum(v.shape[3] for v in s), cout)), requires_grad=True)
     b = Tensor(rng.normal(size=cout), requires_grad=True)
     r = rng.normal(size=spatial + (cout,))
-    return lambda: (ad.conv3d(x, k, b) * Tensor(r)).sum(), [x, k, b]
+    return lambda: (ad.conv3d(x, k, b, *s) * Tensor(r)).sum(), [x, k, b, *s]
 
 
 def _patch_case(rng, patch, bias=True):
