@@ -25,9 +25,9 @@ loaded in the process is set to one thread.
 An op that records no tape node keeps no backward state: untaped, `gelu`'s
 cdf, `feed_forward`'s hidden layer and `gated_sum`'s gated products live
 only in the scratch of one block of rows.  A recorded node keeps only what
-its backward cannot rebuild cheaply: `layer_norm` each row's mean and
-inverse deviation, `feed_forward` those and gelu's cdf; their backwards
-rebuild the normalized input and fc1's output per chunk of rows, bit for
+its backward cannot rebuild: `layer_norm` and `feed_forward` each row's
+mean and inverse deviation, `gelu` its input; their backwards rebuild the
+normalized input, fc1's output and gelu's cdf per chunk of rows, bit for
 bit.  No call keeps a padded copy of `conv3d`'s input, which its forward and
 kernel gradient pad one block of output depth planes at a time in scratch,
 nor `patch_linear`'s patch matrix, which its backward cuts again by chunks.
@@ -436,33 +436,23 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _record("add", (a, b), _by_rows(np.add, (a.data, b.data), _empty(a.data, b.data)), bwd)
+    return _record("add", (a, b), _by_rows(np.add, (a.data, b.data), _empty(a.data, b.data)),
+                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a, b):
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _record("sub", (a, b), _by_rows(np.subtract, (a.data, b.data), _empty(a.data, b.data)), bwd)
+    return _record("sub", (a, b), _by_rows(np.subtract, (a.data, b.data), _empty(a.data, b.data)),
+                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b):
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _record("mul", (a, b), _by_rows(np.multiply, (a.data, b.data), _empty(a.data, b.data)), bwd)
+    return _record("mul", (a, b), _by_rows(np.multiply, (a.data, b.data), _empty(a.data, b.data)),
+                   lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a, b):
-    def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _record("div", (a, b), a.data / b.data, bwd)
+    return _record("div", (a, b), a.data / b.data, lambda g: (
+        _unbroadcast(g / b.data, a.shape), _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
 def neg(a):
@@ -483,24 +473,22 @@ def gelu(a):
 
     float64 takes erf from scipy.  float32 evaluates the same function to
     float32 accuracy: erf is the rational form of _erf32, whose largest
-    error against the exact erf is below 5e-7."""
+    error against the exact erf is below 5e-7.  A recorded node keeps only
+    its input: forward and backward, the cdf is scratch of one block."""
     x = a.data.reshape(-1)
-    # the backward needs the cdf; without a node to record, each block's
-    # cdf is scratch of that block
-    cdf = (np.empty_like(x),) if _records((a,)) else ()
-    y = _by_rows(_gelu_forward, (x,), np.empty_like(x), *cdf, block=_BLOCK)
+    y = _by_rows(_gelu_forward, (x,), np.empty_like(x), block=_BLOCK)
 
     def bwd(g):
         g = g.reshape(-1)
-        return (_by_rows(_gelu_grad, (x, *cdf, g), _empty(g, x), block=_BLOCK).reshape(a.shape),)
+        return (_by_rows(_gelu_grad, (x, g), _empty(g, x), block=_BLOCK).reshape(a.shape),)
 
     return _record("gelu", (a,), y.reshape(a.shape), bwd)
 
 
-def _gelu_forward(x, y, cdf=None):
-    # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and y = x * cdf, op by op;
-    # float32's erf takes y as scratch before y is written
-    cdf = np.multiply(x, _INV_SQRT2, out=cdf)
+def _gelu_forward(x, y):
+    # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and y = x * cdf, op by op,
+    # returning the cdf; float32's erf takes y as scratch before y is written
+    cdf = np.multiply(x, _INV_SQRT2)
     if cdf.dtype == np.float32:
         _erf32(cdf, y)
     else:
@@ -508,6 +496,7 @@ def _gelu_forward(x, y, cdf=None):
     np.add(cdf, 1.0, out=cdf)
     np.multiply(cdf, 0.5, out=cdf)
     np.multiply(x, cdf, out=y)
+    return cdf
 
 
 # Eigen's generic_fast_erf_float (XLA's float32 erf): erf(z) = z P(z^2) / Q(z^2)
@@ -547,9 +536,12 @@ def _horner(s, coeffs, out):
     return out
 
 
-def _gelu_grad(x, cdf, g, dx):
-    # g * (cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)), op by op
-    p = np.multiply(x, -0.5)
+def _gelu_grad(x, g, dx, cdf=None):
+    # g * (cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)), op by op; a cdf
+    # not given is rebuilt by _gelu_forward, elementwise, so bit for bit
+    p = np.empty_like(x)
+    cdf = _gelu_forward(x, p) if cdf is None else cdf
+    np.multiply(x, -0.5, out=p)
     np.multiply(p, x, out=p)
     np.exp(p, out=p)
     np.multiply(p, _INV_SQRT2PI, out=p)
@@ -586,13 +578,8 @@ def _reduce(op, a, axis, keepdims):
 
 
 def reshape(a, shape):
-    shape = tuple(shape)
     old = a.shape
-
-    def bwd(g):
-        return (g.reshape(old),)
-
-    return _record("reshape", (a,), a.data.reshape(shape), bwd)
+    return _record("reshape", (a,), a.data.reshape(tuple(shape)), lambda g: (g.reshape(old),))
 
 
 def take(a, indices, axis):
@@ -611,10 +598,8 @@ def take(a, indices, axis):
 
 
 def moveaxis(a, source, destination):
-    def bwd(g):
-        return (np.ascontiguousarray(np.moveaxis(g, destination, source)),)
-
-    return _record("moveaxis", (a,), np.ascontiguousarray(np.moveaxis(a.data, source, destination)), bwd)
+    return _record("moveaxis", (a,), np.ascontiguousarray(np.moveaxis(a.data, source, destination)),
+                   lambda g: (np.ascontiguousarray(np.moveaxis(g, destination, source)),))
 
 
 def concat(tensors, axis):
@@ -622,11 +607,8 @@ def concat(tensors, axis):
     axis = axis % tensors[0].ndim
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
-
-    return _record("concat", tuple(tensors), np.concatenate([t.data for t in tensors], axis=axis), bwd)
+    return _record("concat", tuple(tensors), np.concatenate([t.data for t in tensors], axis=axis),
+                   lambda g: tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis)))
 
 
 def gated_sum(gates, feats):
@@ -832,21 +814,21 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2, shift=None):
     GEMM rule; each block keeps at least _GEMM_MIN multiply-adds per GEMM and
     two rows, so every block GEMM computes the dot products of the unsplit
     call.  Without a node to record, the hidden layer lives only in block
-    scratch.  A recorded node keeps each row's layer_norm mean and inv and
-    gelu's cdf.  Its backward is one pass over _chunk_sums's fixed chunks of
-    rows, at least _CHUNK_ROWS each or all of them, so by the same rule a
-    chunk's GEMM rebuilds the forward's rows of the first linear.  Each chunk
-    rebuilds the chain's outputs and runs its backward expressions on its
-    rows in scratch of its own, writing its rows of the input gradient and
-    its partials of the six parameter gradients, the same partials as the
-    chain's `linear` and `layer_norm`.  So output and gradients are
-    bit-identical to the five-node chain layer_norm, linear, gelu, linear,
-    add, and no (rows, H) array is allocated.  `x` is listed twice among the
-    node's inputs, for the residual gradient and then layer_norm's, so
-    `backward` sums them in the chain's order.  A `shift` is added to x's
-    rows per forward block and backward chunk, so y is never kept; y's
-    gradient g + dx is then x's, and summed over rows the shift's, as the
-    add node computed them."""
+    scratch.  A recorded node keeps only each row's layer_norm mean and inv.
+    Its backward is one pass over _chunk_sums's fixed chunks of rows, at
+    least _CHUNK_ROWS each or all of them, so by the same rule a chunk's GEMM
+    rebuilds the forward's rows of the first linear, and gelu, elementwise,
+    its cdf.  Each chunk rebuilds the chain's outputs and runs its backward
+    expressions on its rows in scratch of its own, writing its rows of the
+    input gradient and its partials of the six parameter gradients, the same
+    partials as the chain's `linear` and `layer_norm`.  So output and
+    gradients are bit-identical to the five-node chain layer_norm, linear,
+    gelu, linear, add, and no (rows, H) array is allocated.  `x` is listed
+    twice among the node's inputs, for the residual gradient and then
+    layer_norm's, so `backward` sums them in the chain's order.  A `shift` is
+    added to x's rows per forward block and backward chunk, so y is never
+    kept; y's gradient g + dx is then x's, and summed over rows the shift's,
+    as the add node computed them."""
     c = x.shape[-1] if x.ndim >= 2 else None
     hidden = w1.shape[-1] if w1.ndim == 2 else None
     shapes = (gamma.shape, beta.shape, w1.shape, b1.shape, w2.shape, b2.shape)
@@ -862,19 +844,19 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2, shift=None):
     rows, s = x.data.reshape(-1, c), () if shift is None else (shift.data,)
     n, y_dtype = rows.shape[0], np.result_type(rows, *s)
     out = np.empty(rows.shape, np.result_type(y_dtype, *params))
-    state = (*np.empty((2, n, 1), y_dtype), np.empty((n, hidden), out.dtype)) if _records(inputs) else ()
+    state = tuple(np.empty((2, n, 1), y_dtype)) if _records(inputs) else ()
     # a block's hidden layer is at least 2 * _BLOCK elements, which stays in
     # L2 and keeps numpy's per-call cost small against the work
     block_rows = max(2, -(-_GEMM_MIN // (c * hidden)), 2 * _BLOCK // hidden)
     _by_rows(_ff_kernel(*params, *s), (rows,), out, *state, block=block_rows * c, k=hidden)
 
     def bwd(g):
-        mean, inv, cdf = state
+        mean, inv = state
         g = g.reshape(-1, c)
         dx = np.empty_like(g)
 
         def kernel(lo, hi, dgamma, dbeta, gw1, gb1, gw2, gb2):
-            g_rows, cdf_rows = g[lo:hi], cdf[lo:hi]
+            g_rows = g[lo:hi]
             # layer_norm's and fc1's outputs, rebuilt as the forward computed them
             y_rows = rows[lo:hi] if shift is None else np.add(rows[lo:hi], shift.data)
             xhat = _ln_xhat(y_rows, mean[lo:hi], inv[lo:hi])
@@ -882,13 +864,14 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2, shift=None):
             _ln_affine(xhat, gamma.data, beta.data, y)
             a = np.matmul(y, w1.data)
             np.add(a, b1.data, out=a)
-            # fc2: its input is gelu's output, rebuilt; the input gradient
-            # overwrites it, and gelu's input gradient overwrites that
-            h = np.multiply(a, cdf_rows)
+            # fc2: its input is gelu's output, rebuilt with the cdf; the input
+            # gradient overwrites it, and gelu's input gradient overwrites that
+            h = np.empty_like(a)
+            cdf = _gelu_forward(a, h)
             np.matmul(h.T, g_rows, out=gw2)
             np.sum(g_rows, axis=0, out=gb2)
             gh = np.matmul(g_rows, w2.data.T, out=h)
-            _gelu_grad(a, cdf_rows, gh, gh)
+            _gelu_grad(a, gh, gh, cdf)
             np.matmul(y.T, gh, out=gw1)
             np.sum(gh, axis=0, out=gb1)
             gy = np.matmul(gh, w1.data.T, out=y)
@@ -907,8 +890,8 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2, shift=None):
 
 def _ff_kernel(gamma, beta, w1, b1, w2, b2, shift=None):
     """feed_forward's forward on a block of rows: x (rows, C), plus any
-    shift, into y, and the recorded node's row mean, inv and gelu cdf."""
-    def kernel(x, y, mean=None, inv=None, cdf=None):
+    shift, into y, and the recorded node's row mean and inv."""
+    def kernel(x, y, mean=None, inv=None):
         if shift is not None:
             x = np.add(x, shift)
         ln = np.empty_like(y)
@@ -917,7 +900,7 @@ def _ff_kernel(gamma, beta, w1, b1, w2, b2, shift=None):
         del ln
         np.add(a, b1, out=a)
         h = np.empty_like(a)
-        _gelu_forward(a, h, cdf)
+        _gelu_forward(a, h)
         np.matmul(h, w2, out=y)
         np.add(y, b2, out=y)
         np.add(x, y, out=y)
@@ -1104,10 +1087,8 @@ def _box_mean(arr):
     ap = np.pad(arr, ((1, 1), (1, 1), (1, 1), (0, 0)))
     out = np.zeros_like(arr)
     d, h, w = arr.shape[:3]
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                out += ap[a: a + d, b: b + h, c: c + w]
+    for a, b, c in np.ndindex(3, 3, 3):
+        out += ap[a: a + d, b: b + h, c: c + w]
     return out / 27.0
 
 

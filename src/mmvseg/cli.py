@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import subprocess
 import sys
 from dataclasses import asdict, replace
 from functools import partial
@@ -94,9 +96,19 @@ def _read_json(path, lines=False):
     return data
 
 
+def _git_revision(where):
+    """The commit checked out at `where`; None outside a git checkout or without git."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=where, capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def _environment():
-    """The numeric stack a run used, and the BLAS thread count in effect
-    (None when no OpenBLAS is loaded)."""
+    """The numeric stack a run used, the BLAS thread count in effect (None
+    when no OpenBLAS is loaded), the CPUs the process may run on and the
+    git revision of the package's source (None outside a checkout)."""
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy < 1.25 only prints its build configuration
@@ -107,6 +119,8 @@ def _environment():
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_threads": ad.blas_threads(),
+        "cpu_affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "git_revision": _git_revision(Path(__file__).parent),
     }
 
 

@@ -6,9 +6,13 @@ expensive steps (gen/train/eval) are shared through a module fixture.
 
 import csv
 import json
+import os
+import re
 import shutil
 import struct
+import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,12 +663,26 @@ class TestEval:
 
     def test_manifest_records_the_environment(self, workdir):
         env = json.loads((workdir / "evaldir" / "manifest.json").read_text())["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads"}
+        assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads", "cpu_affinity", "git_revision"}
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
         assert env["blas_threads"] == ad.blas_threads()
         if ad.blas_threads() is not None and ad.OP_WORKERS > 1:
             assert env["blas_threads"] == 1
+        assert env["cpu_affinity"] == len(os.sched_getaffinity(0))
+        # the checkout the package runs from, if it runs from one
+        source = Path(cli.__file__).parent
+        head = shutil.which("git") and subprocess.run(["git", "rev-parse", "HEAD"], cwd=source,
+                                                      capture_output=True, text=True)
+        assert env["git_revision"] == (head.stdout.strip() if head and head.returncode == 0 else None)
+        assert env["git_revision"] is None or re.fullmatch("[0-9a-f]{40}", env["git_revision"])
+
+    def test_git_revision_is_none_outside_a_checkout(self, tmp_path, monkeypatch):
+        # GIT_CEILING_DIRECTORIES stops git's search above tmp_path
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert cli._git_revision(tmp_path) is None
+        monkeypatch.setenv("PATH", str(tmp_path))  # no git to run
+        assert cli._git_revision(Path(cli.__file__).parent) is None
 
 
 class TestGradcheck:

@@ -5,7 +5,8 @@ and all seven gradients of the five-node chain it replaces, for any row
 count and op worker count.  Untaped, it and `gelu`/`layer_norm` must not
 allocate the arrays only a backward pass needs; taped, `feed_forward` and
 `layer_norm` keep row statistics from which the backward rebuilds the
-forward's normalized input bit for bit.
+forward's normalized input bit for bit, and `feed_forward` and `gelu`
+rebuild gelu's cdf, so their gradients are those of a gelu that kept it.
 """
 
 import tracemalloc
@@ -69,6 +70,46 @@ def test_matches_the_five_node_chain(set_workers, dtype, shape, workers):
     assert_same_numbers(got, want)
     # the untaped forward computes the same output
     assert np.array_equal(ad.feed_forward(*params).data, want[0])
+
+
+def kept_cdf_gelu(a):
+    """gelu as a node that keeps its forward's whole cdf: the gradient that
+    the backwards' rebuilt cdfs must give bit for bit."""
+    x = a.data.reshape(-1)
+    y = np.empty_like(x)
+    cdf = ad._gelu_forward(x, y)
+
+    def bwd(g):
+        g = g.reshape(-1)
+        dx = ad._empty(g, x)
+        ad._gelu_grad(x, g, dx, cdf)
+        return (dx.reshape(a.shape),)
+
+    return ad._record("gelu", (a,), y.reshape(a.shape), bwd)
+
+
+def kept_cdf_chain(x, gamma, beta, w1, b1, w2, b2):
+    return ad.add(x, ad.linear(kept_cdf_gelu(ad.linear(ad.layer_norm(x, gamma, beta), w1, b1)), w2, b2))
+
+
+# one backward chunk; three, more than 2 * _CHUNK_ROWS rows; and several
+# forward blocks split among the workers
+KEPT_CDF_SHAPES = {"one-chunk": ((300, 8), 32), "three-chunks": ((3 * ad._CHUNK_ROWS + 7, 8), 32),
+                   "tokens-multiblock": SHAPES["tokens-multiblock"]}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("shape", list(KEPT_CDF_SHAPES))
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_rebuilt_cdf_gives_the_gradients_of_a_kept_one(set_workers, dtype, shape, workers):
+    set_workers(workers)
+    params = ff_params(*KEPT_CDF_SHAPES[shape], dtype)
+    want = value_and_grads(lambda: kept_cdf_chain(*params), params)
+    assert_same_numbers(value_and_grads(lambda: ad.feed_forward(*params), params), want)
+    assert_same_numbers(value_and_grads(lambda: chain(*params), params), want)
+    # gelu alone, on more than _SPLIT_MIN elements
+    h = Tensor(np.repeat(params[0].data, 4, axis=-1), requires_grad=True)
+    assert_same_numbers(value_and_grads(lambda: ad.gelu(h), [h]), value_and_grads(lambda: kept_cdf_gelu(h), [h]))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -187,11 +228,11 @@ def test_untaped_feed_forward_never_holds_the_hidden_layer():
     hidden_nbytes = 32 ** 3 * 128 * 4
     extra, out = traced_peak(lambda: ad.feed_forward(*params))
     assert extra - out.data.nbytes < hidden_nbytes // 4, extra
-    # under a tape it keeps gelu's cdf, one hidden layer, and two floats a
-    # row; the backward rebuilds layer_norm's output and the first linear's
+    # under a tape it keeps only two floats a row; the backward rebuilds
+    # layer_norm's output, the first linear's and gelu's cdf
     with Tape():
         taped, _ = traced_peak(lambda: ad.feed_forward(*params))
-    assert hidden_nbytes <= taped - out.data.nbytes < 1.5 * hidden_nbytes, taped
+    assert taped - out.data.nbytes < hidden_nbytes // 4, taped
 
 
 @pytest.mark.parametrize("op", ["gelu", "layer_norm"])
@@ -200,11 +241,8 @@ def test_untaped_gelu_and_layer_norm_allocate_little_beyond_their_output(op):
     call = (lambda: ad.gelu(x)) if op == "gelu" else (lambda: ad.layer_norm(x, gamma, beta))
     extra, out = traced_peak(call)
     assert extra - out.data.nbytes < out.data.nbytes // 4, extra
+    # under a tape, gelu keeps only its input and layer_norm each row's
+    # mean and inv
     with Tape():
         taped, _ = traced_peak(call)
-    if op == "gelu":
-        # under a tape, gelu's cdf is a second output-sized array
-        assert taped - out.data.nbytes >= out.data.nbytes, taped
-    else:
-        # layer_norm keeps only each row's mean and inv
-        assert taped - out.data.nbytes < out.data.nbytes // 4, taped
+    assert taped - out.data.nbytes < out.data.nbytes // 4, taped

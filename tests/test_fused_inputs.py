@@ -19,6 +19,8 @@ from mmvseg.autodiff import Tape, Tensor
 from mmvseg.decoder import Decoder, DecoderConfig
 from mmvseg.encoder import GlobalPoolBlock
 from mmvseg.errors import ShapeError
+from mmvseg.model import Model, ModelConfig
+from mmvseg.training import cross_entropy_loss, soft_dice_loss
 
 DTYPES = (np.float32, np.float64)
 WORKERS = (1, 2, 3)
@@ -195,20 +197,42 @@ def closure_vars(fn):
     return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
 
 
-def test_pooled_block_keeps_only_its_input_output_and_the_cdf():
-    # mlp_ratio 1, so gelu's cdf has the block's width too
+def test_pooled_block_keeps_only_its_input_and_output():
+    # mlp_ratio 1, so a kept gelu cdf would have the block's width too
     c, shape = 6, (4, 4, 4, 6)
     block = GlobalPoolBlock(c, 1, np.random.default_rng(8), np.float64)
     x = Tensor(np.random.default_rng(9).normal(size=shape), requires_grad=True)
     with Tape() as tape:
         out = block(x)
     assert [n.op for n in tape.nodes] == ["global_pool", "reshape", "linear", "reshape", "feed_forward"]
-    cdf = closure_vars(tape.nodes[-1].backward)["state"][2]
+    # feed_forward keeps two floats a row: each row's mean and inv
+    assert [a.shape for a in closure_vars(tape.nodes[-1].backward)["state"]] == [(64, 1), (64, 1)]
     kept = full_size(tape, 64, c)
-    # neither layer_norm(x) nor x + summary is kept
-    assert len(kept) == 3
-    for want in (x.data, out.data, cdf):
+    # neither layer_norm(x), x + summary nor gelu's cdf is kept
+    assert len(kept) == 2
+    for want in (x.data, out.data):
         assert sum(np.shares_memory(a, want) for a in kept) == 1
+
+
+def test_default_training_tape_holds_under_80_mb():
+    """The distinct arrays, parameters aside, that the tape of one default
+    32^3 2-modality forward and both losses keeps: 68 MB, where a tape whose
+    feed_forward and gelu nodes kept gelu's cdf held 162 MB."""
+    model = Model(ModelConfig(modalities=2, input_shape=(32, 32, 32)))
+    rng = np.random.default_rng(0)
+    volume = rng.normal(size=(32, 32, 32, 2)).astype(np.float32)
+    target = rng.integers(0, 4, size=(32, 32, 32))
+    with Tape() as tape:
+        logits = model(volume)
+        ad.add(soft_dice_loss(logits, target), cross_entropy_loss(logits, target))
+    params = [p.data for p in model.params()]
+    held = {}
+    for a in (a for node in tape.nodes for a in held_arrays(node)):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        if not any(np.shares_memory(a, p) for p in params):
+            held[id(a)] = a
+    assert sum(a.nbytes for a in held.values()) < 80e6
 
 
 def test_decoder_level_keeps_no_concatenation():
