@@ -670,10 +670,11 @@ def matmul(a, b):
 
 
 def linear(x, w, b=None):
-    """Affine map on the last extent, x @ w + b, over the flattened leading
-    extents: an `_affine` node."""
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear needs (..., C) @ (C, Cout) with rank >= 2 input, got {x.shape} @ {w.shape}")
+    """Affine map on the last extent, x @ w + b, of x (..., C) of any rank
+    >= 1, over the flattened leading extents (a (C,) vector is one row): an
+    `_affine` node."""
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs (..., C) @ (C, Cout), got {x.shape} @ {w.shape}")
     if b is not None and b.shape != w.shape[1:]:
         raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[1]},)")
     return _affine("linear", (x, w, b), lambda a: a.reshape(-1, w.shape[0]), x.shape[:-1] + w.shape[1:])
@@ -766,16 +767,13 @@ def _ln_grads(g, gamma, x, mean, inv):
     """layer_norm's input, gamma and beta gradients for upstream `g` of any
     shape (..., C), the forward's (rows, C) input `x` and its (rows, 1) row
     `mean` and `inv`, in one pass over fixed chunks of rows: each chunk
-    rebuilds its xhat, writes its rows of the input gradient and its
-    partials (g * xhat)[chunk].sum(axis=0) and g[chunk].sum(axis=0)."""
+    rebuilds its xhat and runs _ln_dx on its rows."""
     rows = g.reshape(-1, gamma.shape[0])
     dx = _empty(rows, gamma, x)
 
     def kernel(lo, hi, dgamma, dbeta):
-        g_rows, xhat = rows[lo:hi], _ln_xhat(x[lo:hi], mean[lo:hi], inv[lo:hi])
-        _ln_dx(g_rows, gamma, xhat, inv[lo:hi], dx[lo:hi])
-        np.sum(g_rows * xhat, axis=0, out=dgamma)
-        np.sum(g_rows, axis=0, out=dbeta)
+        _ln_dx(rows[lo:hi], gamma, _ln_xhat(x[lo:hi], mean[lo:hi], inv[lo:hi]), inv[lo:hi], dx[lo:hi],
+               dgamma, dbeta)
 
     parts = None if rows.size >= _SPLIT_MIN else 1
     dgamma, dbeta = _chunk_sums(len(rows), kernel, (gamma.shape, gamma.shape), np.result_type(rows, x),
@@ -800,10 +798,14 @@ def _ln_affine(xhat, gamma, beta, y):
     np.add(xhat * gamma, beta, out=y)
 
 
-def _ln_dx(g, gamma, xhat, inv, dx):
+def _ln_dx(g, gamma, xhat, inv, dx, dgamma, dbeta):
+    """layer_norm's backward on a chunk of rows: the input gradient into `dx`,
+    the partials (g * xhat).sum(axis=0) and g.sum(axis=0) into dgamma, dbeta."""
     dxhat = g * gamma
     np.multiply(inv, dxhat - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True), out=dx)
+    np.sum(g * xhat, axis=0, out=dgamma)
+    np.sum(g, axis=0, out=dbeta)
 
 
 def feed_forward(x, gamma, beta, w1, b1, w2, b2, shift=None):
@@ -875,9 +877,7 @@ def feed_forward(x, gamma, beta, w1, b1, w2, b2, shift=None):
             np.matmul(y.T, gh, out=gw1)
             np.sum(gh, axis=0, out=gb1)
             gy = np.matmul(gh, w1.data.T, out=y)
-            _ln_dx(gy, gamma.data, xhat, inv[lo:hi], dx[lo:hi])
-            np.sum(gy * xhat, axis=0, out=dgamma)
-            np.sum(gy, axis=0, out=dbeta)
+            _ln_dx(gy, gamma.data, xhat, inv[lo:hi], dx[lo:hi], dgamma, dbeta)
 
         grads = _chunk_sums(n, kernel, shapes, np.result_type(g, out), parts=g.size * hidden // _GEMM_MIN)
         if shift is None:

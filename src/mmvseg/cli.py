@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: gen, train, eval, gradcheck, bench-attn, ablate, report.
-Every run writes `manifest.json` into its --out directory before any real
-work starts, with the fully resolved configuration; nothing is ever written
-outside --out.  Exit codes: 0 success, 1 bad usage/validation, 2 runtime
-failure (including a failing check suite).
+Each command checks its arguments and configs, and loads any dataset it
+reads, before it writes `manifest.json` (the fully resolved configuration)
+into --out, so a command refused for those leaves no --out.  `ablate`
+without --data first generates its cases under --out; eval reads its
+checkpoint, and report its run's logs, after the manifest.  Nothing is
+ever written outside --out.  Exit codes: 0 success, 1 bad usage/validation,
+2 runtime failure (including a failing check suite).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -196,19 +197,22 @@ def generate_phantom(spec: PhantomSpec, return_objects=False):
     return volume, mask
 
 
+def _check_left(fh, n, what):
+    """Refuse, before any allocation, `n` bytes of `what` past the file's end: header sizes are untrusted."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FormatError(f"truncated file: wanted {n} bytes of {what}, got {left}")
+
+
 def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file: wanted {n} bytes of {what}, got {len(buf)}")
-    return buf
+    _check_left(fh, n, what)
+    return fh.read(n)
 
 
 def _read_into(fh, array, what):
     """Fill the C-contiguous `array` with the file's next bytes, in place."""
-    buf = array.reshape(-1).view(np.uint8)
-    got = fh.readinto(buf)
-    if got != buf.size:
-        raise FormatError(f"truncated file: wanted {buf.size} bytes of {what}, got {got}")
+    _check_left(fh, array.nbytes, what)
+    fh.readinto(array.reshape(-1).view(np.uint8))
 
 
 def write_mmv(path, volume: MultiModalVolume):

@@ -44,12 +44,10 @@ class GlobalPoolBlock(Module):
         self.pool_proj = Linear(c, c, rng, dtype)
         self.norm2 = LayerNorm(c, dtype)
         self.mlp = Mlp(c, mlp_ratio * c, rng, dtype)
-        self.c = c
 
     def __call__(self, x):
         pooled = ad.global_pool(x, self.norm1.gamma, self.norm1.beta)  # (C,)
-        summary = self.pool_proj(ad.reshape(pooled, (1, self.c)))
-        return self.mlp.residual(x, self.norm2, shift=ad.reshape(summary, (self.c,)))
+        return self.mlp.residual(x, self.norm2, shift=self.pool_proj(pooled))
 
 
 class LocalPoolBlock(Module):

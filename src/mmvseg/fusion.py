@@ -114,8 +114,7 @@ class MultiHeadAttention(Module):
         self.dh = cfg.qkv_dim // cfg.heads
 
     def _split_heads(self, z):
-        z = ad.reshape(z, z.shape[:-1] + (self.heads, self.dh))
-        return ad.moveaxis(z, -2, -3)  # (..., heads, n, dh)
+        return ad.reshape(z, z.shape[:-1] + (self.heads, self.dh))  # (..., n, heads, dh)
 
     def __call__(self, q_in, kv_in, bias=None):
         if q_in.shape[:-2] != kv_in.shape[:-2]:
@@ -125,10 +124,10 @@ class MultiHeadAttention(Module):
         t, s = q_in.shape[-2], kv_in.shape[-2]
         groups = math.prod(q_in.shape[:-2])
 
-        q = self._split_heads(self.q(q_in))
-        k = self._split_heads(self.k(kv_in))
-        v = self._split_heads(self.v(kv_in))
-        scores = ad.matmul(q, ad.moveaxis(k, -1, -2)) * (1.0 / np.sqrt(self.dh))
+        q = ad.moveaxis(self._split_heads(self.q(q_in)), -2, -3)  # (..., heads, t, dh)
+        k = ad.moveaxis(self._split_heads(self.k(kv_in)), -3, -1)  # (..., heads, dh, s)
+        v = ad.moveaxis(self._split_heads(self.v(kv_in)), -2, -3)  # (..., heads, s, dh)
+        scores = ad.matmul(q, k) * (1.0 / np.sqrt(self.dh))
         pair_counter.add(groups * t * s)
         if bias is not None:
             scores = ad.add(scores, bias)
@@ -202,14 +201,11 @@ class TokenSummarizer(Module):
         if p < 1:
             raise ConfigError(f"summary token count must be positive, got {p}")
         self.score = Mlp(c, c, rng, dtype, cout=p)
-        self.p = p
 
     def __call__(self, feat):
-        d, w, h, c = feat.shape
-        n = d * w * h
-        logits = ad.moveaxis(ad.reshape(self.score(feat), (n, self.p)), 0, 1)  # (P, N)
-        weights = ad.softmax_last(logits)
-        return ad.matmul(weights, ad.reshape(feat, (n, c)))  # (P, C)
+        tokens = ad.reshape(feat, (-1, feat.shape[-1]))  # (N, C)
+        weights = ad.softmax_last(ad.moveaxis(self.score(tokens), 0, 1))  # (P, N)
+        return ad.matmul(weights, tokens)  # (P, C)
 
 
 class CrossModalityLayer(Module):
@@ -273,9 +269,8 @@ class Fusion(Module):
         """Channel-concat all modalities, project to C, flatten row-major to
         (N, C) tokens, add the shared absolute position table."""
         self._check_features(feats)
-        d, w, h = self.grid
         x = feats[0] if len(feats) == 1 else ad.concat(feats, axis=3)
-        x = ad.reshape(self.embed(x), (d * w * h, self.cfg.dim))
+        x = ad.reshape(self.embed(x), (-1, self.cfg.dim))
         return ad.add(x, self.pos.embed_abs)
 
     def __call__(self, feats):

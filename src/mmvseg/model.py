@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .autodiff import Tensor
-from .data import _read_exact, _read_into
+from .data import _check_left, _read_exact, _read_into
 from .decoder import Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, ContractError, FormatError, ShapeError, check_fields
@@ -329,10 +329,8 @@ def load_checkpoint(path, moments=True):
                 for key in ("m", "v"):
                     _read_into(fh, opt[key], f"moment {key}")
             else:
-                nbytes, got = 2 * 8 * size, os.fstat(fh.fileno()).st_size - fh.tell()
-                if got < nbytes:
-                    raise FormatError(f"truncated file: wanted {nbytes} bytes of moments, got {got}")
-                fh.seek(nbytes, os.SEEK_CUR)
+                _check_left(fh, 2 * 8 * size, "moments")
+                fh.seek(2 * 8 * size, os.SEEK_CUR)
         if fh.read(1):
             raise FormatError("trailing data after the payloads")
     return model, {"step": counters["step"], "opt": opt}

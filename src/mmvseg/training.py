@@ -74,10 +74,10 @@ def soft_dice_loss(logits: Tensor, target, smooth: float = 1e-5) -> Tensor:
     n_classes = logits.shape[-1]
     onehot = Tensor(np.eye(n_classes, dtype=logits.dtype)[labels])
     probs = ad.softmax_last(logits)
-    flat_p = ad.reshape(probs, (-1, n_classes))
-    flat_g = ad.reshape(onehot, (-1, n_classes))
-    inter = ad.tsum(ad.mul(flat_p, flat_g), axis=0)
-    sums = ad.add(ad.tsum(flat_p, axis=0), ad.tsum(flat_g, axis=0))
+    # numpy reduces the contiguous leading axes as the one axis of (-1, K) rows
+    axes = tuple(range(logits.ndim - 1))
+    inter = ad.tsum(ad.mul(probs, onehot), axis=axes)
+    sums = ad.add(ad.tsum(probs, axis=axes), ad.tsum(onehot, axis=axes))
     ratio = ad.div(2.0 * inter + smooth, sums + smooth)
     return 1.0 - ad.tmean(ratio)
 

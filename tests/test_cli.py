@@ -605,6 +605,20 @@ class TestEval:
         assert "spacing" in capsys.readouterr().err
         assert not (out / "metrics.json").exists() and not (out / "metrics.csv").exists()
 
+    def test_corrupt_volume_header_fails_typed_before_the_manifest(self, workdir, tmp_path, capsys):
+        # extents whose payload (4 * 65535^4 bytes) no file holds
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        volume = data / "case_0001" / "volume.mmv"
+        raw = bytearray(volume.read_bytes())
+        raw[4:20] = struct.pack("<IIII", 65535, 65535, 65535, 65535)
+        volume.write_bytes(bytes(raw))
+        out = tmp_path / "e"
+        assert main(["eval", "--out", str(out), "--checkpoint",
+                     str(workdir / "run" / "checkpoint.ckpt"), "--data", str(data)]) == 2
+        assert capsys.readouterr().err.startswith(f"failure: truncated file: wanted {4 * 65535 ** 4} bytes")
+        assert not out.exists()
+
     def test_missing_checkpoint(self, workdir, tmp_path):
         assert main(["eval", "--out", str(tmp_path / "e"),
                      "--checkpoint", str(tmp_path / "nope.ckpt"),

@@ -323,6 +323,21 @@ class TestMaskFormat:
             write_mask(tmp_path / "m.msk", mask)
 
 
+# header extents whose payload the file does not hold: each size is checked
+# against the bytes left before anything is read or allocated, where these
+# raised OverflowError, OverflowError and MemoryError (a 256 GiB request)
+@pytest.mark.parametrize("reader, magic, fields", [
+    (read_mmv, b"MMV1", (65535, 65535, 65535, 65535)),
+    (read_mask, b"MSK1", (2, 2 ** 31, 2 ** 31, 2 ** 31)),
+    (read_mmv, b"MMV1", (1, 4096, 4096, 4096)),
+], ids=["mmv-65535", "msk-2e31", "mmv-4096-cubed"])
+def test_header_sizes_beyond_the_file_are_truncation(tmp_path, reader, magic, fields):
+    path = tmp_path / "corrupt"
+    path.write_bytes(magic + struct.pack("<IIII", *fields) + struct.pack("<fff", 1.0, 1.0, 1.0) + bytes(64))
+    with pytest.raises(FormatError, match="truncated file: wanted [0-9]+ bytes of (voxel data|labels), got "):
+        reader(path)
+
+
 class TestNormalize:
     def test_constant_modality_maps_to_zeros(self):
         v = MultiModalVolume(np.full((4, 4, 4, 1), 7.0, dtype=np.float32))

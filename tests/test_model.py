@@ -220,14 +220,30 @@ class TestForward:
         assert counts[True][0] - counts[False][0] == 1
         assert counts[True][1] - counts[False][1] == 4 and counts[False][1] == 4
 
+    @staticmethod
+    def _default_width_tape_ops(modalities):
+        model = Model(ModelConfig(modalities=modalities, n_classes=3, input_shape=(32, 32, 32)))
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, size=(32, 32, 32, modalities)).astype(np.float32)
+        y = rng.integers(0, 3, size=(32, 32, 32))
+        with ad.Tape() as tape:
+            logits = model(x)
+            ad.add(soft_dice_loss(logits, y), cross_entropy_loss(logits, y))
+        return [node.op for node in tape.nodes]
+
     def test_default_width_forward_and_loss_tape_size(self):
         # default widths, 2 modalities, 32^3: the forward plus the two loss
-        # terms record 341 nodes.  Each of the 20 GlobalPoolBlocks (5 stages,
-        # 2 blocks, 2 modalities) records global_pool, reshape, linear,
-        # reshape and feed_forward, where layer_norm, mean, reshape, linear,
-        # reshape, add and feed_forward recorded 7, and each of the 4 decoder
-        # levels feeds its conv3d the skip directly, with no concat node:
-        # 44 fewer than the 385 of those chains.  Each level's gated skip
+        # terms record 291 nodes.  Each of the 20 GlobalPoolBlocks (5 stages,
+        # 2 blocks, 2 modalities) records global_pool, linear (of the (C,)
+        # pooled vector) and feed_forward, where layer_norm, mean, reshape,
+        # linear, reshape, add and feed_forward recorded 7; each of the 7
+        # attention calls moves K's token axis last in one moveaxis, where K
+        # was moved twice; each of the 2 modality summarizers reshapes its
+        # volume once for both the scores and the average; and the Dice loss
+        # sums the softmax over its leading axes with no reshape: 50 fewer
+        # than the 341 before those four.  Each of the 4 decoder levels feeds
+        # its conv3d the skip directly, with no concat node: 44 fewer than
+        # the 385 of the concat and pooled-norm chains.  Each level's gated skip
         # sum is one gated_sum node, where the take/mul/add chain for M = 2
         # recorded 3M - 1 = 5, so 4 levels record 16 fewer than that
         # chain's 401.
@@ -238,16 +254,17 @@ class TestForward:
         # 6 (reshape, table reshape, add, moveaxis; moveaxis, reshape), 3
         # (reshape, add; reshape) and 6 (reshape, moveaxis, reshape; the
         # same back), so each of the 2 layers records 4 nodes fewer
-        model = Model(ModelConfig(modalities=2, n_classes=3, input_shape=(32, 32, 32)))
-        rng = np.random.default_rng(7)
-        x = rng.uniform(-1, 1, size=(32, 32, 32, 2)).astype(np.float32)
-        y = rng.integers(0, 3, size=(32, 32, 32))
-        with ad.Tape() as tape:
-            logits = model(x)
-            ad.add(soft_dice_loss(logits, y), cross_entropy_loss(logits, y))
-        ops = [node.op for node in tape.nodes]
-        assert len(ops) == 341
+        ops = self._default_width_tape_ops(2)
+        assert len(ops) == 291
         assert ops.count("upsample2x") == 8
+
+    def test_four_modality_tape_size(self):
+        # two more encoders, each 5 patch_linear embeds and 10 pooled blocks
+        # of 3 nodes, and two more summarizers, each reshape, linear, gelu,
+        # linear, moveaxis, softmax and matmul: 291 + 2 * 35 + 2 * 7
+        ops = self._default_width_tape_ops(4)
+        assert len(ops) == 375
+        assert ops.count("global_pool") == 40 and ops.count("moveaxis") == 34
 
     def test_ablated_model_still_runs(self):
         cfg = toy_config(use_spatial_attention=False, use_cross_attention=False,
@@ -509,6 +526,16 @@ class TestCheckpoint:
             path.write_bytes(raw[:cut])
             with pytest.raises(FormatError, match=f"truncated file: .* {what}"):
                 load_checkpoint(path, moments=moments)
+
+    def test_header_length_beyond_the_file_is_truncation(self, tmp_path):
+        # the length is checked against the bytes left before any is read
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"truncated file: wanted {0xFFFFFFFF} bytes of header, got {len(raw) - 12}"):
+            load_checkpoint(path)
 
     def test_version_2_file_is_unsupported(self, tmp_path):
         path = tmp_path / "model.ckpt"

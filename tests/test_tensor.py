@@ -964,7 +964,7 @@ class TestLinear:
         assert [n.op for n in tape.nodes] == ["linear"]
 
     @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
-        ((5,), (5, 3), (3,)),          # rank-1 input
+        ((), (5, 3), (3,)),            # a scalar input has no channel extent
         ((2, 5), (4, 3), (3,)),        # inner extents differ
         ((2, 5), (5, 3), (4,)),        # bias of the wrong width
     ])
