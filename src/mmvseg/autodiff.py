@@ -170,9 +170,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other, self.dtype))
 
@@ -185,25 +182,11 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other, self.dtype), self)
 
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def _as_tensor(x, dtype):

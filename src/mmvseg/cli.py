@@ -1,13 +1,12 @@
 """Command-line front end.
 
 Subcommands: gen, train, eval, gradcheck, bench-attn, ablate, report.
-Each command checks its arguments and configs, and loads any dataset it
-reads, before it writes `manifest.json` (the fully resolved configuration)
-into --out, so a command refused for those leaves no --out.  `ablate`
-without --data first generates its cases under --out; eval reads its
-checkpoint, and report its run's logs, after the manifest.  Nothing is
-ever written outside --out.  Exit codes: 0 success, 1 bad usage/validation,
-2 runtime failure (including a failing check suite).
+Every command reads and checks all of its inputs (arguments, configs,
+datasets, checkpoints, run logs) before it writes `manifest.json` (the fully
+resolved configuration) into --out, so a refused command leaves no --out;
+`ablate` without --data still generates its cases under --out first.
+Nothing is ever written outside --out.  Exit codes: 0 success, 1 bad
+usage/validation, 2 runtime failure (including a failing check suite).
 """
 
 from __future__ import annotations
@@ -203,14 +202,29 @@ def _split_indices(data_dir, n_cases, *names):
 
 
 def _load_split_datasets(data_dir):
+    """The train and val cases of `data_dir` (val None when empty), and the
+    model fields they fix."""
     dataset = load_dataset(data_dir)
     found = _split_indices(data_dir, len(dataset), "train", "val")
     train_idx, val_idx = (range(len(dataset)), []) if found is None else found
     if not train_idx:
         raise ConfigError(f"{Path(data_dir) / 'splits.json'} has an empty train split; "
                           "regenerate the dataset with a nonzero train fraction")
+    interface = _interface(dataset, [*train_idx, *val_idx], data_dir)
     _check_trainable(dataset, train_idx, data_dir)
-    return [dataset[i] for i in train_idx], [dataset[i] for i in val_idx] or None
+    return [dataset[i] for i in train_idx], [dataset[i] for i in val_idx] or None, interface
+
+
+def _interface(dataset, cases, data_dir):
+    """The ModelConfig fields that the `cases` (indices into `dataset`) fix:
+    input_shape, modalities and n_classes.  A case that disagrees with the
+    first is a ConfigError that names it."""
+    found = [{"input_shape": volume.shape[:3], "modalities": volume.shape[3], "n_classes": mask.n_classes}
+             for volume, mask in (dataset[i] for i in cases)]
+    for i, fields in zip(cases, found):
+        if fields != found[0]:
+            raise ConfigError(f"case {i} of {data_dir} has {fields}, but case {cases[0]} has {found[0]}")
+    return found[0]
 
 
 def _check_trainable(dataset, train_idx, data_dir):
@@ -223,14 +237,10 @@ def _check_trainable(dataset, train_idx, data_dir):
 
 
 def cmd_train(args):
-    train_set, val_set = _load_split_datasets(args.data)
-    volume, mask = train_set[0]
-
+    train_set, val_set, interface = _load_split_datasets(args.data)
     model_dict = _load_json(args.model_config, "model config") if args.model_config else {}
-    # the dataset is the source of truth for the interface extents
-    model_dict["input_shape"] = list(volume.shape[:3])
-    model_dict["modalities"] = volume.shape[3]
-    model_dict["n_classes"] = mask.n_classes
+    # the dataset is the source of truth for the interface fields
+    model_dict.update(interface)
     model_cfg = _build(ModelConfig.from_dict, model_dict, "model config")
     if args.ablation:
         model_cfg = ablation_model_config(model_cfg, args.ablation)
@@ -272,13 +282,18 @@ def cmd_eval(args):
             raise ConfigError(f"eval --split {args.split} needs a nonempty {args.split} split "
                               f"in {Path(args.data) / 'splits.json'}")
         cases = found[0]
+    model, _ = load_checkpoint(ckpt, moments=False)
+    interface = _interface(dataset, cases, args.data)
+    expected = {name: getattr(model.cfg, name) for name in interface}
+    if interface != expected:
+        raise ConfigError(f"checkpoint {ckpt} takes {expected}, "
+                          f"but the cases of {args.data} have {interface}")
     out = Path(args.out)
     _write_manifest(
         out, "eval", 0,
         {"checkpoint": str(ckpt), "data": str(args.data), "split": args.split},
         {"csv": out / "metrics.csv", "json": out / "metrics.json"},
     )
-    model, _ = load_checkpoint(ckpt, moments=False)
     report = evaluate(model, [dataset[i] for i in cases], out_dir=out, case_ids=cases)
     print(f"evaluated {report['n_cases']} cases: mean dice {report['mean_dice']['mean']:.4f}")
     return 0
@@ -454,17 +469,16 @@ def cmd_ablate(args):
     if len(dataset) < 2:
         raise ConfigError(f"ablate needs >= 2 cases (one train and one val case), {data_dir} has {len(dataset)}")
     n_val = max(1, len(dataset) // 3)
+    interface = _interface(dataset, range(len(dataset)), data_dir)
     _check_trainable(dataset, range(len(dataset) - n_val), data_dir)
     _write_manifest(out, "ablate", args.seed,
                     {"rows": rows, "cases": args.cases, "steps": args.steps,
                      "seeds": args.seeds, "lr": args.lr, "data": args.data},
                     {"csv": out / "ablate.csv"})
     train_set, val_set = dataset[:-n_val], dataset[-n_val:]
-    volume, mask = dataset[0]
 
     model_cfg = ModelConfig(
-        modalities=volume.shape[3], n_classes=mask.n_classes,
-        input_shape=volume.shape[:3],
+        **interface,
         encoder={"stage_channels": [4, 4, 4, 4, 8], "blocks_per_stage": 1, "mlp_ratio": 1},
         attention={"heads": 2, "dim": 8, "window": [1, 1, 1], "qkv_dim": 8, "ffn_ratio": 1},
         decoder={"level_channels": [4, 4, 4, 4]},
@@ -490,42 +504,39 @@ def cmd_ablate(args):
     return 0
 
 
+# each run file that report reads, the table it makes, and how
+_REPORTS = (
+    ("train_log.jsonl", "loss_curve.csv",
+     lambda recs: (list(recs[0]), [[r[k] for k in recs[0]] for r in recs])),
+    ("val_log.jsonl", "val_curve.csv",
+     lambda recs: (["step", "dice"], [[r["step"], r["dice"]] for r in recs])),
+    ("metrics.json", "metrics_by_class.csv",
+     lambda rep: (["class", "mean_dice", "mean_hd95"],
+                  [[c, rep["mean_dice"][str(c)], rep["mean_hd95"][str(c)]] for c in rep["classes"]])),
+)
+
+
 def cmd_report(args):
     run_dir = Path(args.run)
     if not run_dir.is_dir():
         raise FileNotFoundError(f"run directory not found: {run_dir}")
+    tables = {}
+    for source, table, build in _REPORTS:
+        path = run_dir / source
+        if path.exists():
+            try:
+                tables[table] = build(_read_json(path, lines=path.suffix == ".jsonl"))
+            except (KeyError, TypeError) as exc:  # a record without a key it needs, or no object
+                raise FormatError(f"{path} holds a record report cannot read: {exc!r}") from None
+    if not tables:
+        raise ConfigError(f"nothing to report: no train_log.jsonl, val_log.jsonl "
+                          f"or metrics.json under {run_dir}")
     out = Path(args.out)
     _write_manifest(out, "report", 0, {"run": str(run_dir)},
                     {"out": out})
-    produced = []
-
-    train_log = run_dir / "train_log.jsonl"
-    if train_log.exists():
-        records = _read_json(train_log, lines=True)
-        header = list(records[0])
-        write_csv(out / "loss_curve.csv", header,
-                  [[rec.get(k) for k in header] for rec in records])
-        produced.append("loss_curve.csv")
-
-    val_log = run_dir / "val_log.jsonl"
-    if val_log.exists():
-        records = _read_json(val_log, lines=True)
-        write_csv(out / "val_curve.csv", ["step", "dice"],
-                  [[rec["step"], rec["dice"]] for rec in records])
-        produced.append("val_curve.csv")
-
-    metrics = run_dir / "metrics.json"
-    if metrics.exists():
-        report = _read_json(metrics)
-        write_csv(out / "metrics_by_class.csv", ["class", "mean_dice", "mean_hd95"],
-                  [[cls, report["mean_dice"][str(cls)], report["mean_hd95"][str(cls)]]
-                   for cls in report["classes"]])
-        produced.append("metrics_by_class.csv")
-
-    if not produced:
-        raise ConfigError(f"nothing to report: no train_log.jsonl, val_log.jsonl "
-                          f"or metrics.json under {run_dir}")
-    print(f"wrote {', '.join(produced)} to {out}")
+    for table, (header, rows) in tables.items():
+        write_csv(out / table, header, rows)
+    print(f"wrote {', '.join(tables)} to {out}")
     return 0
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoder import DOWNSAMPLE
 from .errors import (ConfigError, ContractError, FormatError, GenerationError, check_fields,
                      is_number)
 from .metrics import SegmentationMask, check_spacing
@@ -78,8 +79,8 @@ class PhantomSpec:
                             ("objects_per_class", int, 1), ("noise_sigma", float, 0), ("seed", int, 0)))
         if self.n_classes > 256:
             raise ConfigError(f"n_classes must be <= 256, as MSK1 stores byte labels, got {self.n_classes}")
-        if any(s < 16 or s % 16 for s in self.shape):
-            raise ConfigError(f"phantom extents must be positive multiples of 16, got {self.shape}")
+        if any(s < DOWNSAMPLE or s % DOWNSAMPLE for s in self.shape):
+            raise ConfigError(f"phantom extents must be positive multiples of {DOWNSAMPLE}, got {self.shape}")
         if (not isinstance(self.radius_range, (list, tuple)) or len(self.radius_range) != 2
                 or not all(map(is_number, self.radius_range))):
             raise ConfigError(f"radius range must be two numbers, got {self.radius_range!r}")

@@ -15,10 +15,9 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
+from .encoder import N_STAGES
 from .errors import ConfigError, ShapeError, check_fields
 from .nn import Conv3d, Linear, Module, PatchLinear
-
-N_LEVELS = 5
 
 
 @dataclass
@@ -26,7 +25,7 @@ class DecoderConfig:
     level_channels: tuple = (128, 64, 64, 32)  # levels 4, 3, 2, 1
 
     def __post_init__(self):
-        check_fields(self, (("level_channels", N_LEVELS - 1, 1),))
+        check_fields(self, (("level_channels", N_STAGES - 1, 1),))
 
 
 class Decoder(Module):
@@ -40,8 +39,8 @@ class Decoder(Module):
 
     def __init__(self, bottleneck_channels, modalities, skip_channels, cfg, rng,
                  dtype=np.float32, gated=True, n_classes=2):
-        if len(skip_channels) != N_LEVELS - 1:
-            raise ConfigError(f"skip_channels needs {N_LEVELS - 1} entries, got {len(skip_channels)}")
+        if len(skip_channels) != N_STAGES - 1:
+            raise ConfigError(f"skip_channels needs {N_STAGES - 1} entries, got {len(skip_channels)}")
         if n_classes < 2:
             raise ConfigError(f"need at least 2 output classes, got {n_classes}")
         self.gate_fc = Linear(bottleneck_channels, modalities, rng, dtype) if gated else None
@@ -78,8 +77,8 @@ class Decoder(Module):
 
     def __call__(self, bottleneck, skips):
         """bottleneck (d, w, h, C); skips = gated features for levels 4..1."""
-        if len(skips) != N_LEVELS - 1:
-            raise ShapeError(f"expected {N_LEVELS - 1} skip volumes, got {len(skips)}")
+        if len(skips) != N_STAGES - 1:
+            raise ShapeError(f"expected {N_STAGES - 1} skip volumes, got {len(skips)}")
         x = bottleneck
         for conv, skip in zip(self.convs, skips):
             x = ad.gelu(conv(ad.upsample2x(x), skip))

@@ -15,6 +15,7 @@ from .errors import ConfigError, ShapeError, check_fields
 from .nn import Conv3d, LayerNorm, Linear, Mlp, Module, PatchLinear
 
 N_STAGES = 5
+DOWNSAMPLE = 2 ** (N_STAGES - 1)  # stage 1 keeps the input extents, each later stage halves them
 
 
 @dataclass
@@ -105,8 +106,8 @@ class Encoder(Module):
     def __call__(self, volume):
         if volume.ndim != 4 or volume.shape[3] != 1:
             raise ShapeError(f"encoder expects (D, H, W, 1), got {volume.shape}")
-        if any(s % 16 for s in volume.shape[:3]):
-            raise ShapeError(f"spatial extents must be divisible by 16, got {volume.shape[:3]}")
+        if any(s % DOWNSAMPLE for s in volume.shape[:3]):
+            raise ShapeError(f"spatial extents must be divisible by {DOWNSAMPLE}, got {volume.shape[:3]}")
         levels = []
         x = volume
         for stage in self.stages:

@@ -186,12 +186,15 @@ def evaluate(model, dataset, out_dir=None, case_ids=None):
         raise ContractError("cases disagree on class sets; every mask needs the same n_classes")
     mean_dice = {k: sum(row["dice"][k] for row in per_case) / len(per_case) for k in keys}
     mean_hd95 = {k: _mean_defined([row["hd95"][k] for row in per_case]) for k in keys}
+    # per class, the cases whose HD95 is undefined, which mean_hd95 leaves out
+    hd95_undefined = {k: sum(math.isinf(row["hd95"][k]) for row in per_case) for k in keys}
     report = {
         "n_cases": len(per_case),
         "classes": [int(k) for k in keys],
         "per_case": per_case,
         "mean_dice": {**mean_dice, "mean": sum(mean_dice.values()) / len(keys)},
         "mean_hd95": {**mean_hd95, "mean": _mean_defined(mean_hd95.values())},
+        "hd95_undefined": hd95_undefined,
     }
 
     if out_dir is not None:

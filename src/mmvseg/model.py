@@ -14,7 +14,7 @@ import numpy as np
 from .autodiff import Tensor
 from .data import _check_left, _read_exact, _read_into
 from .decoder import Decoder, DecoderConfig
-from .encoder import Encoder, EncoderConfig
+from .encoder import DOWNSAMPLE, Encoder, EncoderConfig
 from .errors import ConfigError, ContractError, FormatError, ShapeError, check_fields
 from .fusion import (
     AttentionConfig,
@@ -26,7 +26,6 @@ from .fusion import (
 )
 from .nn import Module
 
-DOWNSAMPLE = 16  # spatial reduction from input to bottleneck
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 CHECKPOINT_MAGIC = b"NFCK"
@@ -136,7 +135,7 @@ class Model(Module):
             use_cross=cfg.use_cross_attention,
             dtype=dtype,
         )
-        skip_channels = tuple(reversed(cfg.encoder.stage_channels[:4]))
+        skip_channels = tuple(reversed(cfg.encoder.stage_channels[:-1]))
         self.decoder = Decoder(
             c,
             cfg.modalities,
@@ -166,7 +165,7 @@ class Model(Module):
             for i, enc in enumerate(self.encoders)
         ]
         fused = self.fusion([p[-1] for p in pyramids])
-        levels = [[p[level - 1] for p in pyramids] for level in (4, 3, 2, 1)]
+        levels = [list(f) for f in zip(*pyramids)][-2::-1]
         skips = self.decoder.skips(fused, levels)
         # without a tape, nothing else holds the encoder features or the gate
         # logits, so they are freed before the decoder runs

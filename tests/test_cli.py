@@ -557,6 +557,33 @@ class TestEval:
                      "--data", str(workdir / "data")]) == 2
         assert "checkpoint config" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_fails_before_the_manifest(self, workdir, tmp_path, capsys):
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes((workdir / "run" / "checkpoint.ckpt").read_bytes()[:100])
+        out = tmp_path / "e"
+        assert main(["eval", "--out", str(out), "--checkpoint", str(ckpt),
+                     "--data", str(workdir / "data")]) == 2
+        assert capsys.readouterr().err.startswith("failure: truncated file: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [{"modalities": 3}, {"shape": [32, 16, 16]}, {"n_classes": 4}],
+                             ids=["modalities", "extents", "classes"])
+    def test_dataset_the_checkpoint_does_not_fit_is_refused(self, workdir, tmp_path, capsys, change):
+        # a 3-class model cannot score class 3; the other two exited 2 mid-run
+        spec = {**SPEC, **change}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(tmp_path / "spec.json"),
+                     "--cases", "1", "--fractions", "1,0,0"]) == 0
+        out = tmp_path / "e"
+        assert main(["eval", "--out", str(out), "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+                     "--data", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        takes = {"input_shape": (16, 16, 16), "modalities": 2, "n_classes": 3}
+        has = {"input_shape": tuple(spec["shape"]), "modalities": spec["modalities"],
+               "n_classes": spec["n_classes"]}
+        assert err.startswith("error: checkpoint ") and f"takes {takes}, " in err and f"have {has}" in err
+        assert not out.exists()
+
     def test_skipping_the_moments_keeps_metrics_identical(self, workdir, tmp_path, monkeypatch):
         # the trained checkpoint holds AdamW moments; eval skips them, and
         # scores what it scored when it read them
@@ -824,6 +851,27 @@ class TestAblate:
         assert "unknown ablation rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_cases_that_disagree_on_extents_are_refused(workdir, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    (data / "splits.json").unlink()  # every command then reads every case
+    (tmp_path / "spec.json").write_text(json.dumps({**SPEC, "shape": [32, 16, 16]}))
+    assert main(["gen", "--out", str(tmp_path / "odd"), "--spec", str(tmp_path / "spec.json"),
+                 "--cases", "1", "--fractions", "1,0,0"]) == 0
+    shutil.rmtree(data / "case_0002")
+    shutil.copytree(tmp_path / "odd" / "case_0000", data / "case_0002")
+    args = {"train": ["--model-config", str(workdir / "model.json"), "--steps", "1"],
+            "eval": ["--checkpoint", str(workdir / "run" / "checkpoint.ckpt")],
+            "ablate": ["--rows", "full", "--steps", "1"]}[command]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--data", str(data), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: case 2 of {data} has {{'input_shape': (32, 16, 16), ")
+    assert "but case 0 has {'input_shape': (16, 16, 16), " in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,args", [
     ("gen", ["--cases", "2"]), ("train", ["--steps", "1"]),
     ("ablate", ["--rows", "full", "--cases", "2", "--steps", "1"]), ("gradcheck", []),
@@ -871,12 +919,34 @@ class TestReport:
         assert main(["report", "--out", str(tmp_path / "r"), "--run", str(run)]) == 2
         err = capsys.readouterr().err
         assert "train_log.jsonl" in err and "IndexError" not in err
+        assert not (tmp_path / "r").exists()
 
     def test_nothing_to_report(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", "--out", str(tmp_path / "r"), "--run", str(empty)]) == 1
         assert "nothing to report" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("name,content,message", [
+        ("train_log.jsonl", '{"step": 1, "loss": 0.5}\n{"step": 2,\n', "is not valid JSON"),
+        ("train_log.jsonl", '{"step": 1, "loss": 0.5}\n{"step": 2}\n', "KeyError('loss')"),
+        ("val_log.jsonl", '{"dice": 0.5}\n', "KeyError('step')"),
+        ("val_log.jsonl", "[0, 0.5]\n", "TypeError("),
+        ("metrics.json", '{"classes": [1], "mean_dice": {"1": 0.5}}', "KeyError('mean_hd95')"),
+    ], ids=["malformed", "train-no-loss", "val-no-step", "val-not-object", "metrics-no-hd95"])
+    def test_unreadable_log_fails_typed_before_the_manifest(self, workdir, tmp_path, capsys,
+                                                            name, content, message):
+        # the readable train log beside a bad file is not written either
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(workdir / "run" / "train_log.jsonl", run)
+        (run / name).write_text(content)
+        out = tmp_path / "r"
+        assert main(["report", "--out", str(out), "--run", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"failure: {run / name} ") and message in err
+        assert not out.exists()
 
 
 class TestIsolation:

@@ -305,6 +305,24 @@ class TestEvaluate:
         assert loaded["n_cases"] == 2
         assert loaded["mean_hd95"]["2"] == "undefined"
 
+    def test_undefined_hd95_cases_are_counted_and_left_out_of_the_mean(self):
+        # every case predicts its truth shifted by a voxel, and case 1 no
+        # voxel of class 2, so that case's class-2 HD95 is undefined
+        data = self._dataset(n_cases=3)
+        truth = {id(v): m.labels for v, m in data}
+
+        def model(volume):
+            pred = np.roll(truth[id(volume)], 1, axis=0)
+            if volume is data[1][0]:
+                pred = np.where(pred == 2, 0, pred)
+            return np.eye(3, dtype=np.float32)[pred]
+
+        report = evaluate(model, data)
+        hd = [case["hd95"]["2"] for case in report["per_case"]]
+        assert math.isinf(hd[1]) and hd[0] > 0 and hd[2] > 0
+        assert report["hd95_undefined"] == {"1": 0, "2": 1}
+        assert report["mean_hd95"]["2"] == (hd[0] + hd[2]) / 2
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
             evaluate(lambda v: v, [])

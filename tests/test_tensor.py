@@ -637,6 +637,17 @@ def test_reduction_matches_numpy_exactly(op, axis, keepdims, dtype):
     np.testing.assert_array_equal(dx, np.broadcast_to(spread / count, x.shape))
 
 
+def test_tensor_operators_record_the_module_ops():
+    # the operators a Tensor keeps; `a - b` of two tensors needs __sub__, as
+    # Python tries no reflected method between operands of one type
+    a, b = t([1.0, -2.0]), t([0.5, 4.0])
+    for got, want in ((a + b, ad.add(a, b)), (a + 2.0, ad.add(a, t(2.0))), (a - b, ad.sub(a, b)),
+                      (a - 2.0, ad.sub(a, t(2.0))), (2.0 - a, ad.sub(t(2.0), a)), (a * b, ad.mul(a, b)),
+                      (a * 2.0, ad.mul(a, t(2.0))), (2.0 * a, ad.mul(t(2.0), a)), (-a, ad.neg(a)),
+                      (a.sum(), ad.tsum(a))):
+        np.testing.assert_array_equal(got.data, want.data)
+
+
 class TestGradCheck:
     def test_linear_is_exact(self):
         x = t(np.random.default_rng(11).normal(size=(4,)), requires_grad=True)
