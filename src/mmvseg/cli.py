@@ -17,6 +17,7 @@ import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
@@ -27,7 +28,7 @@ import scipy
 from . import __version__
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .data import PhantomSpec, load_dataset, save_dataset, zero_modality_messages
+from .data import PhantomSpec, case_interface, load_dataset, save_dataset, zero_modality_messages
 from .data import split as split_indices
 from .decoder import Decoder, DecoderConfig
 from .encoder import EncoderConfig, EncoderStage, GlobalPoolBlock
@@ -162,8 +163,6 @@ def cmd_gen(args):
         fractions = tuple(float(f) for f in args.fractions.split(","))
     except ValueError:
         raise ConfigError(f"--fractions wants numbers, got {args.fractions!r}") from None
-    if len(fractions) != 3:
-        raise ConfigError(f"--fractions wants three numbers, got {args.fractions!r}")
     # validated before any case is written
     train_idx, val_idx, test_idx = split_indices(args.cases, fractions, seed=spec.seed)
     out = Path(args.out)
@@ -180,67 +179,51 @@ def cmd_gen(args):
     return 0
 
 
-def _split_indices(data_dir, n_cases, *names):
-    """The case indices of each named split in data_dir/splits.json, checked
-    against `n_cases`; None when the dataset has no splits.json."""
+def _read_splits(data_dir):
+    """The train, val and test index lists of data_dir/splits.json (a
+    missing list is empty); None when the dataset has no splits.json.  The
+    lists must be disjoint and list no case twice."""
+    if not Path(data_dir).is_dir():
+        raise FileNotFoundError(f"dataset directory not found: {data_dir}")
     splits_file = Path(data_dir) / "splits.json"
     if not splits_file.exists():
         return None
     splits = _read_json(splits_file)
     if not isinstance(splits, dict):
         raise FormatError(f"{splits_file} must hold an object of split lists, got {type(splits).__name__}")
-    found = []
-    for name in names:
-        idx = splits.get(name, [])
+    found = {name: splits.get(name, []) for name in ("train", "val", "test")}
+    for name, idx in found.items():
         if not isinstance(idx, list) or not all(type(i) is int for i in idx):
             raise FormatError(f"{splits_file} {name} split must be a list of integers, got {idx!r}")
-        bad = [i for i in idx if not 0 <= i < n_cases]
-        if bad:
-            raise ConfigError(f"splits.json {name} indices out of range: {bad}")
-        found.append(idx)
+    repeated = sorted(i for i, n in Counter(i for idx in found.values() for i in idx).items() if n > 1)
+    if repeated:
+        raise ConfigError(f"{splits_file} lists cases {repeated} more than once; "
+                          "its splits must be disjoint")
     return found
 
 
-def _load_split_datasets(data_dir):
-    """The train and val cases of `data_dir` (val None when empty), and the
-    model fields they fix."""
-    dataset = load_dataset(data_dir)
-    found = _split_indices(data_dir, len(dataset), "train", "val")
-    train_idx, val_idx = (range(len(dataset)), []) if found is None else found
-    if not train_idx:
-        raise ConfigError(f"{Path(data_dir) / 'splits.json'} has an empty train split; "
-                          "regenerate the dataset with a nonzero train fraction")
-    interface = _interface(dataset, [*train_idx, *val_idx], data_dir)
-    _check_trainable(dataset, train_idx, data_dir)
-    return [dataset[i] for i in train_idx], [dataset[i] for i in val_idx] or None, interface
-
-
-def _interface(dataset, cases, data_dir):
-    """The ModelConfig fields that the `cases` (indices into `dataset`) fix:
-    input_shape, modalities and n_classes.  A case that disagrees with the
-    first is a ConfigError that names it."""
-    found = [{"input_shape": volume.shape[:3], "modalities": volume.shape[3], "n_classes": mask.n_classes}
-             for volume, mask in (dataset[i] for i in cases)]
-    for i, fields in zip(cases, found):
-        if fields != found[0]:
-            raise ConfigError(f"case {i} of {data_dir} has {fields}, but case {cases[0]} has {found[0]}")
-    return found[0]
-
-
-def _check_trainable(dataset, train_idx, data_dir):
+def _check_trainable(train_set, indices, data_dir):
     """Refuse training cases with a modality that normalizes to all zeros,
     on which float32 training overflowed."""
-    for i in train_idx:
-        problems = zero_modality_messages(dataset[i][0], f"training case {i} of {data_dir}")
+    for i, (volume, _) in zip(indices, train_set):
+        problems = zero_modality_messages(volume, f"training case {i} of {data_dir}")
         if problems:
             raise ConfigError(problems[0])
 
 
 def cmd_train(args):
-    train_set, val_set, interface = _load_split_datasets(args.data)
+    splits = _read_splits(args.data)
+    if splits is not None and not splits["train"]:
+        raise ConfigError(f"{Path(args.data) / 'splits.json'} has an empty train split; "
+                          "regenerate the dataset with a nonzero train fraction")
+    # without a splits.json every case is a training case
+    dataset = load_dataset(args.data, splits and splits["train"] + splits["val"])
+    train_idx = splits["train"] if splits else range(len(dataset))
+    train_set, val_set = dataset[:len(train_idx)], dataset[len(train_idx):] or None
+    _check_trainable(train_set, train_idx, args.data)
     model_dict = _load_json(args.model_config, "model config") if args.model_config else {}
     # the dataset is the source of truth for the interface fields
-    model_dict.update(interface)
+    model_dict.update(case_interface(*dataset[0]))
     model_cfg = _build(ModelConfig.from_dict, model_dict, "model config")
     if args.ablation:
         model_cfg = ablation_model_config(model_cfg, args.ablation)
@@ -274,16 +257,15 @@ def cmd_eval(args):
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    dataset = load_dataset(args.data)
-    cases = list(range(len(dataset)))
+    cases = None
     if args.split != "all":
-        found = _split_indices(args.data, len(dataset), args.split)
-        if not found or not found[0]:
+        cases = (_read_splits(args.data) or {}).get(args.split)
+        if not cases:
             raise ConfigError(f"eval --split {args.split} needs a nonempty {args.split} split "
                               f"in {Path(args.data) / 'splits.json'}")
-        cases = found[0]
+    dataset = load_dataset(args.data, cases)
     model, _ = load_checkpoint(ckpt, moments=False)
-    interface = _interface(dataset, cases, args.data)
+    interface = case_interface(*dataset[0])
     expected = {name: getattr(model.cfg, name) for name in interface}
     if interface != expected:
         raise ConfigError(f"checkpoint {ckpt} takes {expected}, "
@@ -294,7 +276,7 @@ def cmd_eval(args):
         {"checkpoint": str(ckpt), "data": str(args.data), "split": args.split},
         {"csv": out / "metrics.csv", "json": out / "metrics.json"},
     )
-    report = evaluate(model, [dataset[i] for i in cases], out_dir=out, case_ids=cases)
+    report = evaluate(model, dataset, out_dir=out, case_ids=cases)
     print(f"evaluated {report['n_cases']} cases: mean dice {report['mean_dice']['mean']:.4f}")
     return 0
 
@@ -452,6 +434,8 @@ def cmd_ablate(args):
     unknown = [r for r in rows if r not in ABLATIONS]
     if unknown:
         raise ConfigError(f"unknown ablation rows {unknown}; choose from {sorted(ABLATIONS)}")
+    if len(set(rows)) < len(rows):
+        raise ConfigError(f"--rows names a row more than once: {args.rows!r}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     if not args.data and args.cases < 2:
@@ -469,16 +453,15 @@ def cmd_ablate(args):
     if len(dataset) < 2:
         raise ConfigError(f"ablate needs >= 2 cases (one train and one val case), {data_dir} has {len(dataset)}")
     n_val = max(1, len(dataset) // 3)
-    interface = _interface(dataset, range(len(dataset)), data_dir)
-    _check_trainable(dataset, range(len(dataset) - n_val), data_dir)
+    train_set, val_set = dataset[:-n_val], dataset[-n_val:]
+    _check_trainable(train_set, range(len(train_set)), data_dir)
     _write_manifest(out, "ablate", args.seed,
                     {"rows": rows, "cases": args.cases, "steps": args.steps,
                      "seeds": args.seeds, "lr": args.lr, "data": args.data},
                     {"csv": out / "ablate.csv"})
-    train_set, val_set = dataset[:-n_val], dataset[-n_val:]
 
     model_cfg = ModelConfig(
-        **interface,
+        **case_interface(*dataset[0]),
         encoder={"stage_channels": [4, 4, 4, 4, 8], "blocks_per_stage": 1, "mlp_ratio": 1},
         attention={"heads": 2, "dim": 8, "window": [1, 1, 1], "qkv_dim": 8, "ffn_ratio": 1},
         decoder={"level_channels": [4, 4, 4, 4]},

@@ -343,16 +343,29 @@ def save_dataset(out_dir, spec: PhantomSpec, n_cases: int):
     return [one_case(idx) for idx in range(n_cases)]
 
 
-def load_dataset(root):
-    """Read every case_* directory back as (normalized volume array, mask)
-    pairs."""
+def case_interface(volume, mask):
+    """The ModelConfig fields a (volume array, mask) case fixes."""
+    return {"input_shape": volume.shape[:3], "modalities": volume.shape[3], "n_classes": mask.n_classes}
+
+
+def load_dataset(root, cases=None):
+    """Read the case_* directories of `root` (every one, or those at the
+    indices `cases` into their sorted list, in that order) back as
+    (normalized volume array, mask) pairs.  An index with no directory, or
+    a case whose extents, modality or class count differ from the first
+    case read, is a ConfigError that names it."""
     if not Path(root).is_dir():
         raise FileNotFoundError(f"dataset directory not found: {root}")
     case_dirs = sorted(Path(root).glob("case_*"))
     if not case_dirs:
         raise FormatError(f"no case_* directories under {root}")
+    cases = range(len(case_dirs)) if cases is None else cases
+    missing = [i for i in cases if not 0 <= i < len(case_dirs)]
+    if missing:
+        raise ConfigError(f"{root} has no case {missing[0]}: it holds cases 0 to {len(case_dirs) - 1}")
     dataset = []
-    for cdir in case_dirs:
+    for i in cases:
+        cdir = case_dirs[i]
         volume = read_mmv(cdir / "volume.mmv")
         mask = read_mask(cdir / "mask.msk")
         if volume.shape != mask.labels.shape:
@@ -360,4 +373,7 @@ def load_dataset(root):
         # MSK1 stores no spacing; the mask lies on its volume's voxel grid
         mask = replace(mask, spacing=volume.spacing)
         dataset.append((normalize(volume).data, mask))
+        fields, first = case_interface(*dataset[-1]), case_interface(*dataset[0])
+        if fields != first:
+            raise ConfigError(f"case {i} of {root} has {fields}, but case {cases[0]} has {first}")
     return dataset

@@ -19,6 +19,7 @@ import pytest
 
 from mmvseg import autodiff as ad
 from mmvseg import cli
+from mmvseg import data as data_module
 from mmvseg.cli import main
 from mmvseg.data import load_dataset
 from mmvseg.errors import FormatError
@@ -93,12 +94,15 @@ class TestParsing:
     def test_bad_grid_triple(self, tmp_path):
         assert main(["bench-attn", "--out", str(tmp_path / "b"), "--grid", "8,8"]) == 1
 
-    def test_bad_fractions(self, tmp_path):
+    def test_bad_fractions(self, tmp_path, capsys):
         assert main(["gen", "--out", str(tmp_path / "d"), "--fractions", "0.5,0.5"]) == 1
+        assert "fractions must be 3 finite nonnegative floats" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_non_numeric_fractions(self, tmp_path, capsys):
         assert main(["gen", "--out", str(tmp_path / "d"), "--fractions", "a,b,c"]) == 1
         assert "--fractions" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_bad_scale_choice(self, tmp_path):
         assert main(["gradcheck", "--out", str(tmp_path / "g"), "--scale", "huge"]) == 1
@@ -276,6 +280,23 @@ class TestTrain:
                      "--model-config", str(workdir / "model.json"), "--steps", "1"]) == 1
         assert "splits.json" in capsys.readouterr().err
         assert not (tmp_path / "r" / "checkpoint.ckpt").exists()
+
+    @pytest.mark.parametrize("content,message", [
+        ('{"train": [0, 0], "val": [0], "test": [2, 2]}', "lists cases [0, 2] more than once"),
+        ('{"train": [0, 1], "val": [1]}', "lists cases [1] more than once"),
+        ('{"train": [0, 7]}', "has no case 7"),
+        ('{"train": [0, -1]}', "has no case -1"),
+    ], ids=["repeated", "overlapping", "past-the-last-case", "negative"])
+    def test_splits_that_repeat_or_lack_a_case_are_refused(self, workdir, tmp_path, capsys, content,
+                                                           message):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "splits.json").write_text(content)
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out), "--data", str(data),
+                     "--model-config", str(workdir / "model.json"), "--steps", "1"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_train_fraction_from_gen_is_rejected(self, workdir, tmp_path, capsys):
         assert main(["gen", "--out", str(tmp_path / "data"), "--spec", str(workdir / "spec.json"),
@@ -652,11 +673,12 @@ class TestEval:
                      "--data", str(workdir / "data")]) == 1
 
     def test_missing_data_dir(self, workdir, tmp_path, capsys):
-        assert main(["eval", "--out", str(tmp_path / "e"),
-                     "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
-                     "--data", str(tmp_path / "nope")]) == 1
-        assert f"dataset directory not found: {tmp_path / 'nope'}" in capsys.readouterr().err
-        assert not (tmp_path / "e").exists()
+        for split in ("all", "test"):
+            assert main(["eval", "--out", str(tmp_path / "e"), "--split", split,
+                         "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+                         "--data", str(tmp_path / "nope")]) == 1
+            assert f"dataset directory not found: {tmp_path / 'nope'}" in capsys.readouterr().err
+            assert not (tmp_path / "e").exists()
 
     def test_split_scores_only_that_split(self, tmp_path):
         """eval --split val scores the held-out case alone and names it by
@@ -688,6 +710,21 @@ class TestEval:
         report = json.loads((everything / "metrics.json").read_text())
         assert [case["case"] for case in report["per_case"]] == [0, 1, 2]
         assert json.loads((everything / "manifest.json").read_text())["config"]["split"] == "all"
+
+    @pytest.mark.parametrize("content,message", [
+        ('{"train": [0, 0], "val": [0], "test": [2, 2]}', "lists cases [0, 2] more than once"),
+        ('{"train": [0, 1], "test": [2, 7]}', "has no case 7"),
+    ], ids=["repeated", "past-the-last-case"])
+    def test_splits_that_repeat_or_lack_a_case_are_refused(self, workdir, tmp_path, capsys, content,
+                                                           message):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "splits.json").write_text(content)
+        out = tmp_path / "e"
+        assert main(["eval", "--out", str(out), "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+                     "--data", str(data), "--split", "test"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_named_split_needs_a_nonempty_split(self, workdir, tmp_path, capsys):
         data = tmp_path / "data"
@@ -850,6 +887,13 @@ class TestAblate:
         assert main(["ablate", "--out", str(tmp_path / "a"), "--rows", "nope"]) == 1
         assert "unknown ablation rows" in capsys.readouterr().err
 
+    def test_repeated_row_fails_before_the_manifest(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert main(["ablate", "--out", str(out), "--rows", "full,full", "--cases", "2",
+                     "--steps", "1"]) == 1
+        assert "--rows names a row more than once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
 def test_cases_that_disagree_on_extents_are_refused(workdir, tmp_path, capsys, command):
@@ -870,6 +914,34 @@ def test_cases_that_disagree_on_extents_are_refused(workdir, tmp_path, capsys, c
     assert err.startswith(f"error: case 2 of {data} has {{'input_shape': (32, 16, 16), ")
     assert "but case 0 has {'input_shape': (16, 16, 16), " in err
     assert not out.exists()
+
+
+def test_commands_read_only_the_cases_they_use(tmp_path, monkeypatch):
+    """On a 10-case dataset split by the default fractions, train reads its
+    train and val cases and no test case, and eval --split test reads the
+    test cases alone."""
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    (tmp_path / "model.json").write_text(json.dumps(MODEL))
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data), "--spec", str(tmp_path / "spec.json"), "--cases", "10"]) == 0
+    splits = json.loads((data / "splits.json").read_text())
+    assert [len(splits[name]) for name in ("train", "val", "test")] == [8, 1, 1]
+    read, read_mmv = [], data_module.read_mmv
+
+    def counted(path):
+        read.append(int(Path(path).parent.name[len("case_"):]))
+        return read_mmv(path)
+
+    monkeypatch.setattr(data_module, "read_mmv", counted)
+    assert main(["train", "--out", str(tmp_path / "run"), "--data", str(data),
+                 "--model-config", str(tmp_path / "model.json"), "--steps", "1"]) == 0
+    assert read == splits["train"] + splits["val"]
+    read.clear()
+    assert main(["eval", "--out", str(tmp_path / "eval"), "--data", str(data), "--split", "test",
+                 "--checkpoint", str(tmp_path / "run" / "checkpoint.ckpt")]) == 0
+    assert read == splits["test"]
+    report = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    assert [case["case"] for case in report["per_case"]] == splits["test"]
 
 
 @pytest.mark.parametrize("command,args", [

@@ -440,3 +440,30 @@ class TestDatasetDirectory:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="no case"):
             load_dataset(tmp_path)
+
+    def test_listed_cases_are_read_in_their_order(self, tmp_path):
+        save_dataset(tmp_path / "ds", tiny_spec(noise_sigma=0.1, seed=3), 3)
+        every = load_dataset(tmp_path / "ds")
+        picked = load_dataset(tmp_path / "ds", [2, 0])
+        assert len(picked) == 2
+        for (volume, mask), (want_volume, want_mask) in zip(picked, [every[2], every[0]]):
+            assert np.array_equal(volume, want_volume)
+            assert np.array_equal(mask.labels, want_mask.labels) and mask.spacing == want_mask.spacing
+        assert load_dataset(tmp_path / "ds", []) == []
+
+    @pytest.mark.parametrize("cases,index", [([0, 3], 3), ([-1], -1)], ids=["past-the-last", "negative"])
+    def test_index_without_a_case_is_refused(self, tmp_path, cases, index):
+        save_dataset(tmp_path / "ds", tiny_spec(noise_sigma=0.1), 3)
+        with pytest.raises(ConfigError, match=rf"has no case {index}: it holds cases 0 to 2"):
+            load_dataset(tmp_path / "ds", cases)
+
+    def test_cases_that_disagree_with_the_first_read_are_refused(self, tmp_path):
+        save_dataset(tmp_path / "ds", tiny_spec(noise_sigma=0.1), 2)
+        save_dataset(tmp_path / "odd", tiny_spec(noise_sigma=0.1, modalities=3), 1)
+        (tmp_path / "ds" / "case_0002").mkdir()
+        for name in ("volume.mmv", "mask.msk"):
+            odd = tmp_path / "odd" / "case_0000" / name
+            (tmp_path / "ds" / "case_0002" / name).write_bytes(odd.read_bytes())
+        assert len(load_dataset(tmp_path / "ds", [0, 1])) == 2
+        with pytest.raises(ConfigError, match=r"case 2 of .* has \{.*'modalities': 3.*\}, but case 1 has"):
+            load_dataset(tmp_path / "ds", [1, 2])
